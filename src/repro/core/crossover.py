@@ -24,11 +24,11 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.cache import disk_cache, result_cache
 from repro.core.machine import MachineParams
 from repro.core.models import MODELS, AlgorithmModel, log2
+from repro.core.roots import brentq
 
 __all__ = [
     "equal_overhead_n",
@@ -76,7 +76,7 @@ def _refine_crossing(
             return None
         return math.exp(xs[first_zero])
     x0, x1 = xs[first_cross], xs[first_cross + 1]
-    return math.exp(brentq(diff, x0, x1, xtol=1e-12, rtol=1e-12))
+    return math.exp(brentq(diff, x0, x1, rtol=1e-12))
 
 
 def equal_overhead_n(
@@ -137,7 +137,7 @@ def gk_cannon_tw_cutoff() -> float:
         return 2 * math.sqrt(p) - (5 / 3) * p ** (1 / 3) * log2(p)
 
     # the nontrivial root sits well above p = 2; bracket it widely
-    return math.exp(brentq(f, math.log(1e3), math.log(1e15), xtol=1e-12))
+    return math.exp(brentq(f, math.log(1e3), math.log(1e15)))
 
 
 def _dns_wins_somewhere(

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.machine import MachineParams
 from repro.core.metrics import k_factor
 from repro.core.models import AlgorithmModel
+from repro.core.roots import brentq
 
 __all__ = [
     "isoefficiency",
@@ -57,7 +57,7 @@ def _balance(to_of_n: Callable[[float], float], K: float) -> float:
         return float("inf")
     if f(lo) > 0:
         return 0.0
-    return math.exp(brentq(f, lo, hi, xtol=1e-12, rtol=1e-12))
+    return math.exp(brentq(f, lo, hi, rtol=1e-12))
 
 
 def isoefficiency(

@@ -26,6 +26,7 @@ Presets match the parameter sets the paper analyses:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -73,6 +74,12 @@ class MachineParams:
         for field_name, label in (("ts", "startup time"), ("tw", "per-word time"),
                                   ("th", "per-hop time")):
             v = getattr(self, field_name)
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{field_name} (message {label}) must be finite, got {v!r}; "
+                    "costs are times in basic-op units, and a NaN or infinite one "
+                    "makes every prediction meaningless — pass a finite number"
+                )
             if v < 0:
                 raise ValueError(
                     f"{field_name} (message {label}) must be non-negative, got {v!r}; "
@@ -84,9 +91,10 @@ class MachineParams:
                 f"unknown routing discipline {self.routing!r}; "
                 "use 'ct' (cut-through) or 'sf' (store-and-forward)"
             )
-        if self.unit_time <= 0:
+        if not (math.isfinite(self.unit_time) and self.unit_time > 0):
             raise ValueError(
-                f"unit_time must be positive seconds per basic op, got {self.unit_time!r}"
+                "unit_time must be positive, finite seconds per basic op, "
+                f"got {self.unit_time!r}"
             )
 
     # -- point-to-point costs -----------------------------------------------------

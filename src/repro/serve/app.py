@@ -32,7 +32,7 @@ import asyncio
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.core import regions
 from repro.core.cache import cache_stats
@@ -46,6 +46,7 @@ from repro.serve.jobs import JobQueue
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
     ProtocolError,
+    finite_float,
     json_bytes,
     machine_from_payload,
     machine_payload,
@@ -63,6 +64,25 @@ MAX_LOG2_P, MAX_LOG2_N = 40, 24
 
 #: Ceilings on job-backed simulator runs (matrix order / rank count).
 MAX_JOB_N, MAX_JOB_P = 1024, 65536
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number; send finite numbers only")
+
+
+#: The one request decoder: strict JSON, so ``NaN``/``Infinity``/``-Infinity``
+#: (which ``json.loads`` accepts) are refused at the wire.
+_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _parse_object(data: bytes | str) -> dict[str, Any]:
+    """Decode one JSON request object; ``ValueError`` says what is wrong."""
+    if isinstance(data, bytes):
+        data = data.decode(json.detect_encoding(data), "surrogatepass")
+    parsed = _JSON.decode(data)
+    if not isinstance(parsed, dict):
+        raise ValueError(f"expected a JSON object, got {type(parsed).__name__}")
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -219,17 +239,11 @@ class ReproServer:
         if raw_p is None:
             p_values = DEFAULT_CURVE_P
         else:
-            if (
-                not isinstance(raw_p, list)
-                or not raw_p
-                or len(raw_p) > 512
-                or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 1
-                    for v in raw_p
-                )
-            ):
-                raise ProtocolError("'p_values' must be a list of <=512 numbers >= 1")
-            p_values = tuple(float(v) for v in raw_p)
+            if not isinstance(raw_p, list) or not 0 < len(raw_p) <= 512:
+                raise ProtocolError("'p_values' must be a list of 1 to 512 numbers")
+            p_values = tuple(finite_float(v, "each of 'p_values'") for v in raw_p)
+            if min(p_values) < 1:
+                raise ProtocolError("'p_values' must all be >= 1")
         curve = await asyncio.to_thread(self.tier.curve, a, b, machine, p_values)
         return 200, {
             "machine": machine_payload(machine),
@@ -358,6 +372,8 @@ class ReproServer:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             return 400, {"error": "bad content-length"}, False
         if length > MAX_BODY_BYTES:
             return 413, {"error": f"body too large (> {MAX_BODY_BYTES} bytes)"}, False
@@ -365,12 +381,9 @@ class ReproServer:
         if length:
             raw = await reader.readexactly(length)
             try:
-                parsed = json.loads(raw)
-            except ValueError:
-                return 400, {"error": "body is not valid JSON"}, keep_alive
-            if not isinstance(parsed, dict):
-                return 400, {"error": "body must be a JSON object"}, keep_alive
-            body = parsed
+                body = _parse_object(raw)
+            except ValueError as exc:
+                return 400, {"error": f"bad JSON body: {exc}"}, keep_alive
         status, payload = await self.dispatch(method, path, body)
         return status, payload, keep_alive
 
@@ -427,12 +440,10 @@ class ReproServer:
             if text is None:
                 return
             try:
-                body = json.loads(text)
-                if not isinstance(body, dict):
-                    raise ValueError("not an object")
-            except ValueError:
+                body = _parse_object(text)
+            except ValueError as exc:
                 await _ws_send_text(
-                    writer, json_bytes({"event": "error", "error": "bad JSON request"})
+                    writer, json_bytes({"event": "error", "error": f"bad JSON request: {exc}"})
                 )
                 return
             await self._stream_region(writer, body)

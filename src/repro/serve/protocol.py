@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from typing import Any
 
 from repro.core.cache import canonical_fingerprint
@@ -27,6 +28,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_POINTS_PER_REQUEST",
     "ProtocolError",
+    "finite_float",
     "machine_from_payload",
     "machine_fingerprint",
     "machine_payload",
@@ -55,6 +57,24 @@ class ProtocolError(ValueError):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
+
+
+def finite_float(value: Any, label: str) -> float:
+    """*value* as a finite float, or a :class:`ProtocolError` naming *label*.
+
+    A type check alone lets through numbers no float can hold: JSON
+    integers are unbounded (``float(10**400)`` raises ``OverflowError``)
+    and the literal ``1e999`` decodes to ``inf``.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f"{label} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProtocolError(f"{label} must be a finite number")
+    return x
 
 
 def machine_from_payload(payload: Any) -> MachineParams:
@@ -89,8 +109,9 @@ def machine_from_payload(payload: Any) -> MachineParams:
         elif name == "all_port":
             if not isinstance(value, bool):
                 raise ProtocolError("machine field 'all_port' must be a boolean")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"machine field {name!r} must be a number")
+        else:
+            # validated, not converted: an int field stays an int in the echo
+            finite_float(value, f"machine field {name!r}")
     try:
         if preset is not None:
             base = machine_from_payload(preset)
@@ -116,13 +137,11 @@ def machine_fingerprint(machine: MachineParams) -> str:
 
 
 def _check_point(n: Any, p: Any) -> tuple[float, float]:
-    for label, v in (("n", n), ("p", p)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ProtocolError(f"point field {label!r} must be a number")
-    nf, pf = float(n), float(p)
-    if not (nf > 0 and nf < 1e18) or nf != nf:
+    nf = finite_float(n, "point field 'n'")
+    pf = finite_float(p, "point field 'p'")
+    if not 0 < nf < 1e18:
         raise ProtocolError(f"n must be in (0, 1e18), got {n!r}")
-    if not (pf >= 1 and pf < 1e18) or pf != pf:
+    if not 1 <= pf < 1e18:
         raise ProtocolError(f"p must be in [1, 1e18), got {p!r}")
     return nf, pf
 

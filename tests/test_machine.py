@@ -1,5 +1,7 @@
 """Unit tests for repro.core.machine."""
 
+import math
+
 import pytest
 
 from repro.core.machine import (
@@ -27,6 +29,21 @@ class TestValidation:
     def test_bad_unit_time(self):
         with pytest.raises(ValueError):
             MachineParams(ts=1.0, tw=1.0, unit_time=0.0)
+
+    @pytest.mark.parametrize("field", ["ts", "tw", "th"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} \(message .*\) must be finite"):
+            MachineParams(**{"ts": 1.0, "tw": 1.0, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_unit_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit_time must be positive, finite"):
+            MachineParams(ts=1.0, tw=1.0, unit_time=bad)
+
+    def test_with_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="tw .* must be finite"):
+            NCUBE2_LIKE.with_(tw=math.inf)
 
 
 class TestTransferTime:

@@ -26,6 +26,11 @@ async def _http(reader, writer, method, path, body=None, close=False):
     )
     writer.write(head.encode() + data)
     await writer.drain()
+    return await _read_response(reader)
+
+
+async def _read_response(reader):
+    """The (status, payload) of one HTTP response."""
     status = int((await reader.readline()).split()[1])
     length = 0
     while True:
@@ -158,6 +163,54 @@ class TestHttp:
 
         _serve(scenario)
 
+    def test_negative_content_length(self):
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n")
+            await writer.drain()
+            assert await _read_response(reader) == (400, {"error": "bad content-length"})
+            writer.close()
+
+        _serve(scenario)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constants_rejected(self, constant):
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            raw = (
+                f'{{"machine": {{"ts": {constant}, "tw": 3}}, "n": 64, "p": 16}}'
+            ).encode()
+            writer.write(
+                (
+                    f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(raw)}\r\n\r\n"
+                ).encode() + raw
+            )
+            await writer.drain()
+            status, payload = await _read_response(reader)
+            assert status == 400 and constant in payload["error"]
+            # keep-alive survives the rejection, and nothing reached the batcher
+            status, payload = await _http(reader, writer, "GET", "/stats")
+            assert status == 200 and payload["batcher"]["requests"] == 0
+            writer.close()
+
+        _serve(scenario)
+
+    @pytest.mark.parametrize(
+        "machine",
+        [{"ts": float("nan"), "tw": 3}, {"preset": "cm5", "tw": float("inf")},
+         {"ts": 1, "tw": 3, "unit_time": float("inf")}, {"ts": 10**400, "tw": 3}],
+    )
+    def test_non_finite_machine_is_400_not_a_prediction(self, machine):
+        async def scenario(server, host, port):
+            status, payload = await server.dispatch(
+                "POST", "/predict", {"machine": machine, "n": 64, "p": 16}
+            )
+            assert status == 400, payload
+            assert "must be a finite number" in payload["error"]
+
+        _serve(scenario)
+
     def test_regions_and_crossover(self):
         async def scenario(server, host, port):
             reader, writer = await asyncio.open_connection(host, port)
@@ -275,6 +328,17 @@ class TestWebSocket:
 
         _serve(scenario)
 
+    def test_non_finite_json_constant_yields_error_event(self):
+        async def scenario(server, host, port):
+            # json.dumps writes the float as the bare constant NaN
+            events = await self._ws_scenario(
+                server, host, port, {"machine": {"ts": float("nan"), "tw": 3.0}}
+            )
+            assert [e["event"] for e in events] == ["error"]
+            assert "NaN" in events[0]["error"]
+
+        _serve(scenario)
+
 
 class TestDispatch:
     """Transport-independent routing (the load generator's path)."""
@@ -298,6 +362,26 @@ class TestDispatch:
                  "points": [{"n": 1, "p": 1}] * 5000},
             )
             assert status == 413
+
+        _serve(scenario)
+
+    @pytest.mark.parametrize(
+        "path, body, label",
+        [
+            ("/predict", {"n": 10**400, "p": 16}, "point field 'n'"),
+            ("/predict", {"points": [{"n": 64, "p": json.loads("1e999")}]}, "point field 'p'"),
+            ("/crossover", {"p_values": json.loads("[16, 1e999]")}, "each of 'p_values'"),
+            ("/crossover", {"p_values": [16, 10**400]}, "each of 'p_values'"),
+        ],
+    )
+    def test_numbers_beyond_float_range_are_400(self, path, body, label):
+        # 1e999 is a valid JSON literal that decodes to inf without ever
+        # reaching the decoder's parse_constant; 10**400 overflows float()
+        async def scenario(server, host, port):
+            request = {"machine": "cm5", "a": "gk", "b": "cannon", **body}
+            status, payload = await server.dispatch("POST", path, request)
+            assert status == 400, payload
+            assert payload["error"] == f"{label} must be a finite number"
 
         _serve(scenario)
 
