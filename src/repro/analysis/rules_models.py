@@ -1,18 +1,16 @@
 """Model-consistency rules (MOD0xx).
 
 The paper's Table 1 / Figures 1-3 claims only reproduce if every
-:class:`~repro.core.models.AlgorithmModel` keeps three disciplines:
+:class:`~repro.core.models.AlgorithmModel` keeps two disciplines:
 
-* the scalar and vectorized-grid evaluation paths must be the *same*
-  expressions (``tests/test_grid_apis.py`` checks values; MOD001 checks
-  the structural precondition — nobody overrides one path without the
-  other);
-* ``overhead_terms`` is the unit-bearing decomposition Section 5's
-  term-wise isoefficiency balances against ``W``, so its keys must come
-  from the declared ``t_s``/``t_w``/``t_c`` vocabulary and each term
-  must actually carry that dimension (MOD002);
+* ``overhead_terms`` is the model's one cost expression — the
+  unit-bearing decomposition Section 5's term-wise isoefficiency
+  balances against ``W``, from which the base class derives ``T_p``,
+  speedup and efficiency — so its keys must come from the declared
+  ``t_s``/``t_w``/``t_c`` vocabulary and each term must actually carry
+  that dimension (MOD002);
 * applicability is derived from ``min_procs``/``max_procs``; overriding
-  the derived predicates directly lets the three drift apart (MOD003).
+  the derived predicate directly lets the three drift apart (MOD003).
 """
 
 from __future__ import annotations
@@ -24,20 +22,10 @@ from repro.analysis.astutil import attribute_roots, dotted_name
 from repro.analysis.core import Finding, ModuleSource, Rule, register
 
 __all__ = [
-    "ScalarGridPairRule",
     "OverheadTermUnitsRule",
     "ProcsConsistencyRule",
     "TERM_VOCABULARY",
 ]
-
-#: scalar method -> its vectorized counterpart (both or neither per class)
-_PAIRS = {
-    "time": "time_grid",
-    "overhead": "overhead_grid",
-    "speedup": "speedup_grid",
-    "efficiency": "efficiency_grid",
-    "applicable": "applicable_grid",
-}
 
 #: Unit vocabulary for ``overhead_terms`` keys.  A key is its leading
 #: unit tag plus an optional ``_<qualifier>`` (e.g. ``ts_cannon``):
@@ -47,7 +35,6 @@ _PAIRS = {
 #: ``tc``     compute-typed        — carries neither machine constant
 #: ``ts_tw``  mixed                — scales with ts and tw jointly
 #: ``sqrt``   geometric-mean-typed — sqrt(ts*tw) packetization terms
-#: ``total``  undecomposed         — base-class fallback only
 TERM_VOCABULARY: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     # tag -> (machine attrs the term MUST reference, attrs it MUST NOT)
     "ts": (frozenset({"ts"}), frozenset({"tw"})),
@@ -55,7 +42,6 @@ TERM_VOCABULARY: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "tc": (frozenset(), frozenset({"ts", "tw"})),
     "ts_tw": (frozenset({"ts", "tw"}), frozenset()),
     "sqrt": (frozenset({"ts", "tw"}), frozenset()),
-    "total": (frozenset(), frozenset()),
 }
 
 
@@ -65,7 +51,7 @@ def _model_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
     Matched by base-name suffix so the rule sees subclasses in any
     module without import resolution; ``AlgorithmModel`` itself (which
     subclasses only ``ABC``) is intentionally not matched — it defines
-    the canonical pairs.
+    the derived quantities.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -78,37 +64,6 @@ def _model_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
 
 def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     return {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
-
-
-@register
-class ScalarGridPairRule(Rule):
-    """MOD001: scalar/grid evaluation paths must be overridden in pairs.
-
-    ``AlgorithmModel`` implements both paths from the same polymorphic
-    hooks (``comm_time``, ``overhead_terms``, ``min_procs``/``max_procs``),
-    so a subclass normally overrides only the hooks and both paths move
-    together.  A subclass that overrides ``overhead`` but not
-    ``overhead_grid`` (or vice versa) forks the expressions — grid and
-    scalar results can then disagree cell-for-cell without any test
-    noticing until a figure shifts.
-    """
-
-    rule_id = "MOD001"
-    name = "scalar-grid-pair"
-    description = "override time/overhead/... and their *_grid counterparts together"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for cls in _model_classes(module.tree):
-            methods = _methods(cls)
-            for scalar, grid in _PAIRS.items():
-                has_scalar, has_grid = scalar in methods, grid in methods
-                if has_scalar != has_grid:
-                    present, missing = (scalar, grid) if has_scalar else (grid, scalar)
-                    yield self.finding(
-                        module, methods[present],
-                        f"{cls.name} overrides {present}() but not {missing}(); "
-                        "scalar and grid paths must stay the same expressions",
-                    )
 
 
 @register
@@ -127,7 +82,7 @@ class OverheadTermUnitsRule(Rule):
 
     rule_id = "MOD002"
     name = "overhead-term-units"
-    description = "overhead_terms keys must be ts/tw/tc/ts_tw/sqrt/total-typed and dimensionally consistent"
+    description = "overhead_terms keys must be ts/tw/tc/ts_tw/sqrt-typed and dimensionally consistent"
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for cls in _model_classes(module.tree):
@@ -234,24 +189,23 @@ class OverheadTermUnitsRule(Rule):
 class ProcsConsistencyRule(Rule):
     """MOD003: applicability must stay derived from the concurrency bounds.
 
-    ``applicable`` / ``applicable_grid`` are implemented once on the
-    base class as ``min_procs(n) <= p <= max_procs(n)``; a subclass
-    overriding them can silently disagree with its own declared bounds
-    (and with the region analysis, which queries the bounds directly).
-    Subclasses adjust ``min_procs``/``max_procs`` instead.
+    ``applicable`` is implemented once on the base class as
+    ``(min_procs(n) <= p) & (p <= max_procs(n))``; a subclass overriding
+    it can silently disagree with its own declared bounds (and with the
+    region analysis, which queries the bounds directly).  Subclasses
+    adjust ``min_procs``/``max_procs`` instead.
     """
 
     rule_id = "MOD003"
     name = "procs-consistency"
-    description = "override min_procs/max_procs, never applicable/applicable_grid"
+    description = "override min_procs/max_procs, never applicable"
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for cls in _model_classes(module.tree):
-            methods = _methods(cls)
-            for name in ("applicable", "applicable_grid"):
-                if name in methods:
-                    yield self.finding(
-                        module, methods[name],
-                        f"{cls.name} overrides {name}(); adjust min_procs/max_procs "
-                        "so applicability, bounds, and region analysis stay consistent",
-                    )
+            fn = _methods(cls).get("applicable")
+            if fn is not None:
+                yield self.finding(
+                    module, fn,
+                    f"{cls.name} overrides applicable(); adjust min_procs/max_procs "
+                    "so applicability, bounds, and region analysis stay consistent",
+                )

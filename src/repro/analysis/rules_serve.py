@@ -43,10 +43,6 @@ _MODEL_METHODS = frozenset(
         "speedup",
         "efficiency",
         "overhead_terms",
-        "time_grid",
-        "overhead_grid",
-        "speedup_grid",
-        "efficiency_grid",
     }
 )
 

@@ -18,7 +18,6 @@ isoefficiency of the all-port variants no better than the one-port ones:
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.core.machine import MachineParams
 from repro.core.models import AlgorithmModel, log2
@@ -39,18 +38,14 @@ class SimpleAllPortModel(AlgorithmModel):
     equation = "(16)"
     asymptotic_isoefficiency = "O(p^1.5 (log p)^3)"  # effective, via message-size bound
 
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        lg = log2(p)
-        if lg == 0:
-            return 0.0
-        return 2 * machine.tw * n**2 / (math.sqrt(p) * lg) + 0.5 * machine.ts * lg
-
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
-        lg = max(log2(p), 1e-12)
+        lg = log2(p)
+        # p = 1 communicates nothing: the ts term vanishes with lg, and
+        # dividing by inf instead of lg = 0 zeroes the tw term
         return {
             "ts": 0.5 * machine.ts * p * lg,
-            "tw": 2 * machine.tw * n**2 * math.sqrt(p) / lg,
+            "tw": 2 * machine.tw * n**2 * math.sqrt(p) / (lg or math.inf),
         }
 
     def max_procs(self, n: float) -> float:
@@ -73,23 +68,16 @@ class GKAllPortModel(AlgorithmModel):
     equation = "(17)"
     asymptotic_isoefficiency = "O(p (log p)^3)"  # effective, via message-size bound
 
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        lg = log2(p)
-        if lg == 0:
-            return 0.0
-        return (
-            machine.ts * lg
-            + 9 * machine.tw * n**2 / (p ** (2 / 3) * lg)
-            + 6 * (n / p ** (1 / 3)) * math.sqrt(machine.ts * machine.tw)
-        )
-
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
-        lg = max(log2(p), 1e-12)
+        lg = log2(p)
+        # p = 1 communicates nothing: the ts term vanishes with lg,
+        # dividing by inf instead of lg = 0 zeroes the tw term, and the
+        # (lg > 0) factor zeroes the sqrt term
         return {
             "ts": machine.ts * p * lg,
-            "tw": 9 * machine.tw * n**2 * p ** (1 / 3) / lg,
-            "sqrt": 6 * n * p ** (2 / 3) * math.sqrt(machine.ts * machine.tw),
+            "tw": 9 * machine.tw * n**2 * p ** (1 / 3) / (lg or math.inf),
+            "sqrt": 6 * n * p ** (2 / 3) * math.sqrt(machine.ts * machine.tw) * (lg > 0),
         }
 
     def max_procs(self, n: float) -> float:

@@ -91,17 +91,18 @@ def equal_overhead_n(
     """The matrix size at which ``T_o^a(n, p) == T_o^b(n, p)``, or ``None``.
 
     Evaluates the overhead difference over a logarithmic grid in one
-    vectorized pass (the models' ``overhead_grid``), then refines the
-    first sign change with Brent's method.  Returns ``None`` when one
+    vectorized pass (the models' ``overhead`` on arrays), then refines
+    the first sign change with Brent's method.  Returns ``None`` when one
     algorithm dominates the whole range (no crossover).
     """
     ma, mb = _as_model(a), _as_model(b)
     xs = np.linspace(math.log(n_lo), math.log(n_hi), 400)
     ns = np.exp(xs)
+    # a 0-d array p takes np.log2, as the grid scans do; a float p would
+    # take math.log2, which differs from it in the last bit for some p
+    p_arr = np.asarray(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(
-            ma.overhead_grid(ns, float(p), machine) - mb.overhead_grid(ns, float(p), machine)
-        )
+        vals = np.asarray(ma.overhead(ns, p_arr, machine) - mb.overhead(ns, p_arr, machine))
     return _refine_crossing(ma, mb, p, machine, xs, vals)
 
 
@@ -156,8 +157,9 @@ def _dns_wins_somewhere(
     if n_hi < n_lo or n_hi < 1.0:
         return False
     ns = np.geomspace(max(n_lo, 1.0), n_hi, samples)
+    p_arr = np.asarray(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = dns.overhead_grid(ns, float(p), machine) - gk.overhead_grid(ns, float(p), machine)
+        diff = dns.overhead(ns, p_arr, machine) - gk.overhead(ns, p_arr, machine)
     return bool(np.any(diff < 0))
 
 
@@ -271,9 +273,7 @@ def crossover_curve(
     ns = np.exp(xs)[None, :]
     p_col = np.asarray(ps)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        diffs = np.asarray(
-            ma.overhead_grid(ns, p_col, machine) - mb.overhead_grid(ns, p_col, machine)
-        )
+        diffs = np.asarray(ma.overhead(ns, p_col, machine) - mb.overhead(ns, p_col, machine))
     diffs = np.broadcast_to(diffs, (len(ps), xs.size))
     curve = [
         (p, _refine_crossing(ma, mb, p, machine, xs, diffs[i]))

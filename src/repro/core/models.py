@@ -1,32 +1,29 @@
 """Analytic parallel-execution-time models — paper Section 4 and Table 1.
 
-One model class per parallel formulation, each exposing the paper's
-closed-form expressions:
+One model class per parallel formulation.  A model is its overhead
+``overhead_terms(n, p, machine)`` — the paper's ``T_o = p*T_p - W``
+(the Table 1 column, ``W = n^3``) split into the additive terms the
+term-wise isoefficiency analysis of Section 5 balances against ``W`` —
+plus its concurrency bounds ``min_procs``/``max_procs``.  Everything
+else is derived from those on :class:`AlgorithmModel`:
 
-* ``time(n, p, machine)`` — the parallel execution time ``T_p``
-  (Equations 2-7 and 18),
-* ``comm_time`` / ``compute_time`` — its two components,
-* ``overhead(n, p, machine)`` — the total overhead
-  ``T_o = p*T_p - n^3`` (the Table 1 column),
-* ``overhead_terms`` — ``T_o`` split into its additive terms, which is
-  what the term-wise isoefficiency analysis of Section 5 balances
-  against ``W``,
-* concurrency bounds ``max_procs`` / ``min_procs`` and the continuous
-  applicability predicate used by the region analysis of Section 6,
+* ``overhead`` — the summed ``T_o``,
+* ``time`` — the parallel execution time ``T_p = (W + T_o)/p``
+  (Equations 2-7 and 18), with components ``compute_time = W/p`` and
+  ``comm_time = T_o/p``,
+* ``speedup = W/T_p`` and ``efficiency = W/(W + T_o)``,
+* the continuous applicability predicate used by the region analysis of
+  Section 6,
 * ``max_efficiency(machine)`` — the efficiency ceiling (only the DNS
   algorithm has one below 1, Section 5.3).
 
-All logarithms are base 2 (hypercube dimensions).  ``W = n^3``
-throughout, per Section 5.
+All logarithms are base 2 (hypercube dimensions).
 
 Every expression is written against the polymorphic :func:`log2` helper
-and ``** 0.5``-style powers, so the same closed forms evaluate on
-scalars *and* on numpy arrays.  The grid entry points
-(:meth:`AlgorithmModel.time_grid`, :meth:`~AlgorithmModel.overhead_grid`,
-:meth:`~AlgorithmModel.applicable_grid`) accept broadcastable ``(n, p)``
-meshes and are what the region/crossover analysis and Figures 1-3 are
-built on — one array expression per model instead of one Python call
-per grid point.
+and ``** 0.5``-style powers, so each method evaluates on scalars *and*
+elementwise on broadcastable numpy float arrays of ``(n, p)`` — the
+region/crossover analysis of Figures 1-3 calls the same methods on whole
+grids.  The all-port models of :mod:`repro.core.allport` are scalar-only.
 """
 
 from __future__ import annotations
@@ -68,7 +65,11 @@ def log2(x: Any) -> Any:
 
 
 class AlgorithmModel(ABC):
-    """Closed-form performance model of one parallel formulation."""
+    """Closed-form performance model of one parallel formulation.
+
+    Subclasses write :meth:`overhead_terms` and, where Table 1 bounds
+    them, ``min_procs``/``max_procs``; every other quantity is derived.
+    """
 
     key: str = ""
     title: str = ""
@@ -78,78 +79,42 @@ class AlgorithmModel(ABC):
     asymptotic_isoefficiency: str = ""
     """Table 1's asymptotic isoefficiency function, as text."""
 
-    # -- the paper's expressions ---------------------------------------------------
-
-    def compute_time(self, n: float, p: float) -> float:
-        """Computation component of ``T_p`` (always ``n^3/p``)."""
-        return n**3 / p
+    # -- the paper's expression -------------------------------------------------------
 
     @abstractmethod
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        """Communication component of ``T_p``."""
+    def overhead_terms(self, n: Any, p: Any, machine: MachineParams) -> dict[str, Any]:
+        """``T_o = p*T_p - W`` split into named additive terms (Section 5).
 
-    def time(self, n: float, p: float, machine: MachineParams) -> float:
-        """Modeled parallel execution time ``T_p`` in basic-op units."""
-        self._validate(n, p)
-        return self.compute_time(n, p) + self.comm_time(n, p, machine)
+        The one cost expression a model writes.  Keys are unit-tagged
+        (``ts``, ``tw``, ``ts_tw``, ``sqrt``, optionally ``_qualified``)
+        so the term-wise isoefficiency analysis can balance each alone.
+        """
 
-    def overhead(self, n: float, p: float, machine: MachineParams) -> float:
+    # -- derived from the overhead ------------------------------------------------------
+
+    def overhead(self, n: Any, p: Any, machine: MachineParams) -> Any:
         """Total overhead ``T_o(W, p) = p*T_p - W`` (Table 1 column)."""
         return sum(self.overhead_terms(n, p, machine).values())
 
-    def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
-        """``T_o`` split into named additive terms (for Section 5's analysis).
+    def compute_time(self, n: Any, p: Any) -> Any:
+        """Computation component of ``T_p`` (always ``n^3/p``)."""
+        return n**3 / p
 
-        The default implementation returns a single term; models override
-        it to expose their ``ts``/``tw`` structure.
-        """
-        self._validate(n, p)
-        return {"total": p * self.comm_time(n, p, machine)}
+    def comm_time(self, n: Any, p: Any, machine: MachineParams) -> Any:
+        """Communication component of ``T_p``: ``T_o/p``."""
+        return self.overhead(n, p, machine) / p
 
-    # -- vectorized grid evaluation (Figures 1-3 hot path) -------------------------
+    def time(self, n: Any, p: Any, machine: MachineParams) -> Any:
+        """Modeled parallel execution time ``T_p = (W + T_o)/p`` in basic-op units."""
+        return (n**3 + self.overhead(n, p, machine)) / p
 
-    def time_grid(self, n: Any, p: Any, machine: MachineParams) -> np.ndarray:
-        """``T_p`` evaluated over broadcastable ``(n, p)`` arrays.
-
-        Accepts anything :func:`numpy.asarray` does; the result has the
-        broadcast shape of the inputs.  Identical expressions to
-        :meth:`time`, evaluated once per grid instead of per point.
-        """
-        n = np.asarray(n, dtype=float)
-        p = np.asarray(p, dtype=float)
-        self._validate(n, p)
-        # the scalar-typed hooks evaluate elementwise on arrays by design
-        return self.compute_time(n, p) + self.comm_time(n, p, machine)  # type: ignore[arg-type]
-
-    def overhead_grid(self, n: Any, p: Any, machine: MachineParams) -> np.ndarray:
-        """``T_o = p*T_p - W`` over broadcastable ``(n, p)`` arrays."""
-        n = np.asarray(n, dtype=float)
-        p = np.asarray(p, dtype=float)
-        terms = self.overhead_terms(n, p, machine)  # type: ignore[arg-type]
-        return sum(terms.values())  # type: ignore[return-value]
-
-    def applicable_grid(self, n: Any, p: Any) -> np.ndarray:
-        """Boolean mask of the Table 1 applicability range over a grid."""
-        n = np.asarray(n, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return (self.min_procs(n) <= p) & (p <= self.max_procs(n))  # type: ignore[arg-type]
-
-    def speedup_grid(self, n: Any, p: Any, machine: MachineParams) -> np.ndarray:
-        """``S = W / T_p`` over broadcastable ``(n, p)`` arrays."""
-        n = np.asarray(n, dtype=float)
-        return n**3 / self.time_grid(n, p, machine)
-
-    def efficiency_grid(self, n: Any, p: Any, machine: MachineParams) -> np.ndarray:
-        """``E = S / p`` over broadcastable ``(n, p)`` arrays."""
-        return self.speedup_grid(n, p, machine) / np.asarray(p, dtype=float)
-
-    # -- derived metrics --------------------------------------------------------------
-
-    def speedup(self, n: float, p: float, machine: MachineParams) -> float:
+    def speedup(self, n: Any, p: Any, machine: MachineParams) -> Any:
         return n**3 / self.time(n, p, machine)
 
-    def efficiency(self, n: float, p: float, machine: MachineParams) -> float:
-        return self.speedup(n, p, machine) / p
+    def efficiency(self, n: Any, p: Any, machine: MachineParams) -> Any:
+        """``E = W/(W + T_o)``."""
+        work = n**3
+        return work / (work + self.overhead(n, p, machine))
 
     def max_efficiency(self, machine: MachineParams) -> float:
         """Supremum of achievable efficiency over all problem sizes (Section 5.3)."""
@@ -164,9 +129,9 @@ class AlgorithmModel(ABC):
     def min_procs(self, n: float) -> float:
         return 1.0
 
-    def applicable(self, n: float, p: float) -> bool:
+    def applicable(self, n: Any, p: Any) -> Any:
         """Continuous applicability (Table 1 column), ignoring divisibility."""
-        return self.min_procs(n) <= p <= self.max_procs(n)
+        return (self.min_procs(n) <= p) & (p <= self.max_procs(n))
 
     def concurrency_isoefficiency(self, p: float, machine: MachineParams | None = None) -> float:
         """``W`` forced by limits other than communication: the concurrency
@@ -192,9 +157,6 @@ class SimpleModel(AlgorithmModel):
     equation = "(2)"
     asymptotic_isoefficiency = "O(p^1.5)"
 
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return 2 * machine.ts * log2(p) + 2 * machine.tw * n**2 / p**0.5
-
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
         return {
@@ -216,9 +178,6 @@ class CannonModel(AlgorithmModel):
     title = "Cannon"
     equation = "(3)"
     asymptotic_isoefficiency = "O(p^1.5)"
-
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return 2 * machine.ts * p**0.5 + 2 * machine.tw * n**2 / p**0.5
 
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
@@ -245,9 +204,6 @@ class FoxModel(AlgorithmModel):
     # *asynchronous* variant, whose time is within 2x of Cannon's (Section 4.3).
     asymptotic_isoefficiency = "O(p^2)"
 
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return 2 * machine.tw * n**2 / p**0.5 + machine.ts * p
-
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
         return {
@@ -269,13 +225,6 @@ class BerntsenModel(AlgorithmModel):
     title = "Berntsen"
     equation = "(5)"
     asymptotic_isoefficiency = "O(p^2)"  # concurrency-limited (Section 5.2)
-
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return (
-            2 * machine.ts * p ** (1 / 3)
-            + machine.ts * log2(p) / 3
-            + 3 * machine.tw * n**2 / p ** (2 / 3)
-        )
 
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
@@ -299,9 +248,6 @@ class DNSModel(AlgorithmModel):
     title = "Dekel-Nassimi-Sahni"
     equation = "(6)"
     asymptotic_isoefficiency = "O(p log p)"
-
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return (machine.ts + machine.tw) * (5 * log2(p / n**2) + 2 * n**3 / p)
 
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
@@ -333,9 +279,6 @@ class GKModel(AlgorithmModel):
     title = "GK"
     equation = "(7)"
     asymptotic_isoefficiency = "O(p (log p)^3)"
-
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return (5 / 3) * log2(p) * (machine.ts + machine.tw * n**2 / p ** (2 / 3))
 
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
@@ -372,33 +315,14 @@ class GKImprovedModel(AlgorithmModel):
     equation = "(5.4.1)"
     asymptotic_isoefficiency = "O(p (log p)^1.5)"
 
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        lg = log2(p)
-        if not isinstance(lg, np.ndarray) and lg == 0:
-            return 0.0
-        m_sqrt = (n / p ** (1 / 3)) * (machine.ts * machine.tw * lg / 3) ** 0.5
-        bcast = (
-            4 * machine.tw * n**2 / p ** (2 / 3)
-            + (4 / 3) * machine.ts * lg
-            + 8 * m_sqrt
-        )
-        gather = (
-            machine.tw * n**2 / p ** (2 / 3)
-            + (1 / 3) * machine.ts * lg
-            + 2 * m_sqrt
-        )
-        total = bcast + gather
-        if isinstance(lg, np.ndarray):
-            # the scalar guard above, elementwise: p = 1 means no broadcast
-            total = np.where(lg == 0, 0.0, total)
-        return total
-
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)
         lg = log2(p)
+        # p = 1 broadcasts nothing: the ts and sqrt terms vanish with lg,
+        # and the (lg > 0) factor zeroes the tw term
         return {
             "ts": (5 / 3) * machine.ts * p * lg,
-            "tw": 5 * machine.tw * n**2 * p ** (1 / 3),
+            "tw": 5 * machine.tw * n**2 * p ** (1 / 3) * (lg > 0),
             "sqrt": 10 * n * p ** (2 / 3) * (machine.ts * machine.tw * lg / 3) ** 0.5,
         }
 
@@ -432,9 +356,6 @@ class GKCM5Model(AlgorithmModel):
     title = "GK on CM-5 (fully connected)"
     equation = "(18)"
     asymptotic_isoefficiency = "O(p (log p)^3)"
-
-    def comm_time(self, n: float, p: float, machine: MachineParams) -> float:
-        return (log2(p) + 2) * (machine.ts + machine.tw * n**2 / p ** (2 / 3))
 
     def overhead_terms(self, n: float, p: float, machine: MachineParams) -> dict[str, float]:
         self._validate(n, p)

@@ -6,8 +6,10 @@ on a larger number of processors."  This module operationalizes that:
 
 1. run (or measure) the algorithm on a few small configurations,
 2. :func:`fit_machine_params` recovers the effective ``(ts, tw)`` by
-   linear least squares — every model's communication time is linear in
-   ``ts`` and ``tw``, so the design matrix is exact, not approximate,
+   linear least squares — a model whose overhead terms all scale with
+   ``ts``, ``tw`` or ``ts + tw`` has a communication time linear in the
+   two, so the design matrix is exact, not approximate (models with
+   packetized ``sqrt(ts*tw)`` terms are refused, not mis-fitted),
 3. :func:`predict` extrapolates ``T_p``/efficiency to any larger
    machine, and :func:`calibrate` wraps the whole loop around the
    simulator.
@@ -54,8 +56,9 @@ class TimingSample:
 def _comm_basis(model: AlgorithmModel, n: float, p: float) -> tuple[float, float]:
     """Coefficients ``(alpha, beta)`` with ``comm = alpha*ts + beta*tw``.
 
-    All the paper's communication expressions are linear in the machine
-    constants, so evaluating at the unit vectors recovers them exactly.
+    Exact when the model's communication time is linear in the machine
+    constants (no ``sqrt``-tagged overhead term): evaluating at the unit
+    vectors then recovers the coefficients.
     """
     alpha = model.comm_time(n, p, MachineParams(ts=1.0, tw=0.0))
     beta = model.comm_time(n, p, MachineParams(ts=0.0, tw=1.0))
@@ -72,8 +75,25 @@ def fit_machine_params(
     remainder on the model's ``ts``/``tw`` coefficients.  Needs at least
     two samples whose coefficient vectors are independent (e.g. two
     different ``(n, p)`` shapes).  Estimates are clipped at zero.
+
+    Only models whose communication time is linear in ``(ts, tw)`` can
+    be fitted this way.  A model with a ``sqrt``-tagged overhead term
+    (the packetized ``sqrt(ts*tw)`` broadcasts of ``gk-improved`` and
+    ``gk-allport``) raises ``ValueError`` instead of returning a
+    mis-fit.
     """
     m = MODELS[model] if isinstance(model, str) else model
+    nonlinear = [
+        k
+        for k in m.overhead_terms(2.0, 2.0, MachineParams(ts=1.0, tw=1.0))
+        if k == "sqrt" or k.startswith("sqrt_")
+    ]
+    if nonlinear:
+        raise ValueError(
+            f"cannot fit {m.key!r}: its overhead term(s) {nonlinear} scale with "
+            "sqrt(ts*tw), so its time is not linear in (ts, tw); fit a model "
+            "without packetized broadcasts (e.g. 'gk' for 'gk-improved')"
+        )
     if len(samples) < 2:
         raise ValueError("need at least two timing samples")
     rows = []
@@ -254,11 +274,7 @@ def predict_points(
         if not idxs.size:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = MODELS[key].overhead_terms(
-                flat_n[idxs],  # type: ignore[arg-type]
-                flat_p[idxs],  # type: ignore[arg-type]
-                machine,
-            )
+            terms = MODELS[key].overhead_terms(flat_n[idxs], flat_p[idxs], machine)
         for name, vals in terms.items():
             flat_vals = np.broadcast_to(np.asarray(vals, dtype=float), idxs.shape)
             for j, idx in enumerate(idxs):

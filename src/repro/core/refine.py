@@ -120,8 +120,8 @@ def winner_details_at_points(
     with np.errstate(over="ignore", invalid="ignore"):
         for i, key in enumerate(model_keys):
             model = MODELS[key]
-            to = np.broadcast_to(model.overhead_grid(n_arr, p_arr, machine), shape)
-            ok = np.broadcast_to(model.applicable_grid(n_arr, p_arr), shape)
+            to = np.broadcast_to(model.overhead(n_arr, p_arr, machine), shape)
+            ok = np.broadcast_to(model.applicable(n_arr, p_arr), shape)
             cand = np.where(ok, to, np.inf)
             better = cand < best_to
             # integer-only runner-up bookkeeping: a new leader demotes the

@@ -132,12 +132,13 @@ def winner_grid(
 ) -> np.ndarray:
     """Index of the least-overhead applicable model at every grid cell.
 
-    Vectorized core of :func:`region_map`: one ``overhead_grid`` /
-    ``applicable_grid`` evaluation per model instead of one Python call
-    per ``(n, p)`` point.  Returns an ``(len(n_values), len(p_values))``
-    integer array indexing into *model_keys*, with ``len(model_keys)``
-    as the "no algorithm applicable" sentinel.  Ties and iteration order
-    match :func:`best_algorithm` exactly — only a *strictly* smaller
+    Vectorized core of :func:`region_map`: one ``overhead`` /
+    ``applicable`` evaluation per model over the whole ``(n, p)`` grid
+    instead of one Python call per point.  Returns an
+    ``(len(n_values), len(p_values))`` integer array indexing into
+    *model_keys*, with ``len(model_keys)`` as the "no algorithm
+    applicable" sentinel.  Ties and iteration order match
+    :func:`best_algorithm` exactly — only a *strictly* smaller
     overhead dethrones the current leader, so an exact tie is won by the
     model listed earliest in *model_keys* — and the two agree
     cell-for-cell.
@@ -150,8 +151,8 @@ def winner_grid(
     with np.errstate(over="ignore", invalid="ignore"):
         for i, key in enumerate(model_keys):
             model = MODELS[key]
-            to = np.broadcast_to(model.overhead_grid(n_arr, p_arr, machine), shape)
-            ok = np.broadcast_to(model.applicable_grid(n_arr, p_arr), shape)
+            to = np.broadcast_to(model.overhead(n_arr, p_arr, machine), shape)
+            ok = np.broadcast_to(model.applicable(n_arr, p_arr), shape)
             cand = np.where(ok, to, np.inf)
             better = cand < best_to
             winner[better] = i

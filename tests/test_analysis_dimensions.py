@@ -94,13 +94,13 @@ def test_time_plus_count_addition_fires_dim002():
         # the classic Cannon/Fox/GK shapes
         "return {'ts': machine.ts * p * math.log2(p), 'tw': machine.tw * n**2 * p**0.5}",
         # Eq. 6 idiom: ts + tw is a per-message time (implicit one-word message)
-        "c = machine.ts + machine.tw\nreturn {'total': 5 * c * p * math.log2(p)}",
+        "c = machine.ts + machine.tw\nreturn {'ts_tw': 5 * c * p * math.log2(p)}",
         # packetized transfer: sqrt(ts*tw) is a time
         "return {'sqrt': 10 * n * p**(2/3) * (machine.ts * machine.tw * math.log2(p) / 3) ** 0.5}",
         # guarded division and max()
         "lg = max(math.log2(p), 1e-12)\nreturn {'ts': machine.ts * p / lg * lg * lg}",
         # unknown time-suffixed helpers count as times
-        "return {'total': p * self.comm_time(n, p, machine)}",
+        "return {'ts_tw': p * machine.transfer_time(n**2 / p)}",
         # th per-hop term
         "return {'th': machine.th * p**0.5 * n}",
     ],

@@ -33,7 +33,7 @@ def test_rule_catalogue_is_complete():
     assert set(RULES) == {
         "DET001", "DET002", "DET003", "DET004",
         "DET010", "DET011", "DET012",
-        "MOD001", "MOD002", "MOD003",
+        "MOD002", "MOD003",
         "DIM001", "DIM002",
         "ENG001", "ENG002", "ENG003", "ENG004", "ENG005", "ENG006", "ENG007",
         "ENG008",
@@ -212,51 +212,6 @@ def test_det004_passes(snippet):
     assert "DET004" not in rule_ids(snippet)
 
 
-# -- MOD001: scalar/grid pairs ------------------------------------------------------
-
-
-def test_mod001_flags_unpaired_override():
-    code = """
-    class BadModel(AlgorithmModel):
-        def overhead(self, n, p, machine):
-            return 0.0
-    """
-    assert "MOD001" in rule_ids(code, path=CORE_PATH)
-
-
-def test_mod001_flags_grid_only_override():
-    code = """
-    class BadModel(AlgorithmModel):
-        def time_grid(self, n, p, machine):
-            return n * 0.0
-    """
-    assert "MOD001" in rule_ids(code, path=CORE_PATH)
-
-
-def test_mod001_passes_paired_and_hook_overrides():
-    code = """
-    class GoodModel(AlgorithmModel):
-        def comm_time(self, n, p, machine):
-            return machine.ts * p
-
-        def overhead(self, n, p, machine):
-            return p * self.comm_time(n, p, machine)
-
-        def overhead_grid(self, n, p, machine):
-            return p * self.comm_time(n, p, machine)
-    """
-    assert "MOD001" not in rule_ids(code, path=CORE_PATH)
-
-
-def test_mod001_ignores_non_model_classes():
-    code = """
-    class Helper:
-        def overhead(self, n, p, machine):
-            return 0.0
-    """
-    assert "MOD001" not in rule_ids(code, path=CORE_PATH)
-
-
 # -- MOD002: overhead term unit vocabulary ------------------------------------------
 
 
@@ -265,6 +220,16 @@ def test_mod002_flags_unknown_key():
     class M(AlgorithmModel):
         def overhead_terms(self, n, p, machine):
             return {"latency": machine.ts * p}
+    """
+    assert "MOD002" in rule_ids(code, path=CORE_PATH)
+
+
+def test_mod002_flags_undecomposed_total():
+    # no base-class fallback remains: every model splits T_o by unit
+    code = """
+    class M(AlgorithmModel):
+        def overhead_terms(self, n, p, machine):
+            return {"total": machine.ts * p}
     """
     assert "MOD002" in rule_ids(code, path=CORE_PATH)
 
@@ -310,7 +275,6 @@ def test_mod002_passes_vocabulary_and_aliases():
                 "tw_roll": 2 * machine.tw * n**2 * p**0.5,
                 "ts_tw_relay": 5 * c * p,
                 "sqrt": n * (machine.ts * machine.tw * lg) ** 0.5,
-                "total": p * self.comm_time(n, p, machine),
             }
     """
     assert "MOD002" not in rule_ids(code, path=CORE_PATH)
@@ -324,11 +288,9 @@ def test_mod003_flags_applicable_override():
     class M(AlgorithmModel):
         def applicable(self, n, p):
             return True
-        def applicable_grid(self, n, p):
-            return (p <= n**2)
     """
     ids = [f for f in findings(code, path=CORE_PATH) if f.rule_id == "MOD003"]
-    assert len(ids) == 2
+    assert len(ids) == 1
 
 
 def test_mod003_passes_bounds_overrides():

@@ -305,41 +305,6 @@ def test_compiled_fuzz_random_machines(seed):
 
 
 # ---------------------------------------------------------------------------
-# numba opt-in: bit-identity with the pure-numpy kernel
-# ---------------------------------------------------------------------------
-
-
-def test_numba_kernel_bit_identical_when_available():
-    from repro.simulator import charging
-
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        pytest.skip("numba not installed; pure-numpy fallback is the tested path")
-    p = 16
-    factories = _ring_factories(p)
-    res_np = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
-                    symmetry=_ring_spec(p)).run(factories)
-    assert charging.set_numba(True)
-    try:
-        res_nb = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
-                        symmetry=_ring_spec(p)).run(factories)
-    finally:
-        charging.set_numba(False)
-    assert res_nb.compiled
-    _assert_identical(res_nb, res_np, p)
-
-
-def test_numba_gating_off_by_default():
-    from repro.simulator import charging
-
-    import os
-    if os.environ.get("REPRO_NUMBA") == "1":
-        pytest.skip("REPRO_NUMBA=1 set in this environment")
-    assert not charging.numba_enabled()
-
-
-# ---------------------------------------------------------------------------
 # satellite: SimResult totals are numpy reductions pinned to per-rank views
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
-"""Grid-evaluation APIs must agree exactly with their scalar counterparts.
+"""Model methods on arrays must agree exactly with the same methods on scalars.
 
-The vectorized paths (``time_grid``/``overhead_grid``/``winner_grid``)
-use the same closed-form expressions as the scalar methods, so the
-comparison is for exact equality, not approximate: a drifting grid
-implementation would silently relabel region-map cells.
+``time``/``overhead``/``applicable``/... are array-polymorphic: the region
+analysis (``winner_grid``) calls them on whole ``(n, p)`` grids, so the
+comparison is for exact equality, not approximate: an array path that
+drifted from the scalar one would silently relabel region-map cells.
 """
 
 import numpy as np
@@ -20,10 +20,10 @@ P_SAMPLES = (1.0, 4.0, 64.0, 1000.0, 2**20, 1e9)
 
 @pytest.mark.parametrize("key", sorted(MODELS))
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-class TestScalarGridEquality:
-    def test_time_grid_matches_scalar(self, key, machine):
+class TestArrayScalarEquality:
+    def test_time_on_arrays_matches_scalar(self, key, machine):
         model = MODELS[key]
-        grid = model.time_grid(
+        grid = model.time(
             np.asarray(N_SAMPLES)[:, None], np.asarray(P_SAMPLES)[None, :], machine
         )
         grid = np.broadcast_to(grid, (len(N_SAMPLES), len(P_SAMPLES)))
@@ -31,9 +31,9 @@ class TestScalarGridEquality:
             for j, p in enumerate(P_SAMPLES):
                 assert grid[i, j] == model.time(n, p, machine), (key, n, p)
 
-    def test_overhead_grid_matches_scalar(self, key, machine):
+    def test_overhead_on_arrays_matches_scalar(self, key, machine):
         model = MODELS[key]
-        grid = model.overhead_grid(
+        grid = model.overhead(
             np.asarray(N_SAMPLES)[:, None], np.asarray(P_SAMPLES)[None, :], machine
         )
         grid = np.broadcast_to(grid, (len(N_SAMPLES), len(P_SAMPLES)))
@@ -41,10 +41,10 @@ class TestScalarGridEquality:
             for j, p in enumerate(P_SAMPLES):
                 assert grid[i, j] == model.overhead(n, p, machine), (key, n, p)
 
-    def test_applicable_grid_matches_scalar(self, key, machine):
+    def test_applicable_on_arrays_matches_scalar(self, key, machine):
         model = MODELS[key]
         grid = np.broadcast_to(
-            model.applicable_grid(np.asarray(N_SAMPLES)[:, None], np.asarray(P_SAMPLES)[None, :]),
+            model.applicable(np.asarray(N_SAMPLES)[:, None], np.asarray(P_SAMPLES)[None, :]),
             (len(N_SAMPLES), len(P_SAMPLES)),
         )
         for i, n in enumerate(N_SAMPLES):
@@ -52,14 +52,14 @@ class TestScalarGridEquality:
                 assert bool(grid[i, j]) == model.applicable(n, p), (key, n, p)
 
 
-class TestGridDerivedMetrics:
-    def test_efficiency_and_speedup_grids(self):
+class TestArrayDerivedMetrics:
+    def test_efficiency_and_speedup_on_arrays(self):
         model = MODELS["cannon"]
         machine = NCUBE2_LIKE
         ns = np.asarray([16.0, 64.0, 256.0])
         ps = np.asarray([4.0, 16.0, 64.0])
-        eff = model.efficiency_grid(ns[:, None], ps[None, :], machine)
-        spd = model.speedup_grid(ns[:, None], ps[None, :], machine)
+        eff = model.efficiency(ns[:, None], ps[None, :], machine)
+        spd = model.speedup(ns[:, None], ps[None, :], machine)
         for i, n in enumerate(ns):
             for j, p in enumerate(ps):
                 assert eff[i, j] == model.efficiency(n, p, machine)
@@ -70,9 +70,9 @@ class TestGridDerivedMetrics:
         assert isinstance(model.time(64, 64, NCUBE2_LIKE), float)
         assert isinstance(model.overhead(64, 64, NCUBE2_LIKE), float)
 
-    def test_grid_rejects_nonpositive(self):
+    def test_arrays_reject_nonpositive(self):
         with pytest.raises(ValueError):
-            MODELS["cannon"].time_grid(np.asarray([4.0, 0.0]), 4.0, NCUBE2_LIKE)
+            MODELS["cannon"].time(np.asarray([4.0, 0.0]), 4.0, NCUBE2_LIKE)
 
 
 @pytest.mark.parametrize("machine", MACHINES[:3], ids=lambda m: m.name)

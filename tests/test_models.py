@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from repro.core.allport import ALLPORT_MODELS
 from repro.core.machine import CM5, MachineParams
 from repro.core.models import COMPARISON_MODELS, MODELS, log2
 
 M = MachineParams(ts=10.0, tw=2.0)
+ALL_MODELS = {**MODELS, **ALLPORT_MODELS}
 
 
 class TestLog2:
@@ -44,6 +46,13 @@ class TestHandComputedPoints:
         # n=16, p=8: 512 + (5/3)*3*(10 + 2*256/4) = 512 + 5*(10 + 128)
         assert MODELS["gk"].time(16, 8, M) == pytest.approx(512 + 5 * 138)
 
+    def test_541_gk_improved(self):
+        # n=16, p=8 (n^2/p^(2/3) = 64, packet term (16/2)*sqrt(10*2*3/3)):
+        # 512 + broadcast (4*2*64 + (4/3)*10*3 + 8*8*sqrt(20))
+        #     + gather (2*64 + (1/3)*10*3 + 2*8*sqrt(20))
+        expected = 512 + (512 + 40) + (128 + 10) + 80 * math.sqrt(20)
+        assert MODELS["gk-improved"].time(16, 8, M) == pytest.approx(expected)
+
     def test_eq18_gk_cm5(self):
         # n=16, p=8: 512 + (3+2)*(ts + tw*64)
         assert MODELS["gk-cm5"].time(16, 8, M) == pytest.approx(512 + 5 * (10 + 128))
@@ -73,11 +82,13 @@ class TestOverheadConsistency:
             sum(model.overhead_terms(n, p, M).values())
         )
 
-    @pytest.mark.parametrize("key", ["simple", "cannon", "fox", "berntsen", "gk", "gk-cm5"])
-    def test_overhead_is_p_time_minus_work(self, key):
-        # To = p*Tp - n^3 must be consistent with the comm_time split
-        model = MODELS[key]
-        n, p = 64.0, 64.0
+    @pytest.mark.parametrize("p", [1.0, 1.5, 64.0, 2.0**20])
+    @pytest.mark.parametrize("key", sorted(ALL_MODELS))
+    def test_overhead_is_p_time_minus_work(self, key, p):
+        # To = p*Tp - n^3 at every p, including p = 1, where a model
+        # that communicates nothing must report no overhead either
+        model = ALL_MODELS[key]
+        n = 64.0
         assert model.overhead(n, p, M) == pytest.approx(
             p * model.time(n, p, M) - n**3, rel=1e-12
         )

@@ -74,7 +74,7 @@ class TestWinnerDetails:
         winner, gap, runner_up, _ = winner_details_at_points(zero, n, p)
         applicable = [
             i for i, key in enumerate(COMPARISON_MODELS)
-            if bool(MODELS[key].applicable_grid(n[:1], p[:1])[0])
+            if bool(MODELS[key].applicable(n[:1], p[:1])[0])
         ]
         assert winner.tolist() == [applicable[0]] * 8
         # the runner-up tie falls the same way: earliest remaining key
@@ -87,12 +87,12 @@ class TestWinnerDetails:
         for i in range(50):
             cands = []
             for j, key in enumerate(COMPARISON_MODELS):
-                if not bool(MODELS[key].applicable_grid(n[i : i + 1], p[i : i + 1])[0]):
+                if not bool(MODELS[key].applicable(n[i : i + 1], p[i : i + 1])[0]):
                     continue
                 with np.errstate(over="ignore", invalid="ignore"):
                     to = float(
                         np.asarray(
-                            MODELS[key].overhead_grid(n[i : i + 1], p[i : i + 1], NCUBE2_LIKE)
+                            MODELS[key].overhead(n[i : i + 1], p[i : i + 1], NCUBE2_LIKE)
                         ).ravel()[0]
                     )
                 cands.append((to, j))
@@ -115,9 +115,9 @@ class TestWinnerDetails:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, key in enumerate(COMPARISON_MODELS):
                 to = np.broadcast_to(
-                    MODELS[key].overhead_grid(n, p, NCUBE2_LIKE), n.shape
+                    MODELS[key].overhead(n, p, NCUBE2_LIKE), n.shape
                 )
-                ok = np.broadcast_to(MODELS[key].applicable_grid(n, p), n.shape)
+                ok = np.broadcast_to(MODELS[key].applicable(n, p), n.shape)
                 cand = np.where(ok, to, np.inf)
                 better = cand < best
                 second = np.where(better, best, np.minimum(second, cand))

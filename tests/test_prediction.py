@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_pair
 from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk
+from repro.core.allport import ALLPORT_MODELS
 from repro.core.machine import MachineParams
 from repro.core.models import MODELS
 from repro.core.prediction import (
@@ -42,6 +43,20 @@ class TestFit:
             fitted = fit_machine_params(key, samples)
             assert fitted.ts == pytest.approx(TRUE.ts, rel=1e-6)
             assert fitted.tw == pytest.approx(TRUE.tw, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "model", [MODELS["gk-improved"], ALLPORT_MODELS["gk-allport"]], ids=lambda m: m.key
+    )
+    def test_refuses_models_with_sqrt_terms(self, model):
+        # a sqrt(ts*tw) term is not linear in (ts, tw): exact gk-improved
+        # times on ts=50, tw=3 would least-squares fit to ts~155, tw~3.5
+        truth = MachineParams(ts=50.0, tw=3.0)
+        samples = [
+            TimingSample(n=n, p=p, parallel_time=model.time(n, p, truth))
+            for n, p in [(64, 8), (256, 64), (512, 512), (128, 4096)]
+        ]
+        with pytest.raises(ValueError, match=r"sqrt\(ts\*tw\)"):
+            fit_machine_params(model, samples)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
