@@ -63,9 +63,11 @@ scale-16k-smoke:
 # experiment defaults to the compiled (record->replay) scheduler, whose
 # vectorized batch replay finishes the 64k point in seconds; timing is
 # fuzz-gated bit-identical to the heap scheduler at p <= 4096 by the
-# test suite and perf guard.
+# test suite and perf guard.  A run that fell back to heap fails the
+# target (its row says why) instead of passing minutes later.
 scale-64k-smoke:
-	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-verify --no-disk-cache
+	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-verify --no-disk-cache --json-out SCALE64K.json
+	python -c 'import json, sys; bad = [r for r in json.load(open("SCALE64K.json"))["scaled_cannon"] if not r["compiled"]]; sys.exit(f"not trace-compiled: {bad}" if bad else 0)'
 
 # A seeded autopilot battery through the campaign runner: every anomaly
 # oracle armed (including the alternate-scheduler cross-check), exit

@@ -30,6 +30,7 @@ __all__ = [
     "matmul_cost",
     "serial_work",
     "grid_layout",
+    "grid_coords",
     "cube_layout_3d",
     "cube_route",
     "default_topology",
@@ -115,6 +116,21 @@ def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary"
 
     # fully connected (or anything else): row-major
     return [[r * cols + c for c in range(cols)] for r in range(rows)]
+
+
+def grid_coords(layout: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Inverse of :func:`grid_layout`: each rank's grid row and grid column.
+
+    Returns ``(row_of, col_of)`` with ``layout[row_of[r]][col_of[r]] == r``,
+    which lets a driver hand the engine one rank-generic program factory
+    instead of building a program per rank up front.
+    """
+    lay = np.asarray(layout, dtype=np.int64)
+    row_of = np.empty(lay.size, dtype=np.int64)
+    col_of = np.empty(lay.size, dtype=np.int64)
+    row_of[lay] = np.arange(lay.shape[0])[:, None]
+    col_of[lay] = np.arange(lay.shape[1])[None, :]
+    return row_of.tolist(), col_of.tolist()
 
 
 def cube_layout_3d(topology: Topology, r: int) -> dict[tuple[int, int, int], int]:

@@ -143,28 +143,35 @@ def run_berntsen(
         for j in range(nsub)
     }
 
-    factories: list = [None] * p
+    # each subcube's strip pair, blocked over its nsub x nsub inner-Cannon
+    # grid (A strip is n x w, B strip is w x n)
+    a_blocks, b_blocks = [], []
     for s in range(nsub):
         a_strip = A[:, col_strips[s]]
         b_strip = B[col_strips[s], :]
         w = a_strip.shape[1]
-        # inner-Cannon block specs: A strip is n x w over an nsub x nsub grid
-        a_spec = BlockSpec(n, w, nsub, nsub)
-        b_spec = BlockSpec(w, n, nsub, nsub)
-        a_blocks = a_spec.scatter(a_strip)
-        b_blocks = b_spec.scatter(b_strip)
-        for i in range(nsub):
-            for j in range(nsub):
-                factories[rank_of(s, i, j)] = _program(
-                    s,
-                    i,
-                    j,
-                    a_blocks[i][(i + j) % nsub],  # pre-aligned, as in run_cannon
-                    b_blocks[(i + j) % nsub][j],
-                    row_groups[(s, i)],
-                    col_groups[(s, j)],
-                    reduce_groups[(i, j)],
-                )
+        a_blocks.append(BlockSpec(n, w, nsub, nsub).scatter(a_strip))
+        b_blocks.append(BlockSpec(w, n, nsub, nsub).scatter(b_strip))
+
+    coords: list[tuple[int, int, int]] = [(0, 0, 0)] * p  # rank -> (s, i, j)
+    for (s, i), group in row_groups.items():
+        for j, r in enumerate(group):
+            coords[r] = (s, i, j)
+
+    def program(info: RankInfo):
+        # built when the engine starts the rank (only the probes when compiled)
+        s, i, j = coords[info.rank]
+        k = (i + j) % nsub  # pre-aligned, as in run_cannon
+        return _program(
+            s,
+            i,
+            j,
+            a_blocks[s][i][k],
+            b_blocks[s][k][j],
+            row_groups[(s, i)],
+            col_groups[(s, j)],
+            reduce_groups[(i, j)],
+        )(info)
 
     # the inner-Cannon rolls are rank-symmetric over the per-subcube rows
     # and columns, the final summation over the cross-subcube reduction
@@ -194,7 +201,7 @@ def run_berntsen(
         scheduler=scheduler,
         fault_plan=fault_plan,
         symmetry=symmetry,
-    ).run(factories)
+    ).run(program)
 
     # Reassemble: for each grid position the summed C block lives striped
     # (by flattened-word interval) across the nsub corresponding ranks.

@@ -25,6 +25,7 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
+    grid_coords,
     grid_layout,
     matmul_cost,
 )
@@ -154,25 +155,27 @@ def run_cannon(
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
 
-    factories: list = [None] * p
-    for i in range(side):
-        for j in range(side):
-            if align == "pre":
-                a0 = a_blocks[i][(i + j) % side]
-                b0 = b_blocks[(i + j) % side][j]
-            else:
-                a0 = a_blocks[i][j]
-                b0 = b_blocks[i][j]
-            factories[layout[i][j]] = cannon_program(
-                i,
-                j,
-                a0,
-                b0,
-                row_groups[i],
-                col_groups[j],
-                align_charged=(align == "charged"),
-                overlap_shifts=overlap_shifts,
-            )
+    row_of, col_of = grid_coords(layout)
+    align_charged = align == "charged"
+
+    def program(info: RankInfo):
+        # built when the engine starts the rank: every rank on the
+        # generator schedulers, only the probe ranks under "compiled"
+        i, j = row_of[info.rank], col_of[info.rank]
+        if align_charged:
+            a0, b0 = a_blocks[i][j], b_blocks[i][j]
+        else:
+            a0, b0 = a_blocks[i][(i + j) % side], b_blocks[(i + j) % side][j]
+        return cannon_program(
+            i,
+            j,
+            a0,
+            b0,
+            row_groups[i],
+            col_groups[j],
+            align_charged=align_charged,
+            overlap_shifts=overlap_shifts,
+        )(info)
 
     # the roll phase is rank-symmetric over grid rows and columns; the
     # charged alignment shifts are not (offsets depend on i, j), so only
@@ -184,7 +187,7 @@ def run_cannon(
                 "col": np.asarray(col_groups, dtype=np.int64),
             }
         )
-        if align == "pre"
+        if not align_charged
         else None
     )
 
@@ -195,7 +198,7 @@ def run_cannon(
         scheduler=scheduler,
         fault_plan=fault_plan,
         symmetry=symmetry,
-    ).run(factories)
+    ).run(program)
 
     if sim.compiled:
         C = None

@@ -21,6 +21,7 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
+    grid_coords,
     grid_layout,
     matmul_cost,
 )
@@ -97,13 +98,15 @@ def run_simple(
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
 
-    factories: list = [None] * p
-    for i in range(side):
-        for j in range(side):
-            factories[layout[i][j]] = _program(
-                i, j, a_blocks[i][j], b_blocks[i][j],
-                row_groups[i], col_groups[j], use_ring,
-            )
+    row_of, col_of = grid_coords(layout)
+
+    def program(info: RankInfo):
+        # built when the engine starts the rank (only the probes when compiled)
+        i, j = row_of[info.rank], col_of[info.rank]
+        return _program(
+            i, j, a_blocks[i][j], b_blocks[i][j],
+            row_groups[i], col_groups[j], use_ring,
+        )(info)
 
     # both all-gathers are rank-symmetric over grid rows/columns (the
     # ring variant compiles at message level too; recursive doubling
@@ -122,7 +125,7 @@ def run_simple(
         scheduler=scheduler,
         fault_plan=fault_plan,
         symmetry=symmetry,
-    ).run(factories)
+    ).run(program)
 
     if sim.compiled:
         C = None

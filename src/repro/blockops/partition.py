@@ -174,9 +174,22 @@ class BlockSpec:
     # -- scatter / gather ----------------------------------------------------------
 
     def scatter(self, m: np.ndarray) -> list[list[np.ndarray]]:
-        """Split matrix *m* into a ``grows x gcols`` nested list of block copies."""
+        """Split matrix *m* into a ``grows x gcols`` nested list of blocks.
+
+        The blocks are the caller's own: writing into one never changes
+        *m* or another block.  An even partition is copied once, with
+        one strided copy, into a fresh contiguous
+        ``(grows, gcols, rows, cols)`` buffer, and each block is a
+        C-contiguous view of its slot in that buffer (so ``block.base``
+        is the shared buffer, which stays alive while any block does).
+        An uneven partition copies block by block into separate arrays.
+        """
         if m.shape != (self.nrows, self.ncols):
             raise ValueError(f"matrix shape {m.shape} != spec {(self.nrows, self.ncols)}")
+        if self.uniform:
+            br, bc = self.nrows // self.grows, self.ncols // self.gcols
+            buf = m.reshape(self.grows, br, self.gcols, bc).transpose(0, 2, 1, 3).copy()
+            return [list(row) for row in buf]
         return [
             [np.ascontiguousarray(m[self.block_slice(bi, bj)]) for bj in range(self.gcols)]
             for bi in range(self.grows)

@@ -85,7 +85,11 @@ def run_one(
             kwargs["n0"] = n0
         if scheduler is not None:
             kwargs["scheduler"] = scheduler
-        return scaling.format_large_p_text(scaling.run_large_p(**kwargs))
+        results = scaling.run_large_p(**kwargs)
+        if json_out:
+            with open(json_out, "w") as fh:
+                json.dump(results, fh, indent=2)
+        return scaling.format_large_p_text(results)
     if name == "arch":
         return architectures.format_text(architectures.run())
     if name == "broadcast":
@@ -120,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for simulation-heavy experiments (1 = serial)")
     parser.add_argument("--json-out", type=str, default=None,
                         help="write machine-readable results to a JSON file "
-                             "(experiments that support it, e.g. resilience)")
+                             "(scaling-large and resilience)")
     parser.add_argument("--refine", action="store_true",
                         help="adaptive region-map refinement for fig1-3 "
                              "(evaluate only near region boundaries)")

@@ -54,7 +54,8 @@ def run(
     for name, topo in _topologies(p).items():
         res_c = run_cannon(A, B, p, machine, topology=topo)
         res_s = run_simple(A, B, p, machine, topology=topo)
-        assert np.allclose(res_c.C, expected) and np.allclose(res_s.C, expected)
+        if not np.allclose(res_c.C, expected) or not np.allclose(res_s.C, expected):
+            raise AssertionError(f"numerical mismatch on the {name} topology")
         row = {
             "topology": name,
             "T_cannon_ct": res_c.parallel_time,

@@ -46,7 +46,8 @@ def _run_scheme(scheme, p: int, m: int, machine: MachineParams) -> float:
         return body()
 
     res = run_spmd(Hypercube.of_size(p), machine, factory)
-    assert all(v == m for v in res.returns)
+    if not all(v == m for v in res.returns):
+        raise AssertionError(f"{scheme.__name__} did not deliver {m} words to every rank")
     return res.parallel_time
 
 

@@ -66,7 +66,8 @@ def speedup_curve(
         if not registry.get(key).feasible(n, p):
             continue
         res = registry.run(key, A, B, p, machine)
-        assert np.allclose(res.C, expected)
+        if not np.allclose(res.C, expected):
+            raise AssertionError(f"numerical mismatch: {key} at n={n}, p={p}")
         rows.append(
             {
                 "algorithm": key,
@@ -102,7 +103,8 @@ def isoefficiency_in_simulation(
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         res = registry.run(key, A, B, p, machine)
-        assert np.allclose(res.C, A @ B)
+        if not np.allclose(res.C, A @ B):
+            raise AssertionError(f"numerical mismatch: {key} at n={n}, p={p}")
         rows.append(
             {
                 "algorithm": key,
@@ -163,7 +165,8 @@ def scaled_speedup(
                     "trace-compiled (timing-only); use scheduler='heap' or "
                     "verify=False"
                 )
-            assert np.allclose(res.C, A @ B)
+            if not np.allclose(res.C, A @ B):
+                raise AssertionError(f"numerical mismatch: {key} at n={n}, p={p}")
         rows.append(
             {
                 "algorithm": key,
@@ -173,6 +176,10 @@ def scaled_speedup(
                 "scaled_speedup_sim": res.speedup,
                 "efficiency_sim": res.efficiency,
                 "efficiency_model": MODELS[key].efficiency(n, p, machine),
+                # which scheduler actually ran: a compiled request that
+                # fell back to heap says why
+                "compiled": res.sim.compiled,
+                "compile_fallback": res.sim.compile_fallback,
             }
         )
     return rows
@@ -235,12 +242,19 @@ def format_text(results: dict[str, list[dict]]) -> str:
 
 
 def format_large_p_text(results: dict[str, list[dict]]) -> str:
+    rows = results["scaled_cannon"]
+    columns = [c for c in rows[0] if c != "compile_fallback"] if rows else None
     out = [
         "Memory-constrained scaled speedup (n = n0*sqrt(p); full simulations)",
         "",
         "Each processor holds a fixed block, so work and overhead both grow",
         "as p**1.5 for Cannon and efficiency stays flat while the scaled",
         "speedup E*p climbs linearly with the machine.",
-        format_table(results["scaled_cannon"]),
+        format_table(rows, columns),
+    ]
+    out += [
+        f"p={r['p']}: trace compilation fell back to heap: {r['compile_fallback']}"
+        for r in rows
+        if r["compile_fallback"]
     ]
     return "\n".join(out)

@@ -18,20 +18,37 @@ re-association), which is what makes the vectorized schedulers
 bit-identical to ``rescan``.  The static-analysis rule ENG008 enforces
 that the compiled scheduler never touches ``machine.ts``/``tw``/``th``
 directly — all cost arithmetic must flow through this module.
+
+:func:`replay` is the one loop that charges a compiled schedule's
+symbolic phases; the trace compiler's top-level schedule and each
+lowered collective (:func:`repro.simulator.macro.run_batch_collective`)
+both go through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Tuple
 
 import numpy as np
 
+from repro.simulator.request import (
+    SymBarrier,
+    SymCollective,
+    SymCompute,
+    SymPhase,
+    SymRecv,
+    SymSend,
+    SymSendAll,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.machine import MachineParams
+    from repro.simulator.trace import RankArrays
 
 __all__ = [
     "message_times",
     "recv_wait_times",
+    "replay",
 ]
 
 # -- the shared charging expressions -------------------------------------------
@@ -76,3 +93,70 @@ def recv_wait_times(clock: Any, arrival: Any) -> Tuple[Any, Any]:
     gap = np.asarray(arrival) - clock
     waited = np.where(gap > 0.0, gap, 0.0)
     return waited, np.maximum(clock, arrival)
+
+
+# -- the replay loop -----------------------------------------------------------
+
+
+def _send(ph: SymSend, arr: "RankArrays", machine: "MachineParams") -> Any:
+    """Charge one symbolic send on every rank; return the sender busy time."""
+    busy, ph.arrival = message_times(machine, arr.clock, ph.nwords, ph.hops)
+    arr.messages_sent += 1
+    arr.words_sent += ph.nwords
+    return busy
+
+
+def replay(
+    phases: Iterable[SymPhase],
+    arr: "RankArrays",
+    machine: "MachineParams",
+    collective: Callable[[SymCollective], None] | None = None,
+) -> None:
+    """Charge symbolic *phases* into *arr* in program order, all ranks at once.
+
+    Each phase is one vectorized update of the ``(p,)`` accounts with
+    the elementwise expressions the generator schedulers evaluate rank
+    by rank, so the result is bit-identical to theirs.  A send's arrival
+    vector lives only until its matched receive has read it.  A
+    :class:`SymCollective` phase is handed to *collective*.
+    """
+    clock = arr.clock
+    for ph in phases:
+        cls = ph.__class__
+        if cls is SymCompute:
+            arr.compute_time += ph.cost
+            clock += ph.cost
+        elif cls is SymSend:
+            busy = _send(ph, arr, machine)
+            clock += busy
+            arr.send_time += busy
+        elif cls is SymRecv:
+            src_phase = ph.source
+            arrival = src_phase.arrival[ph.src]
+            src_phase.arrival = None
+            waited, advanced = recv_wait_times(clock, arrival)
+            arr.recv_wait_time += waited
+            clock[:] = advanced
+        elif cls is SymSendAll:
+            # one port: injections serialize; all ports: each injects at
+            # the pre-send clock and the sender is busy for the longest
+            busy = None
+            for sp in ph.parts:
+                b = _send(sp, arr, machine)
+                if machine.all_port:
+                    busy = b if busy is None else np.maximum(busy, b)
+                else:
+                    clock += b
+                    arr.send_time += b
+            if busy is not None:
+                clock += busy
+                arr.send_time += busy
+        elif cls is SymBarrier:
+            t = clock.max()
+            gap = t - clock
+            arr.barrier_wait_time += np.where(gap > 0.0, gap, 0.0)
+            clock[:] = t
+        elif collective is not None:
+            collective(ph)
+        else:
+            raise TypeError(f"replay cannot charge a nested {cls.__name__} phase")

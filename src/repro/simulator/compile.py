@@ -24,15 +24,18 @@ resumes:
    program on the ``heap`` scheduler.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
-   and hop fields are precomputed ``(p,)`` vectors.  Sends and receives
-   are FIFO-matched per (tag, law) channel at compile time, and replay
-   charges each phase as one vectorized update into
-   :class:`~repro.simulator.trace.RankArrays` through the shared
-   :mod:`repro.simulator.charging` helpers, with macro collectives
-   dispatched to the cross-group batch executors in
-   :mod:`repro.simulator.macro`.  The replay evaluates exactly the
-   reference cost expressions elementwise, so a compiled run is
-   bit-identical to ``heap``/``rescan`` whenever it compiles at all.
+   and hop fields are precomputed ``(p,)`` vectors, built once per
+   (axis, law, offset) and shared by every phase that uses them.  Each
+   macro collective is lowered to the send/receive rounds it stands for
+   (a :class:`~repro.simulator.request.SymCollective` wrapping
+   :class:`SymSend`/:class:`SymRecv` pairs, plus reduce-scatter's adds).
+   Sends and receives are FIFO-matched per (tag, law) channel at
+   compile time, and replay charges each phase as one vectorized update
+   into :class:`~repro.simulator.trace.RankArrays` through the one
+   replay loop in :mod:`repro.simulator.charging`.  The replay
+   evaluates exactly the reference cost expressions elementwise, so a
+   compiled run is bit-identical to ``heap``/``rescan`` whenever it
+   compiles at all.
 
 What falls back (by design, not by accident):
 
@@ -64,8 +67,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.machine import MachineParams
-from repro.simulator.charging import message_times, recv_wait_times
-from repro.simulator.macro import BATCH_KINDS, run_batch_collective
+from repro.simulator.charging import replay
+from repro.simulator.macro import run_batch_collective
 from repro.simulator.request import (
     Barrier,
     Checkpoint,
@@ -94,6 +97,11 @@ __all__ = [
 ]
 
 _MAX_TRACE_OPS = 200_000
+
+#: Macro collectives the compiler can lower to send/receive rounds; the
+#: others (``bcast``, ``reduce``) move and merge real payload objects,
+#: which a replay without live generators cannot produce.
+_LOWERED_KINDS = ("shift", "allgather_rd", "allgather_ring", "reduce_scatter")
 
 
 class CompileFallback(Exception):
@@ -201,8 +209,7 @@ def _reflect(value: Any) -> Any:
 
 def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
     """The structural stand-in a probe is resumed with for a macro collective."""
-    group = list(req.group)
-    g = len(group)
+    g = len(req.group)
     if req.kind == "shift":
         # reference returns the (src)-neighbor's payload: same structure
         return req.data
@@ -211,7 +218,7 @@ def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
     # reduce_scatter: walk the recursive-halving index arithmetic for
     # this rank's position; values are the probe's own (unsummed) words
     # but the slice geometry — all that can feed back into timing — is exact
-    idx = group.index(rank)
+    idx = list(req.group).index(rank)
     flat = req.data
     lo, hi = 0, int(flat.size)
     block = g
@@ -228,11 +235,13 @@ def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
 
 def _record_collective(req: CollectiveOp, rank: int, ops: list[tuple]) -> Any:
     kind = req.kind
-    if kind not in BATCH_KINDS:
+    if kind not in _LOWERED_KINDS:
         raise CompileFallback(
             f"macro collective {kind!r} moves real payloads; not compilable"
         )
-    group = tuple(int(x) for x in req.group)
+    # a C-level copy, so a program reusing its group list cannot rewrite
+    # the trace; lowering matches it against the axis rows as an array
+    group = tuple(req.group)
     g = len(group)
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
@@ -360,6 +369,55 @@ def _peer_vector(ax: _Axis, law: str, d: int) -> np.ndarray:
     return ax.mat[ax.row, newpos]
 
 
+def _lower_collective(
+    vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
+    axis: _Axis,
+    shape: tuple,
+) -> list[SymCompute | SymSend | SymRecv]:
+    """The send/receive rounds one macro collective stands for, on every group.
+
+    Each round mirrors the per-group executor in
+    :mod:`repro.simulator.macro`: the same sizes, partners and order.
+    """
+    _, kind, g, m, w, tag, offset, charge_adds, flat_size = shape
+    phases: list[SymCompute | SymSend | SymRecv] = []
+
+    def exchange(law: str, d_to: int, d_from: int, nwords: Any) -> None:
+        dst, hops = vectors(axis.name, law, d_to)
+        send = SymSend(dst=dst, hops=hops, nwords=nwords, tag=tag)
+        src = vectors(axis.name, law, d_from)[0]
+        phases.extend((send, SymRecv(src=src, tag=tag, source=send)))
+
+    if kind == "shift":
+        exchange("cyc", offset, g - offset, m)
+    elif kind == "allgather_ring":
+        for _ in range(g - 1):
+            exchange("cyc", 1, g - 1, m)
+    elif kind == "allgather_rd":
+        for k in range(g.bit_length() - 1):
+            step = 1 << k
+            # every block held before round k sums to w*step words, the
+            # own contribution counted at its declared size m
+            exchange("xor", step, step, w * step - w + m)
+    else:  # reduce_scatter: recursive halving, partner = position ^ half
+        idx = np.arange(g)
+        lo = np.zeros(g, dtype=np.int64)
+        hi = np.full(g, flat_size, dtype=np.int64)
+        half = g // 2
+        while half:
+            mid = lo + (hi - lo) // 2
+            in_low = (idx & half) == 0
+            # halves differ by a word on odd lengths: per-rank sizes
+            exchange("xor", half, half, np.where(in_low, hi - mid, mid - lo)[axis.pos])
+            if charge_adds:
+                keep = np.where(in_low, mid - lo, hi - mid)
+                phases.append(SymCompute(cost=keep[axis.pos].astype(np.float64)))
+            hi = np.where(in_low, mid, hi)
+            lo = np.where(in_low, lo, mid)
+            half //= 2
+    return phases
+
+
 class BatchSchedule:
     """A lowered SPMD program: one symbolic phase per program step."""
 
@@ -375,64 +433,9 @@ class BatchSchedule:
     def __len__(self) -> int:
         return len(self.phases)
 
-    def replay(
-        self, arr: RankArrays, topology: Topology, machine: MachineParams
-    ) -> None:
+    def replay(self, arr: RankArrays, machine: MachineParams) -> None:
         """Charge the whole schedule into *arr* — zero generator resumes."""
-        clock = arr.clock
-        all_port = machine.all_port
-        for ph in self.phases:
-            cls = ph.__class__
-            if cls is SymCompute:
-                arr.compute_time += ph.cost
-                clock += ph.cost
-            elif cls is SymSend:
-                busy, arrival = message_times(
-                    machine, clock, float(ph.nwords), ph.hops
-                )
-                ph.arrival = arrival
-                clock += busy
-                arr.send_time += busy
-                arr.messages_sent += 1
-                arr.words_sent += ph.nwords
-            elif cls is SymRecv:
-                src_phase = ph.source
-                assert src_phase is not None and src_phase.arrival is not None
-                arrival = src_phase.arrival[ph.src]
-                waited, advanced = recv_wait_times(clock, arrival)
-                arr.recv_wait_time += waited
-                clock[:] = advanced
-            elif cls is SymSendAll:
-                if all_port:
-                    busy = None
-                    for sp in ph.parts:
-                        b, a = message_times(
-                            machine, clock, float(sp.nwords), sp.hops
-                        )
-                        sp.arrival = a
-                        busy = b if busy is None else np.maximum(busy, b)
-                        arr.messages_sent += 1
-                        arr.words_sent += sp.nwords
-                    if busy is not None:
-                        clock += busy
-                        arr.send_time += busy
-                else:
-                    for sp in ph.parts:
-                        b, a = message_times(
-                            machine, clock, float(sp.nwords), sp.hops
-                        )
-                        sp.arrival = a
-                        clock += b
-                        arr.send_time += b
-                        arr.messages_sent += 1
-                        arr.words_sent += sp.nwords
-            elif cls is SymBarrier:
-                t = clock.max()
-                gap = t - clock
-                arr.barrier_wait_time += np.where(gap > 0.0, gap, 0.0)
-                clock[:] = t
-            else:  # SymCollective
-                run_batch_collective(ph, arr, topology, machine)
+        replay(self.phases, arr, machine, lambda ph: run_batch_collective(ph, arr, machine))
 
 
 def _check_uniform(values: Sequence[Any], step: int, what: str) -> Any:
@@ -460,9 +463,18 @@ def _lower(
             )
     hop_cache = PairHopCache.shared(topology)
     everyone = np.arange(p, dtype=np.int64)
-    identity = everyone
+    probes = np.asarray([r for r, _ in traces], dtype=np.int64)
+    memo: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray]] = {}
     phases: list[SymPhase] = []
     channels: dict[tuple[int, str, str, int], deque[SymSend]] = {}
+
+    def vectors(axis: str, law: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(peer, hops) of every rank under one law, built once per compile."""
+        key = (axis, law, d)
+        if key not in memo:
+            peer = _peer_vector(axes[axis], law, d)
+            memo[key] = (peer, hop_cache.bulk(everyone, peer))
+        return memo[key]
 
     def lower_send(step: int, fields: list[tuple], part: str = "") -> SymSend:
         """fields: per-probe (dst, nwords, tag) triples for one message."""
@@ -470,8 +482,7 @@ def _lower(
         tag = _check_uniform([f[2] for f in fields], step, f"send{part} tag")
         peers = [(r, f[0]) for (r, _), f in zip(traces, fields)]
         axis, law, d = _infer_law(axes, peers, f"Send{part}(tag={tag})")
-        dst = _peer_vector(axes[axis], law, d)
-        hops = hop_cache.bulk(everyone, dst)
+        dst, hops = vectors(axis, law, d)
         ph = SymSend(dst=dst, hops=hops, nwords=int(nwords), tag=int(tag))
         channels.setdefault((int(tag), axis, law, d), deque()).append(ph)
         return ph
@@ -502,50 +513,36 @@ def _lower(
                     f"step {step}: Recv(tag={tag}) matches no outstanding "
                     f"compiled Send on axis {axis!r}"
                 )
+            # the channel pairs law e with its inverse d, so the matched
+            # send routes exactly back: dst[src[r]] == r on every rank
             src_phase = queue.popleft()
-            src = _peer_vector(axes[axis], law, e)
-            # the matched send must route exactly back: dst[src[r]] == r
-            if not np.array_equal(src_phase.dst[src], identity):
-                raise CompileFallback(
-                    f"step {step}: matched Send/Recv laws are not inverse "
-                    f"permutations on axis {axis!r}"
-                )
+            src = vectors(axis, law, e)[0]
             phases.append(SymRecv(src=src, tag=int(tag), source=src_phase))
         elif kind == "barrier":
             phases.append(SymBarrier())
         elif kind == "checkpoint":
             pass  # free without a fault plan, and compiled excludes fault plans
         else:  # "coll"
-            (_, ckind, _g0, m, w, tag, offset, charge_adds, flat_size) = (
-                _check_uniform(
-                    [op[:2] + (len(op[2]),) + op[3:] for op in row],
-                    step,
-                    "collective shape",
-                )
+            shape = _check_uniform(
+                [op[:2] + (len(op[2]),) + op[3:] for op in row],
+                step,
+                "collective shape",
             )
-            axis_name = None
+            groups = np.asarray([op[2] for op in row], dtype=np.int64)
+            axis = None
             for name in sorted(axes):
                 ax = axes[name]
-                if all(
-                    tuple(ax.mat[ax.row[r]]) == op[2]
-                    for (r, _), op in zip(traces, row)
-                ):
-                    axis_name = name
+                if ax.g == shape[2] and np.array_equal(ax.mat[ax.row[probes]], groups):
+                    axis = ax
                     break
-            if axis_name is None:
+            if axis is None:
                 raise CompileFallback(
-                    f"step {step}: collective {ckind!r} group is not a "
+                    f"step {step}: collective {shape[1]!r} group is not a "
                     f"symmetry-axis row"
                 )
             phases.append(
                 SymCollective(
-                    kind=ckind,
-                    groups=axes[axis_name].mat,
-                    nwords=int(m),
-                    payload_words=int(w),
-                    offset=int(offset),
-                    charge_adds=bool(charge_adds),
-                    flat_size=int(flat_size),
+                    kind=shape[1], phases=_lower_collective(vectors, axis, shape)
                 )
             )
     return phases

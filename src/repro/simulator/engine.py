@@ -433,7 +433,7 @@ class Engine:
             else:
                 arr = RankArrays(p)
                 self._arr = arr
-                schedule.replay(arr, self.topology, self.machine)
+                schedule.replay(arr, self.machine)
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
                     stats=arr.snapshot(),

@@ -37,13 +37,13 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.machine import MachineParams
-from repro.simulator.charging import message_times, recv_wait_times
+from repro.simulator.charging import message_times, recv_wait_times, replay
 from repro.simulator.errors import ProgramError
 from repro.simulator.request import CollectiveOp, SymCollective, words_of
-from repro.simulator.topology import PairHopCache, Topology
+from repro.simulator.topology import Topology
 from repro.simulator.trace import RankArrays
 
-__all__ = ["run_collective", "run_batch_collective", "BATCH_KINDS"]
+__all__ = ["run_collective", "run_batch_collective"]
 
 
 class _Charger:
@@ -318,146 +318,17 @@ def run_collective(
     return result
 
 
-# -- batch (cross-group) executors for the trace compiler ----------------------
-#
-# A compiled schedule (:mod:`repro.simulator.compile`) knows that every
-# group of a symmetry axis executes the *same* collective at the same
-# program step, so instead of one `run_collective` call per group it
-# charges all G groups of the ``(G, g)`` partition matrix at once.  The
-# per-rank arithmetic is the same elementwise expressions the per-group
-# executors evaluate (via the shared :mod:`repro.simulator.charging`
-# helpers), just over matrices instead of vectors — which is what keeps
-# the compiled path bit-identical to the macro path, and transitively to
-# the message-level reference.
-#
-# Only payload-structure-independent kinds are supported: ``bcast`` and
-# ``reduce`` move and merge real payload objects, which a replay without
-# live generators cannot produce, so the compiler falls back to ``heap``
-# for programs that post them.
-
-BATCH_KINDS = ("shift", "allgather_rd", "allgather_ring", "reduce_scatter")
-
-
-class _BatchCharger:
-    """Vectorized cost model over the gathered ``(G, g)`` group matrix."""
-
-    __slots__ = ("machine", "hop_cache", "mat",
-                 "clock", "compute", "send_t", "recv_w", "msgs", "words")
-
-    def __init__(
-        self, arr: RankArrays, topology: Topology, machine: MachineParams, mat: np.ndarray
-    ) -> None:
-        self.machine = machine
-        self.hop_cache = PairHopCache.shared(topology)
-        self.mat = mat  # (G, g): group row -> absolute ranks in group order
-        self.clock = arr.clock[mat]
-        self.compute = arr.compute_time[mat]
-        self.send_t = arr.send_time[mat]
-        self.recv_w = arr.recv_wait_time[mat]
-        self.msgs = arr.messages_sent[mat]
-        self.words = arr.words_sent[mat]
-
-    def send(self, dst_pos: np.ndarray, m: Any) -> np.ndarray:
-        """Every rank sends *m* words to the rank at ``dst_pos[col]`` of its own
-        group; returns the (G, g) arrival matrix indexed by sender position."""
-        dst = self.mat[:, dst_pos]
-        hops = self.hop_cache.bulk(
-            self.mat.ravel(), dst.ravel()
-        ).reshape(self.mat.shape)
-        busy, arrival = message_times(self.machine, self.clock, m, hops)
-        self.clock += busy
-        self.send_t += busy
-        self.msgs += 1
-        self.words += m
-        return arrival
-
-    def recv(self, arrival: np.ndarray) -> None:
-        """Complete receives for messages arriving at *arrival* (receiver order)."""
-        waited, advanced = recv_wait_times(self.clock, arrival)
-        self.recv_w += waited
-        self.clock = advanced
-
-    def charge_compute(self, cost: np.ndarray) -> None:
-        self.compute = self.compute + cost
-        self.clock = self.clock + cost
-
-    def scatter(self, arr: RankArrays) -> None:
-        arr.clock[self.mat] = self.clock
-        arr.compute_time[self.mat] = self.compute
-        arr.send_time[self.mat] = self.send_t
-        arr.recv_wait_time[self.mat] = self.recv_w
-        arr.messages_sent[self.mat] = self.msgs
-        arr.words_sent[self.mat] = self.words
-
-
-def _batch_shift(bc: _BatchCharger, g: int, m: int, offset: int) -> None:
-    idx = np.arange(g)
-    dst = (idx + offset) % g
-    src = (idx - offset) % g
-    arrival = bc.send(dst, m)
-    bc.recv(arrival[:, src])
-
-
-def _batch_allgather_rd(bc: _BatchCharger, g: int, m: int, w: int) -> None:
-    idx = np.arange(g)
-    for k in range(g.bit_length() - 1):
-        step = 1 << k
-        partner = idx ^ step
-        # uniform sizes: every held block sums to w*step words
-        pay = w * step - w + m
-        arrival = bc.send(partner, pay)
-        bc.recv(arrival[:, partner])
-
-
-def _batch_allgather_ring(bc: _BatchCharger, g: int, m: int) -> None:
-    idx = np.arange(g)
-    right = (idx + 1) % g
-    left = (idx - 1) % g
-    for _ in range(g - 1):
-        arrival = bc.send(right, m)
-        bc.recv(arrival[:, left])
-
-
-def _batch_reduce_scatter(bc: _BatchCharger, g: int, size: int, charge_adds: bool) -> None:
-    idx = np.arange(g)
-    lo = np.zeros(g, dtype=np.int64)
-    hi = np.full(g, size, dtype=np.int64)
-    block = g
-    while block > 1:
-        half = block // 2
-        mid = lo + (hi - lo) // 2
-        in_low = (idx % block) < half
-        partner = np.where(in_low, idx + half, idx - half)
-        send_sz = np.where(in_low, hi - mid, mid - lo)
-        keep_sz = np.where(in_low, mid - lo, hi - mid)
-        arrival = bc.send(partner, send_sz)
-        bc.recv(arrival[:, partner])
-        if charge_adds:
-            bc.charge_compute(keep_sz.astype(np.float64))
-        hi = np.where(in_low, mid, hi)
-        lo = np.where(in_low, lo, mid)
-        block = half
+# -- compiled collectives -------------------------------------------------------
 
 
 def run_batch_collective(
-    phase: SymCollective,
-    arr: RankArrays,
-    topology: Topology,
-    machine: MachineParams,
+    phase: SymCollective, arr: RankArrays, machine: MachineParams
 ) -> None:
-    """Charge one compiled collective phase across every group of its axis."""
-    kind = phase.kind
-    if kind not in BATCH_KINDS:
-        raise ProgramError(f"collective kind {kind!r} has no batch executor")
-    mat = phase.groups
-    g = int(mat.shape[1])
-    bc = _BatchCharger(arr, topology, machine, mat)
-    if kind == "shift":
-        _batch_shift(bc, g, phase.nwords, phase.offset)
-    elif kind == "allgather_rd":
-        _batch_allgather_rd(bc, g, phase.nwords, phase.payload_words)
-    elif kind == "allgather_ring":
-        _batch_allgather_ring(bc, g, phase.nwords)
-    else:
-        _batch_reduce_scatter(bc, g, phase.flat_size, phase.charge_adds)
-    bc.scatter(arr)
+    """Charge one compiled collective across every group of its axis.
+
+    The trace compiler (:mod:`repro.simulator.compile`) has already
+    lowered the collective to the send/receive rounds it stands for,
+    each over the whole machine; this replays them through the shared
+    loop in :mod:`repro.simulator.charging`.
+    """
+    replay(phase.phases, arr, machine)

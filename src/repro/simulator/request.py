@@ -189,33 +189,35 @@ Request = Compute | Send | SendAll | Recv | Barrier | Checkpoint | CollectiveOp
 # request stream of a probe rank into one *symbolic* descriptor per
 # program step.  Where a plain request carries one rank's scalar fields,
 # a symbolic descriptor carries the whole machine's: peer and hop fields
-# are numpy vectors indexed by rank, sizes and costs are scalars shared
-# by every rank (rank symmetry is what makes compilation legal in the
-# first place).  A compiled schedule is simply a list of these phases;
-# replaying it charges each phase as one vectorized update into
-# :class:`~repro.simulator.trace.RankArrays` with zero generator
-# resumes.
+# are numpy vectors indexed by rank, and sizes and costs are scalars
+# shared by every rank or, where a step's size depends on the rank's
+# position (reduce-scatter's uneven halves), vectors too.  A compiled
+# schedule is simply a list of these phases; replaying it
+# (:func:`repro.simulator.charging.replay`) charges each phase as one
+# vectorized update into :class:`~repro.simulator.trace.RankArrays` with
+# zero generator resumes.
 
 
 @dataclass(slots=True)
 class SymCompute:
-    """All ranks charge the same *cost* units of local computation."""
+    """Every rank charges *cost* units of local computation (scalar or per rank)."""
 
-    cost: float
+    cost: float | np.ndarray
 
 
 @dataclass(slots=True)
 class SymSend:
-    """Every rank sends *nwords* words to ``dst[rank]`` (hops precomputed).
+    """Every rank sends ``nwords`` words to ``dst[rank]`` (hops precomputed).
 
-    ``arrival`` is filled in during replay with the per-sender arrival
-    vector; the matched :class:`SymRecv` phase reads it back through its
-    source-rank vector.
+    *nwords* is one size for every rank or a per-rank vector.
+    ``arrival`` holds the per-sender arrival vector during replay, from
+    this send until the matched :class:`SymRecv` has read it back
+    through its source-rank vector.
     """
 
     dst: np.ndarray
     hops: np.ndarray
-    nwords: int
+    nwords: int | np.ndarray
     tag: int = 0
     arrival: np.ndarray | None = None
 
@@ -245,22 +247,17 @@ class SymBarrier:
 
 @dataclass(slots=True)
 class SymCollective:
-    """Every rank takes part in a macro collective over its row of *groups*.
+    """One macro collective, lowered to the primitive phases it stands for.
 
-    *groups* is the ``(G, g)`` rank matrix of one symmetry axis: each row
-    is one ordered collective group, the rows partition the machine, and
-    every group executes the same collective at this phase.  The batch
-    executors in :mod:`repro.simulator.macro` charge all ``G`` groups at
-    once.
+    Every group of one symmetry axis runs the collective at this step;
+    *phases* are its rounds as :class:`SymSend`/:class:`SymRecv` pairs
+    (plus reduce-scatter's :class:`SymCompute` adds) over the whole
+    machine.  :func:`repro.simulator.macro.run_batch_collective` replays
+    them.
     """
 
     kind: str
-    groups: np.ndarray
-    nwords: int = 0
-    payload_words: int = 0
-    offset: int = 0
-    charge_adds: bool = True
-    flat_size: int = 0
+    phases: list[SymCompute | SymSend | SymRecv]
 
 
 SymPhase = SymCompute | SymSend | SymSendAll | SymRecv | SymBarrier | SymCollective

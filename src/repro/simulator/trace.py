@@ -82,19 +82,20 @@ class RankArrays:
 
     def snapshot(self) -> list[RankStats]:
         """Materialize the public per-rank records (finish = final clock)."""
-        return [
-            RankStats(
-                rank=r,
-                compute_time=float(self.compute_time[r]),
-                send_time=float(self.send_time[r]),
-                recv_wait_time=float(self.recv_wait_time[r]),
-                barrier_wait_time=float(self.barrier_wait_time[r]),
-                messages_sent=int(self.messages_sent[r]),
-                words_sent=int(self.words_sent[r]),
-                finish_time=float(self.clock[r]),
+        # one tolist() per column; the argument order is RankStats' field order
+        return list(
+            map(
+                RankStats,
+                range(self.nprocs),
+                self.compute_time.tolist(),
+                self.send_time.tolist(),
+                self.recv_wait_time.tolist(),
+                self.barrier_wait_time.tolist(),
+                self.messages_sent.tolist(),
+                self.words_sent.tolist(),
+                self.clock.tolist(),
             )
-            for r in range(self.nprocs)
-        ]
+        )
 
 
 class RankStatsView:

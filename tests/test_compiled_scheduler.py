@@ -26,10 +26,18 @@ import repro.simulator.collectives as coll
 import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
 from repro.core.machine import MachineParams, NCUBE2_LIKE
-from repro.simulator.compile import SymmetrySpec
+from repro.simulator.compile import SymmetrySpec, compile_spmd
 from repro.simulator.engine import Engine, RankInfo
 from repro.simulator.faults import FaultPlan
-from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
+from repro.simulator.request import (
+    Barrier,
+    Compute,
+    Recv,
+    Send,
+    SendAll,
+    SymCollective,
+    SymRecv,
+)
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
 
 
@@ -264,8 +272,44 @@ def test_fallback_reruns_generators_fresh():
 # ---------------------------------------------------------------------------
 
 
+def _collective_program(seed):
+    """Every lowered collective kind, over two 8-rank axes of a 16-rank machine.
+
+    Each collective takes the rank's original block, so the trace stays
+    rank-symmetric; the reduce-scatters cover odd and even flat lengths,
+    whose recursive halves differ in size from rank to rank.
+    """
+    halves = [list(range(8)), list(range(8, 16))]
+    strides = [list(range(0, 16, 2)), list(range(1, 16, 2))]
+    k = 3 + seed % 4
+
+    def body(info: RankInfo):
+        half = halves[info.rank // 8]
+        stride = strides[info.rank % 2]
+        blk = np.ones(k)
+        yield Compute(float(2 + seed))
+        for offset in (1, 3, len(half) - 1):
+            yield from coll.shift_cyclic(info, half, offset, blk, tag=10 + offset)
+        yield from coll.allgather_ring(info, stride, blk, tag=20)
+        yield from coll.allgather_recursive_doubling(
+            info, half, blk, nwords=k + seed, tag=21
+        )
+        for size in (5, 7, 13, 64):
+            yield from coll.reduce_scatter_halving(
+                info, stride, np.ones(size), tag=30 + size,
+                charge_adds=bool((seed + size) % 2),
+            )
+        return None
+
+    symmetry = SymmetrySpec(partitions={
+        "half": np.asarray(halves, dtype=np.int64),
+        "stride": np.asarray(strides, dtype=np.int64),
+    })
+    return body, symmetry
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_compiled_fuzz_random_machines(seed):
+def test_compiled_fuzz_random_machines(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     machine = MachineParams(
         ts=float(rng.uniform(1, 200)),
@@ -302,6 +346,47 @@ def test_compiled_fuzz_random_machines(seed):
     assert res_c.compiled, res_c.compile_fallback
     _assert_identical(res_c, res_h, p)
     _assert_identical(res_c, res_r, p)
+
+    # the lowered collectives: compiled replays their send/receive rounds,
+    # heap runs the per-group macro executors, rescan the message-level
+    # reference
+    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    program, symmetry = _collective_program(seed)
+    res_c = Engine(topo, machine, scheduler="compiled", symmetry=symmetry).run(program)
+    res_h = Engine(topo, machine, scheduler="heap").run(program)
+    res_r = Engine(topo, machine, scheduler="rescan").run(program)
+    assert res_c.compiled, res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_r, p)
+
+
+@pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
+def test_replay_drops_arrival_vectors(macro, monkeypatch):
+    """A send's arrival vector lives only until its receive has read it.
+
+    Keeping one per send would hold 510 x 512 KB at 64k ranks; here every
+    matched send of a replayed p = 1024 Cannon schedule must be empty.
+    """
+    if macro:
+        monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    schedules = []
+
+    def keep(*args, **kwargs):
+        schedules.append(compile_spmd(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(engine_mod, "compile_spmd", keep)
+    res = _run_driver("cannon", 32, 1024, "compiled")
+    assert res.sim.compiled, res.sim.compile_fallback
+    (schedule,) = schedules
+    recvs = [
+        ph
+        for top in schedule.phases
+        for ph in (top.phases if isinstance(top, SymCollective) else (top,))
+        if isinstance(ph, SymRecv)
+    ]
+    assert len(recvs) == 2 * 31  # one per roll of A and of B
+    assert all(ph.source.arrival is None for ph in recvs)
 
 
 # ---------------------------------------------------------------------------

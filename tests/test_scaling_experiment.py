@@ -1,5 +1,7 @@
 """Tests for the scaling experiment (Section 3's premises in simulation)."""
 
+import json
+
 import pytest
 
 from repro.experiments import scaling
@@ -77,3 +79,29 @@ class TestScaledSpeedup:
         text = scaling.format_large_p_text(res)
         assert "scaled speedup" in text
         assert "cannon" in text
+
+    def test_rows_say_whether_the_run_compiled(self):
+        rows = scaling.scaled_speedup(
+            "cannon", n0=2, p_values=(16,), verify=False, scheduler="compiled"
+        )
+        assert rows[0]["compiled"] is True
+        assert rows[0]["compile_fallback"] is None
+        # Fox's rooted broadcasts are position-dependent: heap fallback
+        fox = scaling.scaled_speedup(
+            "fox", n0=2, p_values=(16,), verify=False, scheduler="compiled"
+        )
+        assert fox[0]["compiled"] is False
+        assert fox[0]["compile_fallback"]
+        text = scaling.format_large_p_text({"scaled_cannon": rows + fox})
+        assert "compiled" in text.splitlines()[5]
+        assert text.count("trace compilation fell back to heap") == 1
+        assert fox[0]["compile_fallback"] in text
+
+    def test_scaling_large_json_out(self, tmp_path):
+        from repro.experiments.__main__ import run_one
+
+        out = tmp_path / "scale.json"
+        run_one("scaling-large", p_values=(16,), n0=2, verify=False, json_out=str(out))
+        (row,) = json.loads(out.read_text())["scaled_cannon"]
+        assert row["p"] == 16
+        assert row["compiled"] is True
