@@ -52,21 +52,20 @@ experiments:
 resilience-smoke:
 	python -m repro.experiments resilience --fast --json-out RESILIENCE.json
 
-# A complete 16384-rank Cannon simulation on the event-heap scheduler
-# (scaling-large's default).  --no-verify skips the host-side product
-# check so the run stays under the tier-1 timeout; correctness at this
-# scale is covered by the verified 4096-rank point in `experiments`.
-scale-16k-smoke:
-	python -m repro.experiments scaling-large --p-values 16384 --n0 2 --no-verify --no-disk-cache
-
-# A complete 65536-rank Cannon simulation.  With --no-verify the
-# experiment defaults to the compiled (record->replay) scheduler, whose
-# vectorized batch replay finishes the 64k point in seconds; timing is
+# Complete, verified 16384- and 65536-rank Cannon simulations on the
+# compiled (record->replay) scheduler, scaling-large's default: the
+# vectorized batch replay charges the timing and the stacked payload
+# graph computes the product, which is checked against A @ B.  Timing is
 # fuzz-gated bit-identical to the heap scheduler at p <= 4096 by the
-# test suite and perf guard.  A run that fell back to heap fails the
-# target (its row says why) instead of passing minutes later.
+# test suite, and products array-equal to heap's.  A run that fell back
+# to heap fails the target (its row says why) instead of passing minutes
+# later.
+scale-16k-smoke:
+	python -m repro.experiments scaling-large --p-values 16384 --n0 2 --no-disk-cache --json-out SCALE16K.json
+	python -c 'import json, sys; bad = [r for r in json.load(open("SCALE16K.json"))["scaled_cannon"] if not r["compiled"]]; sys.exit(f"not trace-compiled: {bad}" if bad else 0)'
+
 scale-64k-smoke:
-	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-verify --no-disk-cache --json-out SCALE64K.json
+	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-disk-cache --json-out SCALE64K.json
 	python -c 'import json, sys; bad = [r for r in json.load(open("SCALE64K.json"))["scaled_cannon"] if not r["compiled"]]; sys.exit(f"not trace-compiled: {bad}" if bad else 0)'
 
 # A seeded autopilot battery through the campaign runner: every anomaly

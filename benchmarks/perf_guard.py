@@ -315,7 +315,9 @@ def _cannon_engine_setup(p: int):
     ``Engine.run`` — the schedulers share the identical inputs and none
     of the host-side scatter/assembly cost dilutes the ratio.
     """
-    from repro.algorithms.base import default_topology, grid_layout
+    from repro.algorithms.base import (
+        default_topology, grid_coords, grid_layout, rank_vector,
+    )
     from repro.algorithms.cannon import cannon_program
     from repro.blockops.partition import BlockSpec
     from repro.simulator.compile import SymmetrySpec
@@ -327,22 +329,29 @@ def _cannon_engine_setup(p: int):
     topo = default_topology(p)
     layout = grid_layout(topo, side, side, scheme="gray")
     spec = BlockSpec(n, n, side, side)
-    a_blocks, b_blocks = spec.scatter(A), spec.scatter(B)
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
-    factories: list = [None] * p
-    for i in range(side):
-        for j in range(side):
-            factories[layout[i][j]] = cannon_program(
-                i, j,
-                a_blocks[i][(i + j) % side], b_blocks[(i + j) % side][j],
-                row_groups[i], col_groups[j],
-            )
-    symmetry = SymmetrySpec(partitions={
-        "row": np.asarray(row_groups, dtype=np.int64),
-        "col": np.asarray(col_groups, dtype=np.int64),
-    })
-    return topo, factories, symmetry
+    row_of, col_of = grid_coords(layout)
+
+    def program(info):
+        i, j = row_of[info.rank], col_of[info.rank]
+        return cannon_program(
+            i, j, info.input("a"), info.input("b"), row_groups[i], col_groups[j],
+        )(info)
+
+    gi, gj = np.indices((side, side))
+    k = (gi + gj) % side
+    symmetry = SymmetrySpec(
+        partitions={
+            "row": np.asarray(row_groups, dtype=np.int64),
+            "col": np.asarray(col_groups, dtype=np.int64),
+        },
+        inputs={
+            "a": (spec.stack(A), rank_vector(layout, gi * side + k)),
+            "b": (spec.stack(B), rank_vector(layout, k * side + gj)),
+        },
+    )
+    return topo, program, symmetry
 
 
 def bench_engine_compiled(fast: bool, repeats: int) -> dict:

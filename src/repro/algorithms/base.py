@@ -9,8 +9,9 @@ routing, compute-cost conventions, and the result container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "serial_work",
     "grid_layout",
     "grid_coords",
+    "rank_vector",
     "cube_layout_3d",
     "cube_route",
     "default_topology",
@@ -133,6 +135,18 @@ def grid_coords(layout: list[list[int]]) -> tuple[list[int], list[int]]:
     return row_of.tolist(), col_of.tolist()
 
 
+def rank_vector(layout: Any, values: np.ndarray) -> np.ndarray:
+    """A per-grid-position array as a per-rank vector: ``out[layout[x]] = values[x]``.
+
+    Drivers use it to say which block of a stacked input each rank
+    starts with (:attr:`~repro.simulator.compile.SymmetrySpec.inputs`).
+    """
+    lay = np.asarray(layout, dtype=np.int64)
+    out = np.empty(lay.size, dtype=np.int64)
+    out[lay] = values
+    return out
+
+
 def cube_layout_3d(topology: Topology, r: int) -> dict[tuple[int, int, int], int]:
     """Map an ``r x r x r`` logical processor cube onto *topology*.
 
@@ -186,12 +200,6 @@ def cube_route(info: RankInfo, src: int, dst: int, data: Any, nwords: int, tag: 
 class MatmulResult:
     """Product matrix plus the simulated execution profile."""
 
-    C: np.ndarray | None
-    """The computed product (numerically identical to ``A @ B``), or
-    ``None`` for a trace-compiled run (``sim.compiled``): the compiled
-    scheduler replays timing without moving payloads, so there is no
-    product matrix to assemble."""
-
     sim: SimResult
     """Raw simulation outcome (per-rank stats, trace, returns)."""
 
@@ -203,6 +211,19 @@ class MatmulResult:
 
     machine: MachineParams
     algorithm: str = ""
+
+    assemble: Callable[[list[Any]], np.ndarray] | None = field(default=None, repr=False)
+    """Builds :attr:`C` from the ranks' return values (``sim.returns``)."""
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The computed product (numerically identical to ``A @ B``).
+
+        Assembled from ``sim.returns`` the first time it is read, so a
+        compiled run that never reads its product never evaluates the
+        payload graph behind it.
+        """
+        return self.assemble(self.sim.returns)
 
     @property
     def parallel_time(self) -> float:

@@ -50,20 +50,11 @@ def berntsen_max_procs(n: int) -> int:
     return p
 
 
-def _program(
-    s: int,
-    i: int,
-    j: int,
-    a_block: np.ndarray,
-    b_block: np.ndarray,
-    row_group: list[int],
-    col_group: list[int],
-    reduce_group: list[int],
-):
+def _program(row_group: list[int], col_group: list[int], reduce_group: list[int]):
     side = len(row_group)
 
     def body(info: RankInfo):
-        a, b = a_block, b_block
+        a, b = info.input("a"), info.input("b")
         c = None
         for t in range(side):
             yield Compute(matmul_cost(a.shape[0], a.shape[1], b.shape[1]), label="gemm")
@@ -74,7 +65,7 @@ def _program(
         piece, lo, hi = yield from reduce_scatter_halving(
             info, reduce_group, c, tag=_TAG_REDUCE
         )
-        return (i, j), c.shape, piece, lo, hi
+        return piece, lo, hi
 
     return body
 
@@ -144,39 +135,36 @@ def run_berntsen(
     }
 
     # each subcube's strip pair, blocked over its nsub x nsub inner-Cannon
-    # grid (A strip is n x w, B strip is w x n)
-    a_blocks, b_blocks = [], []
+    # grid (A strip is n x w, B strip is w x n), stacked subcube by subcube:
+    # block (i, k) of subcube s is a_stack[(s * nsub + i) * nsub + k]
+    a_parts, b_parts = [], []
     for s in range(nsub):
         a_strip = A[:, col_strips[s]]
         b_strip = B[col_strips[s], :]
         w = a_strip.shape[1]
-        a_blocks.append(BlockSpec(n, w, nsub, nsub).scatter(a_strip))
-        b_blocks.append(BlockSpec(w, n, nsub, nsub).scatter(b_strip))
+        a_parts.append(BlockSpec(n, w, nsub, nsub).stack(a_strip))
+        b_parts.append(BlockSpec(w, n, nsub, nsub).stack(b_strip))
+    a_stack, b_stack = _concat(a_parts), _concat(b_parts)
 
-    coords: list[tuple[int, int, int]] = [(0, 0, 0)] * p  # rank -> (s, i, j)
+    coords = np.empty((p, 3), dtype=np.int64)  # rank -> (s, i, j)
     for (s, i), group in row_groups.items():
         for j, r in enumerate(group):
             coords[r] = (s, i, j)
+    coord_of = coords.tolist()
 
     def program(info: RankInfo):
         # built when the engine starts the rank (only the probes when compiled)
-        s, i, j = coords[info.rank]
-        k = (i + j) % nsub  # pre-aligned, as in run_cannon
+        s, i, j = coord_of[info.rank]
         return _program(
-            s,
-            i,
-            j,
-            a_blocks[s][i][k],
-            b_blocks[s][k][j],
-            row_groups[(s, i)],
-            col_groups[(s, j)],
-            reduce_groups[(i, j)],
+            row_groups[(s, i)], col_groups[(s, j)], reduce_groups[(i, j)]
         )(info)
 
     # the inner-Cannon rolls are rank-symmetric over the per-subcube rows
     # and columns, the final summation over the cross-subcube reduction
     # groups (the compiler probes each family; whichever stage it cannot
     # prove symmetric triggers the heap fallback instead)
+    sub, gi, gj = coords.T
+    k = (gi + gj) % nsub  # pre-aligned, as in run_cannon
     symmetry = SymmetrySpec(
         partitions={
             "row": np.asarray(
@@ -191,7 +179,11 @@ def run_berntsen(
                 [reduce_groups[(i, j)] for i in range(nsub) for j in range(nsub)],
                 dtype=np.int64,
             ),
-        }
+        },
+        inputs={
+            "a": (a_stack, (sub * nsub + gi) * nsub + k),
+            "b": (b_stack, (sub * nsub + k) * nsub + gj),
+        },
     )
 
     sim = Engine(
@@ -203,19 +195,26 @@ def run_berntsen(
         symmetry=symmetry,
     ).run(program)
 
-    # Reassemble: for each grid position the summed C block lives striped
-    # (by flattened-word interval) across the nsub corresponding ranks.
-    if sim.compiled:
-        C = None
-    else:
+    def assemble(returns: list) -> np.ndarray:
+        # for each grid position the summed C block lives striped (by
+        # flattened-word interval) across its reduction group's ranks
         c_spec = BlockSpec(n, n, nsub, nsub)
         C = np.zeros((n, n), dtype=np.result_type(A, B))
-        pieces: dict[tuple[int, int], list] = {}
-        shapes: dict[tuple[int, int], tuple[int, int]] = {}
-        for (i, j), shape, piece, lo, hi in sim.returns:
-            pieces.setdefault((i, j), []).append((lo, piece))
-            shapes[(i, j)] = shape
-        for (i, j), parts in pieces.items():
-            flat = np.concatenate([x for _, x in sorted(parts, key=lambda t: t[0])])
-            C[c_spec.block_slice(i, j)] = flat.reshape(shapes[(i, j)])
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="berntsen")
+        for (i, j), group in reduce_groups.items():
+            parts = sorted((returns[r] for r in group), key=lambda t: t[1])
+            flat = np.concatenate([piece for piece, _, _ in parts])
+            C[c_spec.block_slice(i, j)] = flat.reshape(c_spec.block_shape(i, j))
+        return C
+
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm="berntsen", assemble=assemble
+    )
+
+
+def _concat(parts: list) -> np.ndarray | list[np.ndarray]:
+    """One stack from per-subcube block stacks (a list when their blocks differ)."""
+    if all(isinstance(x, np.ndarray) for x in parts) and len(
+        {x.shape[1:] for x in parts}
+    ) == 1:
+        return np.concatenate(parts)
+    return [block for part in parts for block in part]

@@ -28,6 +28,7 @@ from repro.algorithms.base import (
     grid_coords,
     grid_layout,
     matmul_cost,
+    rank_vector,
 )
 from repro.blockops.partition import BlockSpec, int_sqrt
 from repro.core.machine import MachineParams, NCUBE2_LIKE
@@ -86,7 +87,7 @@ def cannon_program(
     (``a_block = A[i, (i+j) % s]``, ``b_block = B[(i+j) % s, j]``).
     ``overlap_shifts`` rolls A and B through one all-port step per
     iteration (Section 7's constant-factor variant).
-    Returns ``((i, j), C_block)``.
+    Returns the rank's ``C_block``.
     """
     side = len(row_group)
     tags = [tag_base + t for t in (_TAG_ALIGN_A, _TAG_ALIGN_B, _TAG_ROLL_A, _TAG_ROLL_B)]
@@ -110,7 +111,7 @@ def cannon_program(
                 else:
                     a = yield from shift_cyclic(info, row_group, -1, a, tag=tags[2])
                     b = yield from shift_cyclic(info, col_group, -1, b, tag=tags[3])
-        return (i, j), c
+        return c
 
     return body
 
@@ -147,8 +148,8 @@ def run_cannon(
     layout = grid_layout(topo, side, side, scheme="gray")
 
     spec = BlockSpec(n, n, side, side)
-    a_blocks = spec.scatter(A)
-    b_blocks = spec.scatter(B)
+    a_stack = spec.stack(A)
+    b_stack = spec.stack(B)
 
     # one shared group list per grid row/column (not one pair per rank:
     # at 64k+ ranks the per-rank copies dominated the driver's footprint)
@@ -163,9 +164,9 @@ def run_cannon(
         # generator schedulers, only the probe ranks under "compiled"
         i, j = row_of[info.rank], col_of[info.rank]
         if align_charged:
-            a0, b0 = a_blocks[i][j], b_blocks[i][j]
+            a0, b0 = a_stack[i * side + j], b_stack[i * side + j]
         else:
-            a0, b0 = a_blocks[i][(i + j) % side], b_blocks[(i + j) % side][j]
+            a0, b0 = info.input("a"), info.input("b")
         return cannon_program(
             i,
             j,
@@ -179,17 +180,22 @@ def run_cannon(
 
     # the roll phase is rank-symmetric over grid rows and columns; the
     # charged alignment shifts are not (offsets depend on i, j), so only
-    # pre-aligned runs advertise a spec to the trace compiler
-    symmetry = (
-        SymmetrySpec(
+    # pre-aligned runs advertise a spec to the trace compiler.  Rank
+    # (i, j) starts with A[i, k] and B[k, j], k = (i + j) mod side.
+    symmetry = None
+    if not align_charged:
+        gi, gj = np.indices((side, side))
+        k = (gi + gj) % side
+        symmetry = SymmetrySpec(
             partitions={
                 "row": np.asarray(row_groups, dtype=np.int64),
                 "col": np.asarray(col_groups, dtype=np.int64),
-            }
+            },
+            inputs={
+                "a": (a_stack, rank_vector(layout, gi * side + k)),
+                "b": (b_stack, rank_vector(layout, k * side + gj)),
+            },
         )
-        if not align_charged
-        else None
-    )
 
     sim = Engine(
         topo,
@@ -200,10 +206,7 @@ def run_cannon(
         symmetry=symmetry,
     ).run(program)
 
-    if sim.compiled:
-        C = None
-    else:
-        C = np.zeros((n, n), dtype=np.result_type(A, B))
-        for (i, j), c_block in sim.returns:
-            C[spec.block_slice(i, j)] = c_block
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="cannon")
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm="cannon",
+        assemble=lambda returns: spec.gather([[returns[r] for r in row] for row in layout]),
+    )

@@ -143,6 +143,7 @@ def make_cube_program(
             group_i,
             0,
             c,
+            op=_add_into,
             tag=_TAG_REDUCE,
             charge_op=lambda x: T_ADD * x.size,
         )
@@ -151,6 +152,16 @@ def make_cube_program(
         return j, k, total
 
     return body
+
+
+def _add_into(acc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``acc + x``, written into *acc*.
+
+    The reduction's accumulator is the rank's own product ``a @ b``,
+    which no other rank sees before it is sent, so summing in place
+    changes no value and saves one block allocation per merge.
+    """
+    return np.add(acc, x, out=acc)
 
 
 def _cube_rank_of(r: int) -> Callable[[int, int, int], int]:
@@ -215,13 +226,18 @@ def _run_cube(
         symmetry=None,
     ).run(factories)
 
-    C = np.zeros((n, n), dtype=np.result_type(A, B))
-    for ret in sim.returns:
-        if ret is None:
-            continue
-        j, k, c_block = ret
-        C[spec.block_slice(j, k)] = c_block
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm=algorithm)
+    def assemble(returns: list) -> np.ndarray:
+        C = np.zeros((n, n), dtype=np.result_type(A, B))
+        for ret in returns:
+            if ret is None:
+                continue
+            j, k, c_block = ret
+            C[spec.block_slice(j, k)] = c_block
+        return C
+
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm=algorithm, assemble=assemble
+    )
 
 
 def run_dns_one_per_element(
@@ -398,10 +414,15 @@ def run_dns_block(
         symmetry=None,
     ).run(factories)
 
-    C = np.zeros((n, n), dtype=np.result_type(A, B))
-    for ret in sim.returns:
-        if ret is None:
-            continue
-        j, k, li, lj, val = ret
-        C[j * s + li, k * s + lj] = val
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="dns-block")
+    def assemble(returns: list) -> np.ndarray:
+        C = np.zeros((n, n), dtype=np.result_type(A, B))
+        for ret in returns:
+            if ret is None:
+                continue
+            j, k, li, lj, val = ret
+            C[j * s + li, k * s + lj] = val
+        return C
+
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm="dns-block", assemble=assemble
+    )

@@ -162,10 +162,12 @@ def run_fox(
         symmetry=symmetry,
     ).run(factories)
 
-    if sim.compiled:
-        C = None
-    else:
+    def assemble(returns: list) -> np.ndarray:
         C = np.zeros((n, n), dtype=np.result_type(A, B))
-        for (i, j), c_block in sim.returns:
+        for (i, j), c_block in returns:
             C[spec.block_slice(i, j)] = c_block
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="fox")
+        return C
+
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm="fox", assemble=assemble
+    )

@@ -57,9 +57,9 @@ class AlgorithmEntry:
 
     rank_symmetric: bool = False
     """Whether the driver's default configuration produces a rank-symmetric
-    SPMD program that the trace compiler (``scheduler="compiled"``) can
-    vectorize.  ``False`` means a compiled run silently degrades to the
-    heap scheduler (``sim.compile_fallback`` records why)."""
+    SPMD program that the trace compiler (``scheduler="compiled"``, the
+    default) can vectorize.  ``False`` means the run falls back to the
+    heap scheduler, and ``sim.compile_fallback`` records why."""
 
 
 def _feasible_grid(n: int, p: int) -> bool:

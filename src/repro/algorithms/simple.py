@@ -24,6 +24,7 @@ from repro.algorithms.base import (
     grid_coords,
     grid_layout,
     matmul_cost,
+    rank_vector,
 )
 from repro.blockops.partition import BlockSpec, int_sqrt
 from repro.core.machine import MachineParams, NCUBE2_LIKE
@@ -41,26 +42,18 @@ __all__ = ["run_simple"]
 _TAG_ROW, _TAG_COL = 1, 2
 
 
-def _program(
-    i: int,
-    j: int,
-    a_block: np.ndarray,
-    b_block: np.ndarray,
-    row_group: list[int],
-    col_group: list[int],
-    use_ring: bool,
-):
+def _program(row_group: list[int], col_group: list[int], use_ring: bool):
     def body(info: RankInfo):
         allgather = allgather_ring if use_ring else allgather_recursive_doubling
-        a_row = yield from allgather(info, row_group, a_block, tag=_TAG_ROW)
-        b_col = yield from allgather(info, col_group, b_block, tag=_TAG_COL)
+        a_row = yield from allgather(info, row_group, info.input("a"), tag=_TAG_ROW)
+        b_col = yield from allgather(info, col_group, info.input("b"), tag=_TAG_COL)
         c = None
         for t in range(len(row_group)):
             at, bt = a_row[t], b_col[t]
             yield Compute(matmul_cost(at.shape[0], at.shape[1], bt.shape[1]), label="gemm")
             c = at @ bt if c is None else c + at @ bt
         peak_words = sum(x.size for x in a_row) + sum(x.size for x in b_col) + c.size
-        return (i, j), c, peak_words
+        return c, peak_words
 
     return body
 
@@ -80,8 +73,8 @@ def run_simple(
 
     *p* must be a perfect square with ``sqrt(p) <= n``; on a hypercube it
     must additionally be a power of four (so both grid sides are powers
-    of two).  The result's ``sim.returns`` carry each rank's peak memory
-    in words (third tuple element).
+    of two).  The result's ``sim.returns`` are ``(C_block, peak_words)``
+    per rank: its block of the product and its peak memory in words.
     """
     n = check_same_shape(A, B)
     side = int_sqrt(p)
@@ -92,8 +85,6 @@ def run_simple(
     use_ring = isinstance(topo, Mesh2D)
 
     spec = BlockSpec(n, n, side, side)
-    a_blocks = spec.scatter(A)
-    b_blocks = spec.scatter(B)
 
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
@@ -103,19 +94,18 @@ def run_simple(
     def program(info: RankInfo):
         # built when the engine starts the rank (only the probes when compiled)
         i, j = row_of[info.rank], col_of[info.rank]
-        return _program(
-            i, j, a_blocks[i][j], b_blocks[i][j],
-            row_groups[i], col_groups[j], use_ring,
-        )(info)
+        return _program(row_groups[i], col_groups[j], use_ring)(info)
 
-    # both all-gathers are rank-symmetric over grid rows/columns (the
-    # ring variant compiles at message level too; recursive doubling
-    # compiles via the macro-collective path)
+    # both all-gathers are rank-symmetric over grid rows/columns; rank
+    # (i, j) starts with A[i, j] and B[i, j]
+    gi, gj = np.indices((side, side))
+    own = rank_vector(layout, gi * side + gj)
     symmetry = SymmetrySpec(
         partitions={
             "row": np.asarray(row_groups, dtype=np.int64),
             "col": np.asarray(col_groups, dtype=np.int64),
-        }
+        },
+        inputs={"a": (spec.stack(A), own), "b": (spec.stack(B), own)},
     )
 
     sim = Engine(
@@ -127,10 +117,9 @@ def run_simple(
         symmetry=symmetry,
     ).run(program)
 
-    if sim.compiled:
-        C = None
-    else:
-        C = np.zeros((n, n), dtype=np.result_type(A, B))
-        for (i, j), c_block, _peak in sim.returns:
-            C[spec.block_slice(i, j)] = c_block
-    return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="simple")
+    return MatmulResult(
+        sim=sim, n=n, p=p, machine=machine, algorithm="simple",
+        assemble=lambda returns: spec.gather(
+            [[returns[r][0] for r in row] for row in layout]
+        ),
+    )

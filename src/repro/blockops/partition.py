@@ -173,33 +173,52 @@ class BlockSpec:
 
     # -- scatter / gather ----------------------------------------------------------
 
-    def scatter(self, m: np.ndarray) -> list[list[np.ndarray]]:
-        """Split matrix *m* into a ``grows x gcols`` nested list of blocks.
+    def stack(self, m: np.ndarray) -> np.ndarray | list[np.ndarray]:
+        """The blocks of matrix *m* in row-major block order.
 
-        The blocks are the caller's own: writing into one never changes
-        *m* or another block.  An even partition is copied once, with
-        one strided copy, into a fresh contiguous
-        ``(grows, gcols, rows, cols)`` buffer, and each block is a
-        C-contiguous view of its slot in that buffer (so ``block.base``
-        is the shared buffer, which stays alive while any block does).
-        An uneven partition copies block by block into separate arrays.
+        Block ``(bi, bj)`` is ``stack[bi * gcols + bj]``, and the blocks
+        are the caller's own: writing into one never changes *m* or
+        another block.  An even partition is copied once, with one
+        strided copy, into a fresh contiguous ``(grows*gcols, rows,
+        cols)`` array; an uneven partition copies block by block into a
+        list of separate arrays.
         """
         if m.shape != (self.nrows, self.ncols):
             raise ValueError(f"matrix shape {m.shape} != spec {(self.nrows, self.ncols)}")
         if self.uniform:
             br, bc = self.nrows // self.grows, self.ncols // self.gcols
             buf = m.reshape(self.grows, br, self.gcols, bc).transpose(0, 2, 1, 3).copy()
-            return [list(row) for row in buf]
+            return buf.reshape(-1, br, bc)
         return [
-            [np.ascontiguousarray(m[self.block_slice(bi, bj)]) for bj in range(self.gcols)]
+            np.ascontiguousarray(m[self.block_slice(bi, bj)])
             for bi in range(self.grows)
+            for bj in range(self.gcols)
         ]
+
+    def scatter(self, m: np.ndarray) -> list[list[np.ndarray]]:
+        """Split matrix *m* into a ``grows x gcols`` nested list of blocks.
+
+        The blocks are those of :meth:`stack`: for an even partition,
+        C-contiguous views of their slots in its one buffer (so
+        ``block.base`` is the shared buffer, which stays alive while any
+        block does).
+        """
+        blocks = self.stack(m)
+        return [list(blocks[bi * self.gcols:(bi + 1) * self.gcols]) for bi in range(self.grows)]
 
     def gather(self, blocks: list[list[np.ndarray]]) -> np.ndarray:
         """Reassemble a full matrix from a nested list of blocks (inverse of scatter)."""
         if len(blocks) != self.grows or any(len(row) != self.gcols for row in blocks):
             raise ValueError("block grid shape mismatch")
         out = np.empty((self.nrows, self.ncols), dtype=np.result_type(*[b.dtype for row in blocks for b in row]))
+        if self.uniform:
+            br, bc = self.nrows // self.grows, self.ncols // self.gcols
+            slabs = out.reshape(self.grows, br, self.gcols, bc)
+            for bi, row in enumerate(blocks):
+                # one copy per block row, into its (rows, gcols, cols) slab;
+                # a block of the wrong shape raises ValueError
+                np.stack(row, axis=1, out=slabs[bi])
+            return out
         for bi in range(self.grows):
             for bj in range(self.gcols):
                 blk = blocks[bi][bj]

@@ -176,7 +176,7 @@ def generate_scenario(
                 fault_plan=plan,
                 scheduler=scheduler,
                 seed=int(rng.integers(1 << 31)),
-                verify=scheduler != "compiled",
+                verify=True,
                 name=f"auto-{campaign_seed}-{index}",
             )
         except ValueError as exc:

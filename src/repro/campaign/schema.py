@@ -152,10 +152,6 @@ class Scenario:
         if self.scheduler not in SCHEDULERS:
             _fail("scheduler", f"unknown scheduler {self.scheduler!r}",
                   f"use one of {SCHEDULERS}")
-        if self.scheduler == "compiled" and self.verify:
-            _fail("scheduler", "'compiled' replays timing only — there is no "
-                  "product matrix to verify",
-                  "set verify=False (or pick the bit-identical 'heap' scheduler)")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             _fail("seed", f"must be an int >= 0, got {self.seed!r}", "e.g. seed=0")
         if not isinstance(self.name, str):

@@ -74,10 +74,10 @@ def _machine_from_args(args) -> MachineParams:
 def _add_scheduler_arg(sub) -> None:
     sub.add_argument(
         "--scheduler", choices=SCHEDULERS, default=None,
-        help="engine scheduler (results are bit-identical; 'heap' scales "
-        "best past a few thousand ranks, 'compiled' replays rank-symmetric "
-        "programs as vectorized batch schedules — timing only, no product "
-        "matrix; see docs/performance.md)",
+        help="engine scheduler (results are bit-identical; the default "
+        "'compiled' replays rank-symmetric programs as vectorized batch "
+        "schedules and falls back to 'heap' for the rest; see "
+        "docs/performance.md)",
     )
 
 
@@ -226,16 +226,21 @@ def _cmd_run(args) -> str:
             f"(feasible here: {registry.feasible_algorithms(args.n, args.p)})"
         )
     result = entry.run(A, B, args.p, machine=machine, scheduler=args.scheduler)
-    if result.C is None:
-        ok = "skipped (trace-compiled run, timing only)"
+    ok = np.allclose(result.C, A @ B)
+    sim = result.sim
+    if sim.compiled:
+        path = "compiled"
+    elif sim.compile_fallback:
+        path = f"heap (fallback: {sim.compile_fallback})"
     else:
-        ok = np.allclose(result.C, A @ B)
+        path = args.scheduler
     model = MODELS[entry.model_key]
     return format_kv(
         f"{entry.title} - n={args.n}, p={args.p} on {machine.name} "
         f"(ts={machine.ts:g}, tw={machine.tw:g})",
         {
             "numerically correct": ok,
+            "scheduler": path,
             "T_p (simulated, basic ops)": result.parallel_time,
             "T_p (model)": model.time(args.n, args.p, machine),
             "speedup": result.speedup,

@@ -338,7 +338,7 @@ def simulated_prediction(
         "simulated_overhead": float(res.total_overhead),
         "model_time": float(model.time(n, p, machine)) if applicable else None,
         "model_efficiency": float(model.efficiency(n, p, machine)) if applicable else None,
-        "verified": bool(np.allclose(res.C, A @ B)) if res.C is not None else None,
+        "verified": bool(np.allclose(res.C, A @ B)),
     }
 
 

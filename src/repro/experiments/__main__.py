@@ -49,8 +49,8 @@ def run_one(
     *refine*/*max_depth*/*tol* select the adaptive region-map path for
     the figure experiments (see :mod:`repro.core.refine`).
     *p_values*/*n0*/*verify*/*scheduler* tune ``scaling-large`` (the
-    16k-rank smoke run in CI uses them; ``scheduler`` defaults to the
-    event-heap core there, see docs/performance.md).
+    16k- and 64k-rank smoke runs in CI use them; ``scheduler`` defaults
+    to the trace compiler, see docs/performance.md).
     """
     if name == "table1":
         return table1.format_text(table1.run())
@@ -134,19 +134,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="refinement gap tolerance per octave of cell extent")
     parser.add_argument("--p-values", type=int, nargs="+", default=None,
                         help="processor counts for scaling-large (each must be a "
-                             "perfect square; the heap scheduler carries 16384+)")
+                             "perfect square; the compiled scheduler carries 65536+)")
     parser.add_argument("--n0", type=int, default=None,
                         help="per-rank base problem size for scaling-large")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the host-side product check in scaling-large "
-                             "(the 16k smoke run uses this to stay under the "
-                             "tier-1 timeout)")
+                             "(a compiled run then never computes the product)")
     parser.add_argument("--scheduler", type=str, default=None,
                         choices=SCHEDULERS,
                         help="engine scheduler for scaling-large (default: "
-                             "heap when verifying, compiled with --no-verify) "
-                             "and resilience (fault timelines are bit-identical "
-                             "across rescan/heap; see docs/performance.md)")
+                             "compiled, falling back to heap) and resilience "
+                             "(fault timelines are bit-identical across "
+                             "rescan/heap; see docs/performance.md)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="directory for the persistent result cache "
                              "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -138,13 +138,13 @@ def scaled_speedup(
     speedup that tracks ``E * p`` linearly in ``p`` — which the
     simulation confirms with full discrete-event runs.
 
-    These are the largest complete simulations in the repo (4096 live
-    rank generators by default, 16384-65536 with the heap scheduler);
-    the array-backed engine core, the macro-collective fast path, and
-    the event-heap scheduler are what keep them tractable.  *scheduler*
-    is forwarded to the engine (``None`` keeps the process default;
-    ``"heap"`` is what ``scaling-large`` uses past a few thousand
-    ranks — see docs/performance.md).
+    These are the largest complete simulations in the repo, 65,536
+    ranks in CI: the trace compiler (the process default) replays them
+    from a few probe ranks and computes the product on stacked blocks.
+    *scheduler* is forwarded to the engine (``None`` keeps the process
+    default).  With *verify* every product is checked against
+    ``A @ B``; without it the product is never read, so a compiled run
+    never evaluates it.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -158,15 +158,8 @@ def scaled_speedup(
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         res = registry.run(key, A, B, p, machine, scheduler=scheduler)
-        if verify:
-            if res.C is None:
-                raise ValueError(
-                    "verify=True needs a product matrix, but the run was "
-                    "trace-compiled (timing-only); use scheduler='heap' or "
-                    "verify=False"
-                )
-            if not np.allclose(res.C, A @ B):
-                raise AssertionError(f"numerical mismatch: {key} at n={n}, p={p}")
+        if verify and not np.allclose(res.C, A @ B):
+            raise AssertionError(f"numerical mismatch: {key} at n={n}, p={p}")
         rows.append(
             {
                 "algorithm": key,
@@ -203,23 +196,12 @@ def run_large_p(
 ) -> dict[str, list[dict]]:
     """The ``scaling-large`` experiment: scaled speedup on big machines.
 
-    Every *p* in *p_values* must be a perfect square.  With *scheduler*
-    left ``None`` the experiment picks for itself: verifying runs use the
-    event-heap scheduler (payloads must actually move to produce ``C``),
-    non-verifying runs use the trace compiler (``"compiled"``), whose
-    batch replay carries the sweep to 65536+ ranks (``make
-    scale-64k-smoke`` exercises the 64k point in CI; 16k via
-    ``scale-16k-smoke``).  Asking for ``scheduler="compiled"`` together
-    with ``verify=True`` is a contradiction and raises ``ValueError``.
+    Every *p* in *p_values* must be a perfect square.  The trace
+    compiler (the default *scheduler*) carries the sweep to 65536+ ranks
+    and computes each product on stacked blocks, so verified runs scale
+    too (``make scale-16k-smoke`` and ``make scale-64k-smoke`` verify
+    the 16k and 64k points in CI).
     """
-    if scheduler is None:
-        scheduler = "heap" if verify else "compiled"
-    elif scheduler == "compiled" and verify:
-        raise ValueError(
-            "scheduler='compiled' replays timing without payloads, so there "
-            "is no product matrix to verify; pass verify=False (or another "
-            "scheduler)"
-        )
     return {
         "scaled_cannon": scaled_speedup(
             "cannon", n0=n0, p_values=p_values, machine=machine,

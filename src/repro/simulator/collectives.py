@@ -38,6 +38,11 @@ bit-identical to the message-level path below — same clocks, same
 per-rank accounts, same message/word totals, same payload aliasing.  The
 message-level implementations remain the reference: the fuzz suite pins
 the two paths against each other.
+
+A helper handed a traced block (a trace-compiler probe's stand-in, see
+:mod:`repro.simulator.payloads`) posts its ``CollectiveOp`` at any group
+size, so the compiler sees one collective whose payload it can move,
+not the message-level loop's position-dependent slicing.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numpy as np
 
 from repro.simulator.engine import RankInfo
 from repro.simulator.errors import ProgramError
+from repro.simulator.payloads import TracedBlock
 from repro.simulator.request import Barrier, CollectiveOp, Recv, Send, words_of
 
 __all__ = [
@@ -72,6 +78,13 @@ __all__ = [
 #: bit-identical, so this is purely a performance knob — tests pin it to
 #: 2 to force macro coverage of small groups.
 MACRO_GROUP_MIN: int = 64
+
+
+def _posts_op(info: RankInfo, g: int, data: Any) -> bool:
+    """Whether a helper posts its :class:`CollectiveOp` form."""
+    return isinstance(data, TracedBlock) or (
+        info.macro_collectives and g >= MACRO_GROUP_MIN
+    )
 
 
 def my_index(info: RankInfo, group: Sequence[int]) -> int:
@@ -105,7 +118,7 @@ def bcast_binomial(
     returned unchanged.  Takes ``ceil(log2 g)`` sequential message steps.
     """
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="bcast", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -147,7 +160,7 @@ def reduce_binomial(
     from repro.simulator.request import Compute  # local to avoid cycle noise
 
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="reduce", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -191,7 +204,7 @@ def allgather_recursive_doubling(
     g = len(group)
     if g & (g - 1):
         raise ProgramError(f"recursive doubling needs a power-of-two group, got {g}")
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="allgather_rd", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -224,7 +237,7 @@ def allgather_ring(
 ):
     """All-to-all broadcast over *group* on a logical ring (``g-1`` steps)."""
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="allgather_ring", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -270,8 +283,13 @@ def reduce_scatter_halving(
     g = len(group)
     if g & (g - 1):
         raise ProgramError(f"recursive halving needs a power-of-two group, got {g}")
-    flat = np.ascontiguousarray(data).reshape(-1).astype(np.result_type(data, np.float64), copy=True)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if isinstance(data, TracedBlock):
+        flat = data
+    else:
+        flat = np.ascontiguousarray(data).reshape(-1).astype(
+            np.result_type(data, np.float64), copy=True
+        )
+    if _posts_op(info, g, data):
         # the private working copy above is made eagerly, exactly when the
         # reference path would; the executor reduces it in place
         result = yield CollectiveOp(
@@ -326,7 +344,7 @@ def shift_cyclic(
     if offset % g == 0:
         my_index(info, group)  # keep the membership check of the slow path
         return data
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="shift", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, offset=offset,

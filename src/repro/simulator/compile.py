@@ -5,23 +5,29 @@ every rank runs the same program text, and peers differ only by a fixed
 rank relabeling (a cyclic or dimension-exchange law over a process-grid
 axis).  The request stream of one representative rank therefore
 determines the stream of all ``p`` ranks — which is what lets
-``scheduler="compiled"`` simulate 64k–256k ranks with *zero* generator
-resumes:
+``scheduler="compiled"`` (the default) simulate 64k–256k ranks with
+*zero* generator resumes:
 
 1. **Record.**  A handful of *probe* ranks (first/second/last member of
    each symmetry axis, plus the global corners) run as ordinary
-   generators, but against a *reflection* mailbox: each ``Recv`` is
-   resumed with the probe's own earlier tag-matched ``Send`` payload
-   (rank symmetry says the true payload has the same structure).  The
-   concrete request stream — op kinds, byte counts, tags, peers — is
-   recorded symbolically.
+   generators.  The initial blocks the driver declares on
+   :class:`SymmetrySpec` reach them as traced proxies
+   (:mod:`repro.simulator.payloads`), so each probe records its
+   dataflow — which blocks it multiplies, adds, sends and returns —
+   alongside its concrete request stream (op kinds, byte counts, tags,
+   peers).  Each ``Recv`` resumes the probe with a proxy shaped like its
+   own tag-matched earlier ``Send`` payload (rank symmetry says the true
+   payload has the same structure); a payload not derived from the
+   declared inputs is handed back as it is.  Collective helpers handed a
+   traced block post their :class:`CollectiveOp` form at any group size.
 2. **Detect symmetry.**  The probe traces are compared structurally
-   (same op kinds, sizes, tags at every step) and each peer field must
+   (same op kinds, sizes, tags and payload nodes at every step, the same
+   dataflow graph, the same return structure) and each peer field must
    be explained by one law — ``peer = group[(pos + d) % g]`` (cyclic) or
    ``peer = group[pos ^ d]`` (dimension exchange) — on one axis of the
-   driver-provided :class:`SymmetrySpec`.  Any mismatch raises
-   :class:`CompileFallback` and the engine transparently re-runs the
-   program on the ``heap`` scheduler.
+   :class:`SymmetrySpec`.  Any mismatch raises :class:`CompileFallback`
+   and the engine re-runs the program on the ``heap`` scheduler,
+   recording the reason.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    and hop fields are precomputed ``(p,)`` vectors, built once per
@@ -36,32 +42,39 @@ resumes:
    evaluates exactly the reference cost expressions elementwise, so a
    compiled run is bit-identical to ``heap``/``rescan`` whenever it
    compiles at all.
+4. **Payloads.**  The same matching resolves every received block to a
+   gather through the matched send's peer vector, and the graph becomes
+   a :class:`~repro.simulator.payloads.Dataflow` that computes every
+   rank's return value on stacked blocks — on demand, the first time
+   ``SimResult.returns`` is read, so a run that never reads its product
+   never pays for it.
 
 What falls back (by design, not by accident):
 
 * no :class:`SymmetrySpec` from the driver, or tracing / link contention
   / an active fault plan (those regimes need live per-rank event
   interleaving);
+* declared inputs that are not one stacked array (an uneven block
+  partition);
 * any probe whose ``Recv`` precedes a reflectable ``Send`` (rooted
   broadcasts, relay chains — genuinely position-dependent programs);
 * ``bcast``/``reduce`` macro collectives (their results are real merged
   payload objects a generator-free replay cannot produce);
 * programs whose payload *structure* feeds back into message sizes in a
   way reflection cannot mirror (e.g. message-level recursive-doubling
-  allgather, whose dict payloads double each round — the reflected
-  dict keys collide and recording fails safely);
+  allgather of untraced data, whose dict payloads double each round —
+  the reflected dict keys collide and recording fails safely);
+* arithmetic that depends on a rank's position, programs that read
+  payload values (indexing, reductions, ``float(...)``), and return
+  values not derived from the declared inputs and messages;
 * probe traces that disagree structurally, or peers no single law
   explains.
-
-Compiled runs return ``returns=[None]*p`` (no payloads move), so drivers
-surface ``C=None``; timing, stats, and message/word counts are the
-deliverable at this scale.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -69,6 +82,7 @@ import numpy as np
 from repro.core.machine import MachineParams
 from repro.simulator.charging import replay
 from repro.simulator.macro import run_batch_collective
+from repro.simulator.payloads import Dataflow, Graph, ReduceScatter, TracedBlock
 from repro.simulator.request import (
     Barrier,
     Checkpoint,
@@ -94,9 +108,11 @@ __all__ = [
     "SymmetrySpec",
     "BatchSchedule",
     "compile_spmd",
+    "unstacked_input",
 ]
 
 _MAX_TRACE_OPS = 200_000
+_INDEX = np.dtype(np.int64)
 
 #: Macro collectives the compiler can lower to send/receive rounds; the
 #: others (``bcast``, ``reduce``) move and merge real payload objects,
@@ -120,12 +136,20 @@ class SymmetrySpec:
     probe recording verifies it structurally and the engine falls back
     to ``heap`` when the program turns out not to be rank-symmetric.
 
+    *inputs* maps a name to ``(stack, index)``: rank ``r`` starts with
+    block ``stack[index[r]]``, which its program reads through
+    :meth:`~repro.simulator.engine.RankInfo.input`.  A compiled run
+    evaluates its payloads on these stacks, so *stack* must be one array
+    whose leading axis indexes blocks (a list, as an uneven block
+    partition gives, makes the run fall back).
+
     *extra_probes* optionally adds ranks to the probe set (the default
     probes are the first/second/last members of each axis's first group,
     the last member of its last group, and the global corner ranks).
     """
 
     partitions: Mapping[str, Any]
+    inputs: Mapping[str, tuple[Any, Any]] = field(default_factory=dict)
     extra_probes: tuple[int, ...] = ()
 
 
@@ -207,8 +231,30 @@ def _reflect(value: Any) -> Any:
     return value
 
 
+class _TracedStack:
+    """A declared input stack as a probe sees it: each block is a graph input."""
+
+    __slots__ = ("graph", "name", "stack")
+
+    def __init__(self, graph: Graph, name: str, stack: np.ndarray) -> None:
+        self.graph, self.name, self.stack = graph, name, stack
+
+    def __getitem__(self, k: Any) -> TracedBlock:
+        block = self.stack[k]
+        return self.graph.add(("input", self.name), block.shape, block.dtype)
+
+
+def _payload(data: Any) -> int | None:
+    """The graph node a message carries, or ``None`` for an untraced payload."""
+    if not isinstance(data, TracedBlock):
+        return None
+    if data.shape is None:
+        raise CompileFallback("a reduce-scatter piece may only be returned, not sent")
+    return data.node
+
+
 def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
-    """The structural stand-in a probe is resumed with for a macro collective."""
+    """The structural stand-in for a collective over an untraced payload."""
     g = len(req.group)
     if req.kind == "shift":
         # reference returns the (src)-neighbor's payload: same structure
@@ -233,7 +279,9 @@ def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
     return (flat[lo:hi].copy(), lo, hi)
 
 
-def _record_collective(req: CollectiveOp, rank: int, ops: list[tuple]) -> Any:
+def _record_collective(
+    req: CollectiveOp, rank: int, ops: list[tuple], graph: Graph
+) -> Any:
     kind = req.kind
     if kind not in _LOWERED_KINDS:
         raise CompileFallback(
@@ -245,9 +293,11 @@ def _record_collective(req: CollectiveOp, rank: int, ops: list[tuple]) -> Any:
     g = len(group)
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
-    m = int(req.nwords) if req.nwords is not None else words_of(req.data)
-    w = words_of(req.data)
-    flat_size = int(req.data.size) if kind == "reduce_scatter" else 0
+    data = req.data
+    m = int(req.nwords) if req.nwords is not None else words_of(data)
+    w = words_of(data)
+    flat_size = int(data.size) if kind == "reduce_scatter" else 0
+    step = len(ops)
     ops.append(
         (
             "coll",
@@ -259,16 +309,64 @@ def _record_collective(req: CollectiveOp, rank: int, ops: list[tuple]) -> Any:
             int(req.offset) % g,
             bool(req.charge_adds),
             flat_size,
+            _payload(data),
         )
     )
-    return _synthesize_collective(req, rank)
+    if not isinstance(data, TracedBlock):
+        return _synthesize_collective(req, rank)
+    if kind == "shift":
+        return graph.add(("coll", step, 0), data.shape, data.dtype)
+    if kind != "reduce_scatter":
+        # every member's contribution, ordered by group position
+        return [graph.add(("coll", step, t), data.shape, data.dtype) for t in range(g)]
+    # (piece, lo, hi): per-rank values with no common shape
+    summed = np.result_type(data.dtype, np.float64)
+    return (
+        graph.add(("coll", step, "piece"), None, summed),
+        graph.add(("coll", step, "lo"), None, _INDEX),
+        graph.add(("coll", step, "hi"), None, _INDEX),
+    )
+
+
+def _template(value: Any, graph: Graph, rank: int) -> tuple:
+    """A probe's return value as a structure of graph nodes and constants."""
+    if isinstance(value, TracedBlock) and value.graph is graph:
+        return ("node", value.node)
+    if isinstance(value, (tuple, list)):
+        kind = "tuple" if isinstance(value, tuple) else "list"
+        return (kind, tuple(_template(v, graph, rank) for v in value))
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return ("const", value)
+    raise CompileFallback(
+        f"probe rank {rank} returns a {type(value).__name__} that is not "
+        f"derived from its declared inputs and messages"
+    )
+
+
+@dataclass
+class _Probe:
+    """One probe rank's recording: its request stream, dataflow and return."""
+
+    rank: int
+    ops: list[tuple]
+    nodes: list[tuple]
+    returns: tuple
 
 
 def _record_probe(
-    factory: Callable[..., Any], info: Any, rank: int, max_ops: int
-) -> list[tuple]:
-    """Drive one probe generator against the reflection mailbox."""
-    gen = factory(info)
+    factory: Callable[..., Any],
+    make_info: Callable[[int, Mapping[str, Any]], Any],
+    rank: int,
+    inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    max_ops: int,
+) -> _Probe:
+    """Drive one probe generator on traced inputs against the reflection mailbox."""
+    graph = Graph()
+    traced = {
+        name: (_TracedStack(graph, name, stack), index)
+        for name, (stack, index) in inputs.items()
+    }
+    gen = factory(make_info(rank, traced))
     ops: list[tuple] = []
     pending: dict[int, deque[Any]] = {}
     try:
@@ -284,11 +382,14 @@ def _record_probe(
             if cls is Compute:
                 ops.append(("compute", float(req.cost)))
             elif cls is Send:
-                ops.append(("send", int(req.dst), int(req.nwords), int(req.tag)))
+                ops.append(
+                    ("send", int(req.dst), int(req.nwords), int(req.tag), _payload(req.data))
+                )
                 pending.setdefault(int(req.tag), deque()).append(req.data)
             elif cls is SendAll:
                 parts = tuple(
-                    (int(m.dst), int(m.nwords), int(m.tag)) for m in req.messages
+                    (int(m.dst), int(m.nwords), int(m.tag), _payload(m.data))
+                    for m in req.messages
                 )
                 ops.append(("sendall", parts))
                 for m in req.messages:
@@ -301,26 +402,32 @@ def _record_probe(
                         f"reflectable Send — program is position-dependent"
                     )
                 ops.append(("recv", int(req.src), int(req.tag)))
-                resume = _reflect(queue.popleft())
+                own = queue.popleft()
+                if isinstance(own, TracedBlock):
+                    # resolved at lowering to the matched send's node
+                    resume = graph.add(("recv", len(ops) - 1), own.shape, own.dtype)
+                else:
+                    resume = _reflect(own)
             elif cls is Barrier:
                 ops.append(("barrier",))
             elif cls is Checkpoint:
                 ops.append(("checkpoint",))
             elif cls is CollectiveOp:
-                resume = _record_collective(req, rank, ops)
+                resume = _record_collective(req, rank, ops, graph)
             else:
                 raise CompileFallback(
                     f"probe rank {rank}: unsupported request {cls.__name__}"
                 )
             req = gen.send(resume)
-    except StopIteration:
-        return ops
+    except StopIteration as stop:
+        return _Probe(rank, ops, graph.nodes, _template(stop.value, graph, rank))
     except CompileFallback:
         raise
     except Exception as exc:
-        # reflection handed the program a structurally wrong value (or the
-        # program is simply broken) — fall back and let the real scheduler
-        # surface the real behavior
+        # a traced block met an operation that reads values or depends on
+        # position, reflection handed the program a structurally wrong
+        # value, or the program is simply broken — fall back and let the
+        # real scheduler surface the real behavior
         raise CompileFallback(
             f"probe rank {rank} raised {type(exc).__name__} during recording: {exc}"
         ) from exc
@@ -373,13 +480,16 @@ def _lower_collective(
     vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
     axis: _Axis,
     shape: tuple,
-) -> list[SymCompute | SymSend | SymRecv]:
+) -> tuple[list[SymCompute | SymSend | SymRecv], Any]:
     """The send/receive rounds one macro collective stands for, on every group.
 
     Each round mirrors the per-group executor in
     :mod:`repro.simulator.macro`: the same sizes, partners and order.
+    Also returns what the rounds deliver: a shift's source vector, or a
+    reduce-scatter's partners and final per-rank intervals (``None`` for
+    the all-gathers, whose outputs are the axis's group members).
     """
-    _, kind, g, m, w, tag, offset, charge_adds, flat_size = shape
+    _, kind, g, m, w, tag, offset, charge_adds, flat_size, _ = shape
     phases: list[SymCompute | SymSend | SymRecv] = []
 
     def exchange(law: str, d_to: int, d_from: int, nwords: Any) -> None:
@@ -390,7 +500,8 @@ def _lower_collective(
 
     if kind == "shift":
         exchange("cyc", offset, g - offset, m)
-    elif kind == "allgather_ring":
+        return phases, vectors(axis.name, "cyc", g - offset)[0]
+    if kind == "allgather_ring":
         for _ in range(g - 1):
             exchange("cyc", 1, g - 1, m)
     elif kind == "allgather_rd":
@@ -403,32 +514,42 @@ def _lower_collective(
         idx = np.arange(g)
         lo = np.zeros(g, dtype=np.int64)
         hi = np.full(g, flat_size, dtype=np.int64)
+        partners = []
         half = g // 2
         while half:
             mid = lo + (hi - lo) // 2
             in_low = (idx & half) == 0
             # halves differ by a word on odd lengths: per-rank sizes
             exchange("xor", half, half, np.where(in_low, hi - mid, mid - lo)[axis.pos])
+            partners.append(vectors(axis.name, "xor", half)[0])
             if charge_adds:
                 keep = np.where(in_low, mid - lo, hi - mid)
                 phases.append(SymCompute(cost=keep[axis.pos].astype(np.float64)))
             hi = np.where(in_low, mid, hi)
             lo = np.where(in_low, lo, mid)
             half //= 2
-    return phases
+        return phases, ReduceScatter(partners, lo[axis.pos], hi[axis.pos])
+    return phases, None
 
 
 class BatchSchedule:
     """A lowered SPMD program: one symbolic phase per program step."""
 
-    __slots__ = ("phases", "nprocs", "probe_ranks")
+    __slots__ = ("phases", "nprocs", "probe_ranks", "dataflow")
 
     def __init__(
-        self, phases: list[SymPhase], nprocs: int, probe_ranks: list[int]
+        self,
+        phases: list[SymPhase],
+        nprocs: int,
+        probe_ranks: list[int],
+        dataflow: Dataflow,
     ) -> None:
         self.phases = phases
         self.nprocs = nprocs
         self.probe_ranks = probe_ranks
+        #: the payload graph; ``dataflow.evaluate()`` gives every rank's
+        #: return value
+        self.dataflow = dataflow
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -453,7 +574,14 @@ def _lower(
     axes: dict[str, _Axis],
     topology: Topology,
     p: int,
-) -> list[SymPhase]:
+) -> tuple[list[SymPhase], dict[int, tuple]]:
+    """Phases for the common trace, plus what each receive or collective delivers.
+
+    The second result maps a ``recv`` step to ``("recv", payload, src)``
+    and a ``coll`` step to ``("coll", kind, axis, payload, out)`` (see
+    :func:`_lower_collective`); *payload* is the graph node the matched
+    send or the collective carries, or ``None`` when it is untraced.
+    """
     nops = len(traces[0][1])
     for r, ops in traces[1:]:
         if len(ops) != nops:
@@ -466,7 +594,8 @@ def _lower(
     probes = np.asarray([r for r, _ in traces], dtype=np.int64)
     memo: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray]] = {}
     phases: list[SymPhase] = []
-    channels: dict[tuple[int, str, str, int], deque[SymSend]] = {}
+    links: dict[int, tuple] = {}
+    channels: dict[tuple[int, str, str, int], deque[tuple[SymSend, int | None]]] = {}
 
     def vectors(axis: str, law: str, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(peer, hops) of every rank under one law, built once per compile."""
@@ -477,14 +606,15 @@ def _lower(
         return memo[key]
 
     def lower_send(step: int, fields: list[tuple], part: str = "") -> SymSend:
-        """fields: per-probe (dst, nwords, tag) triples for one message."""
+        """fields: per-probe (dst, nwords, tag, payload) for one message."""
         nwords = _check_uniform([f[1] for f in fields], step, f"send{part} nwords")
         tag = _check_uniform([f[2] for f in fields], step, f"send{part} tag")
+        payload = _check_uniform([f[3] for f in fields], step, f"send{part} payload")
         peers = [(r, f[0]) for (r, _), f in zip(traces, fields)]
         axis, law, d = _infer_law(axes, peers, f"Send{part}(tag={tag})")
         dst, hops = vectors(axis, law, d)
         ph = SymSend(dst=dst, hops=hops, nwords=int(nwords), tag=int(tag))
-        channels.setdefault((int(tag), axis, law, d), deque()).append(ph)
+        channels.setdefault((int(tag), axis, law, d), deque()).append((ph, payload))
         return ph
 
     for step in range(nops):
@@ -515,9 +645,10 @@ def _lower(
                 )
             # the channel pairs law e with its inverse d, so the matched
             # send routes exactly back: dst[src[r]] == r on every rank
-            src_phase = queue.popleft()
+            src_phase, payload = queue.popleft()
             src = vectors(axis, law, e)[0]
             phases.append(SymRecv(src=src, tag=int(tag), source=src_phase))
+            links[step] = ("recv", payload, src)
         elif kind == "barrier":
             phases.append(SymBarrier())
         elif kind == "checkpoint":
@@ -540,12 +671,97 @@ def _lower(
                     f"step {step}: collective {shape[1]!r} group is not a "
                     f"symmetry-axis row"
                 )
-            phases.append(
-                SymCollective(
-                    kind=shape[1], phases=_lower_collective(vectors, axis, shape)
-                )
+            rounds, out = _lower_collective(vectors, axis, shape)
+            phases.append(SymCollective(kind=shape[1], phases=rounds))
+            links[step] = ("coll", shape[1], axis, shape[-1], out)
+    return phases, links
+
+
+def unstacked_input(spec: SymmetrySpec) -> str | None:
+    """Why *spec*'s inputs cannot be evaluated as stacks, or ``None``."""
+    for name, (stack, _) in spec.inputs.items():
+        if not isinstance(stack, np.ndarray):
+            return (
+                f"input {name!r} is not one stacked array (an uneven block "
+                f"partition); its blocks cannot be evaluated as a stack"
             )
-    return phases
+    return None
+
+
+def _stacked_inputs(
+    spec: SymmetrySpec, p: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    reason = unstacked_input(spec)
+    if reason is not None:
+        raise CompileFallback(reason)
+    inputs = {}
+    for name, (stack, index) in spec.inputs.items():
+        index = np.asarray(index, dtype=np.int64)
+        if index.shape != (p,):
+            raise ValueError(f"input {name!r} needs one block index per rank, got {index.shape}")
+        inputs[name] = (stack, index)
+    return inputs
+
+
+def _common_dataflow(probes: list[_Probe]) -> tuple[list[tuple], tuple]:
+    """The probes' shared graph and return template, or fallback."""
+    first = probes[0]
+    for pr in probes[1:]:
+        if pr.nodes != first.nodes:
+            k = next(
+                (k for k, (a, b) in enumerate(zip(first.nodes, pr.nodes)) if a != b),
+                min(len(first.nodes), len(pr.nodes)),
+            )
+            mine = first.nodes[k] if k < len(first.nodes) else None
+            theirs = pr.nodes[k] if k < len(pr.nodes) else None
+            raise CompileFallback(
+                f"probe dataflow diverges at node {k}: rank {first.rank} has "
+                f"{mine!r}, rank {pr.rank} has {theirs!r}"
+            )
+        if pr.returns != first.returns:
+            raise CompileFallback(
+                f"probe returns diverge: rank {first.rank} returns "
+                f"{first.returns!r}, rank {pr.rank} returns {pr.returns!r}"
+            )
+    return first.nodes, first.returns
+
+
+def _resolve(nodes: list[tuple], links: dict[int, tuple]) -> list[tuple]:
+    """Recorded nodes with every received block turned into a gather."""
+    traced_recvs = {node[1] for node in nodes if node[0] == "recv"}
+    for step, link in links.items():
+        if link[0] == "recv" and (link[1] is not None) != (step in traced_recvs):
+            raise CompileFallback(
+                f"step {step}: the Recv matches a send of "
+                f"{'a traced' if link[1] is not None else 'an untraced'} payload, "
+                f"but the probe's own send on that tag was not"
+            )
+    members: dict[tuple[str, int], np.ndarray] = {}
+    out = []
+    for node in nodes:
+        kind, meta = node[0], node[-2:]
+        if kind == "recv":
+            _, payload, src = links[node[1]]
+            if nodes[payload][-2:] != meta:
+                raise CompileFallback(
+                    f"step {node[1]}: received {meta!r} but the matched send "
+                    f"carries {nodes[payload][-2:]!r}"
+                )
+            out.append(("gather", payload, src) + meta)
+        elif kind == "coll":
+            _, ckind, axis, payload, res = links[node[1]]
+            t = node[2]
+            if ckind == "shift":
+                out.append(("gather", payload, res) + meta)
+            elif ckind == "reduce_scatter":
+                out.append(("rs", payload, res, t) + meta)
+            else:  # all-gather output t: the block of group member t
+                if (axis.name, t) not in members:
+                    members[(axis.name, t)] = axis.mat[axis.row, t]
+                out.append(("gather", payload, members[(axis.name, t)]) + meta)
+        else:
+            out.append(node)
+    return out
 
 
 def compile_spmd(
@@ -554,24 +770,28 @@ def compile_spmd(
     machine: MachineParams,
     symmetry: SymmetrySpec,
     *,
-    make_info: Callable[[int], Any],
+    make_info: Callable[[int, Mapping[str, Any]], Any],
     max_ops: int = _MAX_TRACE_OPS,
 ) -> BatchSchedule:
     """Record probe ranks, verify symmetry, and lower to a batch schedule.
 
-    Raises :class:`CompileFallback` whenever the program turns out not
-    to be compilable; the caller (the engine) re-runs the untouched
-    factories on the ``heap`` scheduler.  Probe generators are consumed
-    here, but factories are re-invoked fresh on fallback, so recording
-    is side-effect-free as long as programs do not mutate driver state
+    ``make_info(rank, inputs)`` builds a probe's ``RankInfo`` around the
+    traced stand-ins for the declared inputs.  Raises
+    :class:`CompileFallback` whenever the program turns out not to be
+    compilable; the caller (the engine) re-runs the untouched factories
+    on the ``heap`` scheduler.  Probe generators are consumed here, but
+    factories are re-invoked fresh on fallback, so recording is
+    side-effect-free as long as programs do not mutate driver state
     before their first yield.
     """
     p = len(factories)
     axes = _build_axes(symmetry, p)
     probe_ranks = _probe_ranks(axes, symmetry, p)
-    traces = [
-        (r, _record_probe(factories[r], make_info(r), r, max_ops))
-        for r in probe_ranks
+    inputs = _stacked_inputs(symmetry, p)
+    probes = [
+        _record_probe(factories[r], make_info, r, inputs, max_ops) for r in probe_ranks
     ]
-    phases = _lower(traces, axes, topology, p)
-    return BatchSchedule(phases, p, probe_ranks)
+    nodes, returns = _common_dataflow(probes)
+    phases, links = _lower([(pr.rank, pr.ops) for pr in probes], axes, topology, p)
+    dataflow = Dataflow(_resolve(nodes, links), returns, inputs, p)
+    return BatchSchedule(phases, p, probe_ranks, dataflow)

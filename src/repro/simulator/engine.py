@@ -32,10 +32,17 @@ Scheduling
 
 Because programs are deterministic and sends never block on the
 receiver, the simulation is *confluent*: final clocks and payloads do
-not depend on the order ranks are stepped in.  Three schedulers exploit
+not depend on the order ranks are stepped in.  Four schedulers exploit
 that freedom differently:
 
-* ``"ready"`` (default) — event-driven.  Runnable ranks sit in a ready
+* ``"compiled"`` (default) — trace compilation
+  (:mod:`repro.simulator.compile`): a few probe ranks are recorded, the
+  program is proven rank-symmetric, and the whole machine is replayed
+  as vectorized phases, with payloads evaluated on stacked blocks.  A
+  program it cannot compile, and any run with tracing, link contention
+  or a fault plan, runs on ``"heap"`` instead, with the reason in
+  ``SimResult.compile_fallback``.
+* ``"ready"`` — event-driven.  Runnable ranks sit in a ready
   queue; a rank blocked on ``Recv`` is parked in a wakeup map keyed by
   its mailbox channel and revisited only when a matching message is
   deposited, and ranks blocked on ``Barrier`` are merely counted.  Each
@@ -75,9 +82,10 @@ this contract.
 Scheduler selection
 -------------------
 
-``link_contention`` mode uses the rescan scheduler unless ``"heap"``
-was selected: link reservations are granted in deterministic scheduler
-order, so the reference order is part of that mode's contract, and the
+``link_contention`` mode uses the rescan scheduler when ``"ready"``
+was selected (``"compiled"`` falls back to ``"heap"``): link
+reservations are granted in deterministic scheduler order, so the
+reference order is part of that mode's contract, and the
 heap scheduler's heap order is part of *its* contract (the two agree
 whenever routes do not conflict, e.g. single-hop traffic).  An active
 ``fault_plan`` (:mod:`repro.simulator.faults`) resolves the same way —
@@ -92,14 +100,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Mapping
 
 import numpy as np
 
 from repro.core.machine import MachineParams
 from repro.simulator.charging import message_times
-from repro.simulator.compile import CompileFallback, SymmetrySpec, compile_spmd
+from repro.simulator.compile import (
+    CompileFallback,
+    SymmetrySpec,
+    compile_spmd,
+    unstacked_input,
+)
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.faults import CompiledFaults, FaultPlan
 from repro.simulator.macro import run_collective
@@ -150,10 +164,12 @@ PRI_WAKE: int = 1
 #: affects results.
 _VEC_MIN: int = 8
 
-#: Process-wide default used when ``Engine(scheduler=None)``.  Benchmarks
-#: flip this to ``"rescan"`` to time the seed scheduler without plumbing
-#: an option through every algorithm driver.
-DEFAULT_SCHEDULER: str = "ready"
+#: Process-wide default used when ``Engine(scheduler=None)``: trace
+#: compilation, which falls back to ``"heap"`` (recording why) for a
+#: program it cannot compile.  Benchmarks flip this to ``"rescan"`` to
+#: time the seed scheduler without plumbing an option through every
+#: algorithm driver.
+DEFAULT_SCHEDULER: str = "compiled"
 
 #: Process-wide default used when ``Engine(macro_collectives=None)``.
 #: Benchmarks flip this to ``False`` to time the message-level reference
@@ -177,6 +193,20 @@ class RankInfo:
     it is only set when tracing and link contention are off and the
     event-driven scheduler is active."""
 
+    inputs: Mapping[str, Any] = field(default_factory=dict, repr=False, compare=False)
+    """The driver's declared initial blocks, ``name -> (stack, index)``
+    (:attr:`SymmetrySpec.inputs`); read them with :meth:`input`."""
+
+    def input(self, name: str) -> Any:
+        """This rank's initial block *name*: ``stack[index[rank]]``.
+
+        Programs read their declared inputs here rather than from the
+        driver's closure, so the trace compiler can hand its probes
+        traced stand-ins instead.
+        """
+        stack, index = self.inputs[name]
+        return stack[index[self.rank]]
+
 
 Program = Generator[Request, Any, Any]
 ProgramFactory = Callable[[RankInfo], Program]
@@ -191,9 +221,6 @@ class SimResult:
 
     stats: list[RankStats]
     """Per-rank timing accounts."""
-
-    returns: list[Any]
-    """Each rank program's return value (its local result)."""
 
     trace: Trace
     """Event trace (empty unless tracing was enabled)."""
@@ -219,9 +246,10 @@ class SimResult:
 
     compiled: bool = False
     """True when the run was trace-compiled and replayed as a batch
-    schedule.  Compiled runs move no payloads: ``returns`` is all
-    ``None`` and drivers surface ``C=None``; clocks, stats, and
-    message/word counts are bit-identical to the ``heap`` scheduler."""
+    schedule.  Clocks, stats, and message/word counts are bit-identical
+    to the ``heap`` scheduler, and so are :attr:`returns`, which the
+    payload graph computes on stacked blocks the first time they are
+    read."""
 
     compile_fallback: str | None = None
     """Why a ``scheduler="compiled"`` request fell back to ``heap``
@@ -231,6 +259,18 @@ class SimResult:
     """The run's columnar per-rank accounts; backs the ``total_*``
     aggregates with numpy reductions instead of Python-level loops over
     :attr:`stats`."""
+
+    payloads: Callable[[], list[Any]] | None = field(default=None, repr=False)
+    """Computes :attr:`returns` on first read (compiled runs)."""
+
+    @cached_property
+    def returns(self) -> list[Any]:
+        """Each rank program's return value (its local result).
+
+        The generator schedulers set this as the run ends; a compiled
+        run evaluates its payload graph here, once, on first read.
+        """
+        return self.payloads()
 
     # -- derived metrics (Section 2) ---------------------------------------------
 
@@ -417,12 +457,13 @@ class Engine:
                     self.topology,
                     self.machine,
                     self.symmetry,
-                    make_info=lambda r: RankInfo(
+                    make_info=lambda r, inputs: RankInfo(
                         rank=r,
                         nprocs=p,
                         topology=self.topology,
                         machine=self.machine,
                         macro_collectives=macro_ok,
+                        inputs=inputs,
                     ),
                 )
             except CompileFallback as exc:
@@ -437,15 +478,16 @@ class Engine:
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
                     stats=arr.snapshot(),
-                    returns=[None] * p,
                     trace=self.trace,
                     nprocs=p,
                     compiled=True,
                     arrays=arr,
+                    payloads=schedule.dataflow.evaluate,
                 )
 
         arr = RankArrays(p)
         self._arr = arr
+        inputs = self.symmetry.inputs if self.symmetry is not None else {}
         states = [
             _RankState(
                 f(
@@ -455,6 +497,7 @@ class Engine:
                         topology=self.topology,
                         machine=self.machine,
                         macro_collectives=macro_ok,
+                        inputs=inputs,
                     )
                 ),
                 r,
@@ -481,12 +524,12 @@ class Engine:
         result = SimResult(
             parallel_time=t_p,
             stats=arr.snapshot(),
-            returns=[s.retval for s in states],
             trace=self.trace,
             nprocs=p,
             compile_fallback=compile_fallback,
             arrays=arr,
         )
+        result.returns = [s.retval for s in states]
         f = self._faults
         if f is not None:
             result.retransmits = f.retransmits
@@ -507,7 +550,7 @@ class Engine:
             return "link contention enabled"
         if self.fault_plan is not None:
             return "active fault plan"
-        return None
+        return unstacked_input(self.symmetry)
 
     def _run_rescan(self, states: list[_RankState]) -> None:
         """The seed round-robin scheduler: rescan every pending rank each pass.

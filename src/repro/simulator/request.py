@@ -27,6 +27,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.simulator.payloads import TracedBlock
+
 __all__ = [
     "Compute",
     "Send",
@@ -48,8 +50,9 @@ __all__ = [
 
 
 def words_of(data: Any) -> int:
-    """Number of matrix words in *data* (arrays count elements; scalars 1)."""
-    if isinstance(data, np.ndarray):
+    """Number of matrix words in *data* (arrays and traced blocks count
+    elements; scalars 1)."""
+    if isinstance(data, (np.ndarray, TracedBlock)):
         return int(data.size)
     if isinstance(data, (list, tuple)):
         return sum(words_of(x) for x in data)

@@ -101,8 +101,9 @@ class TestSchedulers:
         rec = execute_scenario(s, OracleConfig())
         assert rec["anomalies"] == []
 
-    def test_compiled_scenario_executes_timing_only(self):
-        s = scenario(scheduler="compiled", verify=False)
+    def test_compiled_scenario_executes_verified(self):
+        s = scenario(scheduler="compiled")
         rec = execute_scenario(s, OracleConfig())
         assert rec["status"] == "ok"
         assert all(r["T_sim"] > 0.0 for r in rec["rows"])
+        assert all(r["outcome"] == "ok" for r in rec["rows"])

@@ -41,7 +41,6 @@ class TestValidation:
             ({"p_values": (True, 4)}, "ints >= 1"),
             ({"topology": "torus"}, "unknown topology"),
             ({"scheduler": "fifo"}, "unknown scheduler"),
-            ({"scheduler": "compiled"}, "timing only"),
             ({"seed": -1}, "must be an int >= 0"),
             ({"seed": 1.5}, "must be an int >= 0"),
             ({"name": 7}, "must be a string"),
@@ -64,6 +63,11 @@ class TestValidation:
     def test_compiled_scheduler_allowed_without_verify(self):
         s = scenario(scheduler="compiled", verify=False)
         assert s.scheduler == "compiled"
+
+    def test_compiled_scheduler_verifies(self):
+        # compiled runs move payloads, so their products are checked too
+        s = scenario(scheduler="compiled")
+        assert s.scheduler == "compiled" and s.verify
 
 
 class TestIdentity:

@@ -1,5 +1,7 @@
 """Tests for the top-level command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -216,11 +218,18 @@ class TestSchedulerChoices:
         for name in SCHEDULERS:
             assert name in proc.stdout
 
-    def test_run_compiled_scheduler_skips_verification(self, capsys):
+    def test_run_compiled_scheduler_verifies(self, capsys):
         assert main(["run", "cannon", "-n", "16", "-p", "16",
                      "--scheduler", "compiled"]) == 0
         out = capsys.readouterr().out
-        assert "skipped (trace-compiled run, timing only)" in out
+        assert re.search(r"numerically correct\s*:?\s*True", out)
+        assert re.search(r"scheduler\s*:?\s*compiled", out)
+
+    def test_run_names_the_heap_fallback(self, capsys):
+        assert main(["run", "fox", "-n", "16", "-p", "16"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"numerically correct\s*:?\s*True", out)
+        assert "heap (fallback: " in out
 
     def test_run_rejects_unknown_scheduler(self):
         with pytest.raises(SystemExit):

@@ -87,15 +87,16 @@ def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypat
     _assert_identical(res_c.sim, res_h.sim, p)
     _assert_identical(res_c.sim, res_r.sim, p)
     if res_c.sim.compiled:
-        assert res_c.C is None
-        assert res_c.sim.returns == [None] * p
         assert res_c.sim.compile_fallback is None
     else:
         assert res_c.sim.compile_fallback
-        rng = np.random.default_rng((hash(key) & 0xFFFF, n))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
+    # compiled or not, the product is the generator schedulers', bit for bit
+    assert np.array_equal(res_c.C, res_h.C)
+    assert np.array_equal(res_c.C, res_r.C)
+    rng = np.random.default_rng((hash(key) & 0xFFFF, n))
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
 
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
@@ -113,6 +114,53 @@ def test_compiled_engagement_matches_registry_annotation(key, n, p, monkeypatch)
     )
 
 
+#: (driver, n, p): the drivers at a common size, GK at its native cube,
+#: and the largest Fig. 5 points of both figure algorithms
+BOUND_CASES = [
+    ("cannon", 64, 64),
+    ("simple", 64, 64),
+    ("fox", 64, 64),
+    ("berntsen", 64, 64),
+    ("gk", 64, 512),
+    ("gk-cm5", 264, 512),
+    ("cannon-cm5", 440, 484),
+]
+
+
+@pytest.mark.parametrize("scheduler", ["compiled", "heap"])
+@pytest.mark.parametrize("key,n,p", BOUND_CASES)
+def test_words_moved_meet_the_communication_lower_bound(key, n, p, scheduler):
+    """A check no scheduler can pass by agreeing with another one.
+
+    Loomis-Whitney (Demmel et al., arXiv:1202.3177): a rank doing F of
+    the n^3 multiply-adds touches at least 3*F^(2/3) words of A, B and
+    C, so all it did not start with or keep must cross the network.
+    With balanced shares, F = n^3/p and every rank starts with n^2/p
+    words each of A and B and ends with n^2/p of C.  Summed over ranks
+    that is a floor on the words received, and 2*total_words counts each
+    message at its sender and at its receiver.
+    """
+    from repro.algorithms.cannon import run_cannon
+    from repro.algorithms.gk import run_gk_cm5
+    from repro.core.machine import CM5
+
+    rng = np.random.default_rng((n, p))
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    if key == "gk-cm5":
+        res = run_gk_cm5(A, B, p, machine=CM5, scheduler=scheduler)
+    elif key == "cannon-cm5":
+        res = run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p),
+                         scheduler=scheduler)
+    else:
+        res = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler)
+    flops = n**3 / p
+    resident = n * n / p
+    floor = p * (3 * flops ** (2 / 3) - 3 * resident)
+    assert floor > 0
+    assert 2 * res.sim.total_words >= floor
+
+
 def test_cannon_p1024_compiled_bit_identical(monkeypatch):
     """A mid-scale point on the real 64k path (macro collectives active)."""
     monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
@@ -120,6 +168,7 @@ def test_cannon_p1024_compiled_bit_identical(monkeypatch):
     res_h = _run_driver("cannon", 32, 1024, "heap")
     assert res_c.sim.compiled
     _assert_identical(res_c.sim, res_h.sim, 1024)
+    assert np.array_equal(res_c.C, res_h.C)
 
 
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])
@@ -137,6 +186,7 @@ def test_cannon_overlap_shifts_compiled(all_port, monkeypatch):
                        scheduler="heap")
     assert res_c.sim.compiled
     _assert_identical(res_c.sim, res_h.sim, 16)
+    assert np.array_equal(res_c.C, res_h.C)
 
 
 def test_simple_on_mesh_ring_allgather_compiles():
@@ -244,6 +294,85 @@ def test_pre_probe_blockers_fall_back(kwargs, reason):
     )
     assert not res.compiled
     assert reason in res.compile_fallback
+
+
+def _block_ring(p, arithmetic):
+    """A ring of 2x2 blocks: rank r starts with A[r] and B[r], multiplies
+    them by *arithmetic*, rolls A one step, and returns its product."""
+    rng = np.random.default_rng(p)
+    a_stack = rng.standard_normal((p, 2, 2))
+    b_stack = rng.standard_normal((p, 2, 2))
+    own = np.arange(p)
+    spec = SymmetrySpec(
+        partitions={"ring": own[None, :]},
+        inputs={"a": (a_stack, own), "b": (b_stack, own)},
+    )
+
+    def body(info: RankInfo):
+        a, b = info.input("a"), info.input("b")
+        yield Compute(8.0)
+        c = arithmetic(info, a, b)
+        yield Send(dst=(info.rank + 1) % p, data=a, nwords=4, tag=1)
+        left = yield Recv(src=(info.rank - 1) % p, tag=1)
+        return c + left @ b
+
+    return body, spec
+
+
+def _assert_same_returns(compiled, reference):
+    assert len(compiled.returns) == len(reference.returns)
+    for got, want in zip(compiled.returns, reference.returns):
+        assert np.array_equal(got, want)
+
+
+def test_block_ring_payloads_compile():
+    p = 16
+    program, spec = _block_ring(p, lambda info, a, b: a @ b)
+    res_c = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
+                   symmetry=spec).run(program)
+    res_h = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="heap",
+                   symmetry=spec).run(program)
+    assert res_c.compiled, res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    _assert_same_returns(res_c, res_h)
+
+
+@pytest.mark.parametrize(
+    "arithmetic,reason",
+    [
+        # the operand order depends on the rank's position
+        (lambda info, a, b: a @ b if info.rank % 2 else b @ a, "dataflow diverges"),
+        # the program reads a payload value
+        (lambda info, a, b: a @ b if float(a.sum()) > 0 else b @ a, "AttributeError"),
+    ],
+    ids=["position-dependent", "reads-values"],
+)
+def test_dataflow_that_is_not_symmetric_falls_back(arithmetic, reason):
+    p = 16
+    program, spec = _block_ring(p, arithmetic)
+    res_c = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
+                   symmetry=spec).run(program)
+    res_h = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="heap",
+                   symmetry=spec).run(program)
+    assert not res_c.compiled
+    assert reason in res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    _assert_same_returns(res_c, res_h)
+
+
+def test_uneven_partition_falls_back_with_reason():
+    """Cannon at n = 30 on a 4x4 grid: blocks differ in shape, no stack."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((30, 30))
+    B = rng.standard_normal((30, 30))
+    from repro.algorithms.cannon import run_cannon
+
+    res_c = run_cannon(A, B, 16, scheduler="compiled")
+    res_h = run_cannon(A, B, 16, scheduler="heap")
+    assert not res_c.sim.compiled
+    assert "uneven" in res_c.sim.compile_fallback
+    _assert_identical(res_c.sim, res_h.sim, 16)
+    assert np.array_equal(res_c.C, res_h.C)
 
 
 def test_malformed_symmetry_spec_raises():

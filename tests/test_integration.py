@@ -131,7 +131,5 @@ class TestEndToEnd:
                     [layout[r][j] for r in range(side)],
                 )
         res = Engine(topo, M, link_contention=True).run(factories)
-        C = np.zeros((16, 16))
-        for (i, j), blk in res.returns:
-            C[spec.block_slice(i, j)] = blk
+        C = spec.gather([[res.returns[r] for r in row] for row in layout])
         assert np.allclose(C, A @ B)

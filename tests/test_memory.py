@@ -50,7 +50,7 @@ class TestAgainstSimulation:
         n, p = 16, 16
         A, B = rand_pair(n, seed=1)
         res = run_simple(A, B, p, M)
-        peaks = [ret[2] for ret in res.sim.returns]
+        peaks = [peak for _, peak in res.sim.returns]
         model = MEMORY_MODELS["simple"].words_per_processor(n, p)
         assert max(peaks) == pytest.approx(model)
 

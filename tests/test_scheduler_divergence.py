@@ -65,7 +65,7 @@ def _run(algorithm: str, n: int, p: int, scheduler: str, macro: bool, monkeypatc
     return run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p))
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("scheduler", ["ready", "heap", "compiled"])
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("figure,algorithm,n,p", CM5_CONFIGS)
 def test_ready_and_rescan_identical_on_cm5_configs(
@@ -102,7 +102,8 @@ def test_ready_and_rescan_identical_on_cm5_configs(
     np.testing.assert_allclose(ready.C, A @ B, atol=1e-8 * n)
 
 
-def test_scheduler_default_is_ready():
-    """The fast path is the default; rescan stays the reference."""
-    assert engine_mod.DEFAULT_SCHEDULER == "ready"
+def test_scheduler_default_is_compiled():
+    """Trace compilation (falling back to heap) is the default; rescan
+    stays the reference."""
+    assert engine_mod.DEFAULT_SCHEDULER == "compiled"
     assert engine_mod.SCHEDULERS == ("ready", "rescan", "heap", "compiled")

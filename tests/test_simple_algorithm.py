@@ -68,9 +68,7 @@ class TestMemoryInefficiency:
         n, p = 16, 16
         A, B = rand_pair(n, seed=5)
         res = run_simple(A, B, p, MACHINE)
-        peaks = [peak for (_, _), _, peak in zip(
-            [r[0] for r in res.sim.returns], [r[1] for r in res.sim.returns],
-            [r[2] for r in res.sim.returns])]
+        peaks = [peak for _, peak in res.sim.returns]
         side = math.isqrt(p)
         expected = 2 * side * (n * n // p) + n * n // p
         assert all(pk == expected for pk in peaks)
