@@ -31,6 +31,6 @@ def test_bench_simple_peak_vs_model(benchmark):
     B = rng.standard_normal((n, n))
 
     res = benchmark.pedantic(run_simple, args=(A, B, p, M), rounds=1, iterations=1)
-    peaks = [ret[2] for ret in res.sim.returns]
+    peaks = [peak for _, peak in res.sim.returns]
     model = MEMORY_MODELS["simple"].words_per_processor(n, p)
     assert max(peaks) == pytest.approx(model)

@@ -211,14 +211,6 @@ class BlockSpec:
         if len(blocks) != self.grows or any(len(row) != self.gcols for row in blocks):
             raise ValueError("block grid shape mismatch")
         out = np.empty((self.nrows, self.ncols), dtype=np.result_type(*[b.dtype for row in blocks for b in row]))
-        if self.uniform:
-            br, bc = self.nrows // self.grows, self.ncols // self.gcols
-            slabs = out.reshape(self.grows, br, self.gcols, bc)
-            for bi, row in enumerate(blocks):
-                # one copy per block row, into its (rows, gcols, cols) slab;
-                # a block of the wrong shape raises ValueError
-                np.stack(row, axis=1, out=slabs[bi])
-            return out
         for bi in range(self.grows):
             for bj in range(self.gcols):
                 blk = blocks[bi][bj]

@@ -20,10 +20,10 @@ stream gives the timing; this module gives the data.
   - a gather of an input is an index vector into the driver's stacked
     buffer, and a gather of a gather composes two vectors, so moving a
     block never copies it;
-  - ``@`` and ``+`` materialize their operands a chunk of ranks at a
-    time (``@`` is one batched ``np.matmul`` per chunk), and only the
-    nodes that leave the arithmetic are kept whole: returned blocks, and
-    blocks other ranks receive or reduce;
+  - each ``@`` or ``+`` a rank needs fills a fresh stack a chunk of
+    ranks at a time (``@`` is one batched ``np.matmul`` per chunk),
+    materializing only that chunk of its operands, and every stack is
+    freed after its last reader;
   - a reduce-scatter is ``log2 g`` rounds of ``X += X[partner]``, the
     reference's own per-element sums.
 
@@ -161,27 +161,11 @@ class Dataflow:
         nodes = self.nodes
         leaves = _leaves(self.returns)
         keep = set(leaves)
-        users: dict[int, list[int]] = {}
-        for i, node in enumerate(nodes):
-            for x in _operands(node):
-                users.setdefault(x, []).append(i)
-        # a product with one arithmetic user and no arithmetic operands is
-        # computed inside that user's chunk loop instead of being kept whole
-        fused = {
-            i
-            for i, node in enumerate(nodes)
-            if node[0] in _ARITH
-            and i not in keep
-            and len(users.get(i, ())) == 1
-            and nodes[users[i][0]][0] in _ARITH
-            and not any(nodes[x][0] in _ARITH for x in node[1:3])
-        }
-        # the node after which each value is dead; a fused node's operands
-        # are read when its user is computed
+        # the node after which each value is dead
         last: dict[int, int] = {}
         for i, node in enumerate(nodes):
             for x in _operands(node):
-                last[x] = max(last.get(x, i), users[i][0] if i in fused else i)
+                last[x] = i
         dies: dict[int, list[int]] = {}
         for x, i in last.items():
             if x not in keep:
@@ -201,8 +185,8 @@ class Dataflow:
             elif kind == "rs":
                 if node[3] == "piece" and i in keep:
                     pieces[i] = self._reduce_scatter(node[1], node[2], held)
-            elif i not in fused and (i in keep or i in users):
-                held[i] = (self._compute(i, fused, held, last), None)
+            elif i in keep or i in last:
+                held[i] = (self._compute(node, held), None)
             for x in dies.get(i, ()):
                 held.pop(x, None)
         values = {i: self._per_rank(i, held, pieces) for i in leaves}
@@ -210,40 +194,16 @@ class Dataflow:
 
     # -- evaluation internals --------------------------------------------------------
 
-    def _compute(self, i: int, fused: set[int], held: dict, last: dict) -> np.ndarray:
-        """One ``@``/``+`` node (with its fused operands) for every rank, in chunks."""
-        nodes, p = self.nodes, self.nprocs
-        kind, x, y, shape, dtype = nodes[i]
-        out = None
-        for z in (x, y):
-            # an operand stack that dies here and that no gather still
-            # reads is overwritten chunk by chunk: each chunk is computed
-            # in full before it is stored
-            if z in fused or last[z] != i or z not in held:
-                continue
-            base, index = held[z]
-            if (
-                index is None
-                and base.shape == (p,) + shape
-                and base.dtype == dtype
-                and sum(v[0] is base for v in held.values()) == 1
-            ):
-                out = base
-                break
-        if out is None:
-            out = np.empty((p,) + shape, dtype=dtype)
-        widest = max(math.prod(nodes[z][-2]) for z in (i, x, y))
+    def _compute(self, node: tuple, held: dict) -> np.ndarray:
+        """One ``@``/``+`` node for every rank: a fresh stack, filled a chunk at a time."""
+        kind, x, y, shape, dtype = node
+        p = self.nprocs
+        out = np.empty((p,) + shape, dtype=dtype)
+        widest = max(math.prod(s) for s in (shape, self.nodes[x][-2], self.nodes[y][-2]))
         rows = max(1, _CHUNK_WORDS // max(widest, 1))
-
-        def operand(z: int, sl: slice) -> np.ndarray:
-            if z in fused:
-                kz, zx, zy = nodes[z][:3]
-                return _apply(kz, _take(held[zx], sl), _take(held[zy], sl))
-            return _take(held[z], sl)
-
         for lo in range(0, p, rows):
             sl = slice(lo, min(p, lo + rows))
-            out[sl] = _apply(kind, operand(x, sl), operand(y, sl))
+            out[sl] = _apply(kind, _take(held[x], sl), _take(held[y], sl))
         return out
 
     def _reduce_scatter(self, x: int, rs: ReduceScatter, held: dict) -> np.ndarray:

@@ -296,9 +296,10 @@ def test_pre_probe_blockers_fall_back(kwargs, reason):
     assert reason in res.compile_fallback
 
 
-def _block_ring(p, arithmetic):
+def _block_ring(p, arithmetic, return_partial=False):
     """A ring of 2x2 blocks: rank r starts with A[r] and B[r], multiplies
-    them by *arithmetic*, rolls A one step, and returns its product."""
+    them by *arithmetic*, rolls A one step, and returns its product
+    (after the partial product it summed, with *return_partial*)."""
     rng = np.random.default_rng(p)
     a_stack = rng.standard_normal((p, 2, 2))
     b_stack = rng.standard_normal((p, 2, 2))
@@ -314,7 +315,8 @@ def _block_ring(p, arithmetic):
         c = arithmetic(info, a, b)
         yield Send(dst=(info.rank + 1) % p, data=a, nwords=4, tag=1)
         left = yield Recv(src=(info.rank - 1) % p, tag=1)
-        return c + left @ b
+        total = c + left @ b
+        return (c, total) if return_partial else total
 
     return body, spec
 
@@ -325,9 +327,12 @@ def _assert_same_returns(compiled, reference):
         assert np.array_equal(got, want)
 
 
-def test_block_ring_payloads_compile():
+# returning the partial product checks that its last reader, the add,
+# does not overwrite it
+@pytest.mark.parametrize("return_partial", [False, True], ids=["sum", "partial-and-sum"])
+def test_block_ring_payloads_compile(return_partial):
     p = 16
-    program, spec = _block_ring(p, lambda info, a, b: a @ b)
+    program, spec = _block_ring(p, lambda info, a, b: a @ b, return_partial)
     res_c = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
                    symmetry=spec).run(program)
     res_h = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="heap",
