@@ -240,12 +240,17 @@ class PairHopCache:
     batch; for those the cache memoizes per-pair results instead
     (repeated pairs dominate the lockstep exchange patterns the heap
     scheduler targets).
+
+    A cache holds its topology weakly, so the caller must keep the
+    topology alive while it uses the cache.  A strong reference would
+    keep every :meth:`shared` entry's key alive, and the table would
+    grow by one topology and its cache with every engine run.
     """
 
     __slots__ = ("_topology", "_vectorized", "_pairs")
 
     def __init__(self, topology: "Topology") -> None:
-        self._topology = topology
+        self._topology = weakref.proxy(topology)
         self._vectorized = type(topology).distances is not Topology.distances
         self._pairs: dict[tuple[int, int], int] = {}
 

@@ -99,15 +99,36 @@ def test_shared_cache_survives_across_engines():
 
 
 def test_shared_cache_is_weakly_keyed():
-    import gc
+    """Dropping the topology drops its entry, without a collector pass:
+    the cache must not keep its own key alive."""
+    import weakref
 
     topo = _ScalarOnlyLine(4)
     cache = PairHopCache.shared(topo)
     assert PairHopCache._shared.get(topo) is cache
+    assert cache.hop(0, 3) == 3
     n_before = len(PairHopCache._shared)
+    topo_ref = weakref.ref(topo)
     del topo, cache
-    gc.collect()
-    assert len(PairHopCache._shared) < n_before + 1
+    assert topo_ref() is None
+    assert len(PairHopCache._shared) == n_before - 1
+
+
+def test_engine_runs_leave_no_shared_caches_behind():
+    """Each run on a fresh topology, on heap or compiled, leaves the
+    process-wide table as it found it once the topology is dropped."""
+    from repro.algorithms.cannon import run_cannon
+    from repro.algorithms.gk import run_gk_cm5
+
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    n_before = len(PairHopCache._shared)
+    for _ in range(3):
+        res = run_cannon(A, B, 16, topology=FullyConnected(16))
+        assert res.sim.compiled
+        assert not run_gk_cm5(A, B, 8).sim.compiled
+        del res
+    assert len(PairHopCache._shared) == n_before
 
 
 _HASHSEED_SNIPPET = """
