@@ -117,6 +117,8 @@ def test_shared_cache_is_weakly_keyed():
 def test_engine_runs_leave_no_shared_caches_behind():
     """Each run on a fresh topology, on heap or compiled, leaves the
     process-wide table as it found it once the topology is dropped."""
+    import gc
+
     from repro.algorithms.cannon import run_cannon
     from repro.algorithms.gk import run_gk_cm5
 
@@ -128,6 +130,7 @@ def test_engine_runs_leave_no_shared_caches_behind():
         assert res.sim.compiled
         assert not run_gk_cm5(A, B, 8).sim.compiled
         del res
+    gc.collect()
     assert len(PairHopCache._shared) == n_before
 
 
