@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke bench-compare experiments examples lint resilience-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke clean
+.PHONY: install test bench bench-smoke bench-compare experiments examples lint resilience-smoke paper-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke clean
 
 install:
 	pip install -e ".[test]"
@@ -51,6 +51,16 @@ experiments:
 # tiny configuration; RESILIENCE.json is uploaded as a CI artifact.
 resilience-smoke:
 	python -m repro.experiments resilience --fast --json-out RESILIENCE.json
+
+# Figures 4 and 5 at --fast sizes, every product verified against A @ B.
+# Each row records whether its GK and Cannon runs were trace-compiled; a
+# point whose partition is even (n a multiple of the cube or grid side)
+# that ran on heap fails the target, so GK or Cannon cannot stop
+# compiling unnoticed.  Uneven points run on heap by design.
+paper-smoke:
+	python -m repro.experiments fig4 --fast --no-disk-cache --json-out PAPER_FIG4.json > /dev/null
+	python -m repro.experiments fig5 --fast --no-disk-cache --json-out PAPER_FIG5.json > /dev/null
+	python -c 'import json, math, sys; figs = [json.load(open(f)) for f in sys.argv[1:]]; bad = [(f["figure"], r["n"], a) for f in figs for r in f["rows"] for a, side in (("gk", round(f["p_gk"] ** (1 / 3))), ("cannon", math.isqrt(f["p_cannon"]))) if r["n"] % side == 0 and not r[a + "_compiled"]]; print(sum(len(f["rows"]) for f in figs), "points checked"); sys.exit(f"even partitions not trace-compiled: {bad}" if bad else 0)' PAPER_FIG4.json PAPER_FIG5.json
 
 # Complete, verified 16384- and 65536-rank Cannon simulations on the
 # compiled (record->replay) scheduler, scaling-large's default: the

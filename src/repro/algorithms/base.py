@@ -4,7 +4,8 @@ Every algorithm module exposes a driver ``run_<name>(A, B, p, machine, ...)``
 returning a :class:`MatmulResult`: the numerically-exact product together
 with the simulated timing.  This module holds the pieces they share —
 processor-grid layouts (with hypercube subcube/Gray embeddings), cube
-routing, compute-cost conventions, and the result container.
+routing (:func:`~repro.simulator.collectives.cube_route`, re-exported),
+compute-cost conventions, and the result container.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import RankInfo, SimResult
-from repro.simulator.request import Recv, Send
+from repro.simulator.collectives import cube_route
+from repro.simulator.engine import SimResult
 from repro.simulator.topology import (
     FullyConnected,
     Hypercube,
@@ -165,35 +166,6 @@ def cube_layout_3d(topology: Topology, r: int) -> dict[tuple[int, int, int], int
         for j in range(r)
         for k in range(r)
     }
-
-
-def cube_route(info: RankInfo, src: int, dst: int, data: Any, nwords: int, tag: int = 0):
-    """Relay *data* from *src* to *dst* one hypercube dimension at a time.
-
-    This reproduces the paper's DNS/GK stage-1 routing cost of one full
-    message per differing address bit ("sent ... in ``log r`` steps"):
-    every intermediate node receives and re-sends the whole payload.
-    Ranks on the relay path (including *src*/*dst*) must all call this;
-    bystanders may call it too (they return immediately).  Returns the
-    payload at *dst* (and at intermediate hops), ``None`` elsewhere.
-    """
-    if src == dst:
-        return data if info.rank == src else None
-    diff = src ^ dst
-    path = [src]
-    cur = src
-    for bit in range(diff.bit_length()):
-        if diff & (1 << bit):
-            cur ^= 1 << bit
-            path.append(cur)
-    if info.rank not in path:
-        return None
-    pos = path.index(info.rank)
-    if pos > 0:
-        data = yield Recv(src=path[pos - 1], tag=tag)
-    if pos < len(path) - 1:
-        yield Send(dst=path[pos + 1], data=data, nwords=nwords, tag=tag)
-    return data
 
 
 @dataclass

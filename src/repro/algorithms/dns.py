@@ -18,19 +18,23 @@ Two forms are implemented:
 
 The cube program (stage 1 route/broadcast + stage 3 reduce) is shared
 with the GK algorithm (:mod:`repro.algorithms.gk`), which differs only
-in using ``(n/p^{1/3})^2``-element blocks on a ``p^{1/3}`` cube.
+in using ``(n/p^{1/3})^2``-element blocks on a ``p^{1/3}`` cube.  With
+the binomial broadcast it is rank-symmetric: every root and route end
+follows one position law per group, so it runs on the trace compiler
+(:mod:`repro.simulator.compile`) with its products computed on stacked
+blocks.  The block variant runs on the ``heap`` scheduler.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import operator
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
-    cube_route,
     default_topology,
     matmul_cost,
 )
@@ -39,12 +43,13 @@ from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.collectives import (
     bcast_binomial,
     reduce_binomial,
+    route,
     shift_cyclic,
     words_of,
 )
-from repro.simulator.engine import Engine, RankInfo
+from repro.simulator.engine import Engine, RankInfo, SymmetrySpec
 from repro.simulator.faults import FaultPlan
-from repro.simulator.request import Compute, Recv, Send
+from repro.simulator.request import Compute
 from repro.simulator.topology import Hypercube, Topology, gray_code
 
 __all__ = [
@@ -64,35 +69,35 @@ _TAG_ROUTE_A, _TAG_BCAST_A, _TAG_ROUTE_B, _TAG_BCAST_B, _TAG_REDUCE = 10, 20, 30
 
 
 def make_cube_program(
-    i: int,
-    j: int,
-    k: int,
     r: int,
-    rank_of: Callable[[int, int, int], int],
-    a0: np.ndarray | None,
-    b0: np.ndarray | None,
-    a_words: int,
-    b_words: int,
     route_mode: str,
     broadcast: str = "binomial",
+    blocks: Mapping[str, Any] | None = None,
 ):
-    """SPMD body for cube position ``(i, j, k)`` of the DNS/GK data flow.
+    """The rank-generic SPMD program of the DNS/GK data flow on an ``r^3`` cube.
 
-    ``a0``/``b0`` are the initial blocks (present only on plane
-    ``i == 0``); ``a_words``/``b_words`` their sizes (known to every rank
-    of the route group).  ``route_mode`` is ``"relay"`` (one message per
-    hypercube dimension, the paper's ``log r``-step routing) or
-    ``"direct"`` (a single message — the CM-5 form behind Eq. 18).
-    ``broadcast`` selects the stage-1 one-to-all scheme: ``"binomial"``
-    (the naive scheme the paper's CM-5 code uses, Eq. 7),
-    ``"scatter-allgather"`` or ``"pipelined"`` (the §5.4.1 "improved GK"
-    large-message schemes; see :mod:`repro.simulator.jho`).
-    Returns ``(j, k, C_block)`` on plane ``i == 0`` and ``None`` elsewhere.
+    Rank ``(i, j, k)`` (see :func:`_cube_axes`) starts with block
+    ``(j, k)`` of A and of B, read with ``info.input("a")``/``("b")``,
+    or as ``blocks[name][j * r + k]`` when *blocks* is given.  Stage 1
+    routes A's block from ``(0, j, k)`` to ``(k, j, k)`` and B's to
+    ``(j, j, k)``, then broadcasts them from position ``i`` along the
+    third and second axes, so ``(i, j, k)`` holds ``A[j, i]`` and
+    ``B[i, k]``; stage 2 multiplies them, and stage 3 sums the products
+    along the *i* axis into plane ``i == 0``.  ``route_mode`` is
+    ``"relay"`` (one message per hypercube dimension, the paper's
+    ``log r``-step routing) or ``"direct"`` (a single message — the CM-5
+    form behind Eq. 18).  ``broadcast`` selects the stage-1 one-to-all
+    scheme: ``"binomial"`` (the naive scheme the paper's CM-5 code uses,
+    Eq. 7), ``"scatter-allgather"`` or ``"pipelined"`` (the §5.4.1
+    "improved GK" large-message schemes; see :mod:`repro.simulator.jho`).
+    Returns the ``C`` block on plane ``i == 0`` and ``None`` elsewhere.
     """
     if route_mode not in ("relay", "direct"):
         raise ValueError(f"route_mode must be 'relay' or 'direct', got {route_mode!r}")
     if broadcast not in ("binomial", "scatter-allgather", "pipelined"):
         raise ValueError(f"unknown broadcast scheme {broadcast!r}")
+    along_i, along_l, along_m = (axis.tolist() for axis in _cube_axes(r))
+    relay = route_mode == "relay"
 
     def bcast(info, grp, root_idx, payload, tag):
         if broadcast == "binomial":
@@ -107,66 +112,61 @@ def make_cube_program(
             out = yield from bcast_pipelined_binomial(info, grp, root_idx, payload, tag=tag)
         return out
 
-    def route(info: RankInfo, src3, dst3, data, nwords, tag):
-        src, dst = rank_of(*src3), rank_of(*dst3)
-        if src == dst:
-            return data if info.rank == src else None
-        if route_mode == "relay":
-            got = yield from cube_route(info, src, dst, data, nwords=nwords, tag=tag)
-            return got if info.rank == dst else None
-        if info.rank == src:
-            yield Send(dst=dst, data=data, nwords=nwords, tag=tag)
-            return None
-        if info.rank == dst:
-            got = yield Recv(src=src, tag=tag)
-            return got
-        return None
-
-    def body(info: RankInfo):
+    def body(info: RankInfo, i: int, j: int, k: int, a0: Any, b0: Any):
+        group_i = along_i[j * r + k]
         # Stage 1, matrix A: (0,j,k) -> (k,j,k), then broadcast along the third axis.
-        a_routed = yield from route(info, (0, j, k), (k, j, k), a0, a_words, _TAG_ROUTE_A)
-        group_l = [rank_of(i, j, l) for l in range(r)]
+        a_routed = yield from route(
+            info, group_i, 0, k, a0, nwords=words_of(a0), tag=_TAG_ROUTE_A, relay=relay
+        )
         # the broadcast block is A[j,i], not A[j,k]; under uneven partitions
         # their sizes differ, so the collectives size the payload themselves
-        a = yield from bcast(info, group_l, i, a_routed, _TAG_BCAST_A)
+        a = yield from bcast(info, along_l[i * r + j], i, a_routed, _TAG_BCAST_A)
         # Stage 1, matrix B: (0,j,k) -> (j,j,k), then broadcast along the second axis.
-        b_routed = yield from route(info, (0, j, k), (j, j, k), b0, b_words, _TAG_ROUTE_B)
-        group_m = [rank_of(i, l, k) for l in range(r)]
-        b = yield from bcast(info, group_m, i, b_routed, _TAG_BCAST_B)
+        b_routed = yield from route(
+            info, group_i, 0, j, b0, nwords=words_of(b0), tag=_TAG_ROUTE_B, relay=relay
+        )
+        b = yield from bcast(info, along_m[i * r + k], i, b_routed, _TAG_BCAST_B)
         # Stage 2: local block product.  This rank now holds A[j,i] and B[i,k].
         yield Compute(matmul_cost(a.shape[0], a.shape[1], b.shape[1]), label="gemm")
         c = a @ b
         # Stage 3: sum partial products along the i axis into plane i == 0.
-        group_i = [rank_of(t, j, k) for t in range(r)]
+        # The accumulator is the rank's own product, which no other rank
+        # sees before it is sent, so summing in place changes no value.
         total = yield from reduce_binomial(
-            info,
-            group_i,
-            0,
-            c,
-            op=_add_into,
-            tag=_TAG_REDUCE,
-            charge_op=lambda x: T_ADD * x.size,
+            info, group_i, 0, c, op=operator.iadd, tag=_TAG_REDUCE, charge_op=_add_cost
         )
-        if total is None:
-            return None
-        return j, k, total
+        return total
 
-    return body
+    def program(info: RankInfo):
+        i, plane = divmod(info.rank, r * r)
+        j, k = divmod(plane, r)
+        if blocks is None:
+            a0, b0 = info.input("a"), info.input("b")
+        else:
+            a0, b0 = blocks["a"][j * r + k], blocks["b"][j * r + k]
+        return body(info, i, j, k, a0, b0)
+
+    return program
 
 
-def _add_into(acc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``acc + x``, written into *acc*.
+def _add_cost(x: np.ndarray) -> float:
+    """Basic-op units of one stage-3 merge: an add per word."""
+    return T_ADD * x.size
 
-    The reduction's accumulator is the rank's own product ``a @ b``,
-    which no other rank sees before it is sent, so summing in place
-    changes no value and saves one block allocation per merge.
+
+def _cube_axes(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cube's groups along ``i`` (row ``j*r + k``), ``l`` (``i*r + j``) and ``m`` (``i*r + k``).
+
+    Rank ``(i, j, k)`` is ``(i*r + j)*r + k``; with ``r`` a power of two
+    each coordinate is a contiguous bit field of the rank, so every axis
+    group is a hypercube subcube.
     """
-    return np.add(acc, x, out=acc)
-
-
-def _cube_rank_of(r: int) -> Callable[[int, int, int], int]:
-    bits = max(r - 1, 0).bit_length()
-    return lambda i, j, k: (((i << bits) | j) << bits) | k
+    cube = np.arange(r**3, dtype=np.int64).reshape(r, r, r)
+    return (
+        cube.transpose(1, 2, 0).reshape(r * r, r),
+        cube.reshape(r * r, r),
+        cube.transpose(0, 2, 1).reshape(r * r, r),
+    )
 
 
 def _run_cube(
@@ -192,51 +192,37 @@ def _run_cube(
         raise ValueError("cube side must be a power of two on a hypercube")
     if route_mode is None:
         route_mode = "relay" if isinstance(topo, Hypercube) else "direct"
-    rank_of = _cube_rank_of(r)
 
     spec = BlockSpec(n, n, r, r)
-    a_blocks = spec.scatter(A)
-    b_blocks = spec.scatter(B)
+    a_stack = spec.stack(A)
+    b_stack = spec.stack(B)
 
-    factories: list = [None] * p
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                a0 = a_blocks[j][k] if i == 0 else None
-                b0 = b_blocks[j][k] if i == 0 else None
-                factories[rank_of(i, j, k)] = make_cube_program(
-                    i,
-                    j,
-                    k,
-                    r,
-                    rank_of,
-                    a0,
-                    b0,
-                    a_words=int(np.prod(spec.block_shape(j, k))),
-                    b_words=int(np.prod(spec.block_shape(j, k))),
-                    route_mode=route_mode,
-                    broadcast=broadcast,
-                )
+    # the binomial broadcast's roots, the reduce's root and the routes'
+    # ends follow one position law per group, so the program is
+    # rank-symmetric over the cube's three axes (rows in natural cube
+    # order); rank (i, j, k) starts with block (j, k) of A and of B
+    symmetry = None
+    blocks = None
+    if broadcast == "binomial":
+        along_i, along_l, along_m = _cube_axes(r)
+        start = np.arange(p, dtype=np.int64) % (r * r)
+        symmetry = SymmetrySpec(
+            partitions={"i": along_i, "l": along_l, "m": along_m},
+            inputs={"a": (a_stack, start), "b": (b_stack, start)},
+        )
+    else:
+        blocks = {"a": a_stack, "b": b_stack}
+    program = make_cube_program(r, route_mode, broadcast, blocks)
 
-    # cube_route is position-dependent (relay ranks recv+send, bystanders
-    # idle), so DNS/GK programs are not rank-symmetric: no SymmetrySpec,
-    # and scheduler="compiled" degrades to the heap scheduler.
     sim = Engine(
         topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
-        symmetry=None,
-    ).run(factories)
+        symmetry=symmetry,
+    ).run(program)
 
-    def assemble(returns: list) -> np.ndarray:
-        C = np.zeros((n, n), dtype=np.result_type(A, B))
-        for ret in returns:
-            if ret is None:
-                continue
-            j, k, c_block = ret
-            C[spec.block_slice(j, k)] = c_block
-        return C
-
+    # plane i == 0 holds the sums: rank j*r + k has block (j, k)
     return MatmulResult(
-        sim=sim, n=n, p=p, machine=machine, algorithm=algorithm, assemble=assemble
+        sim=sim, n=n, p=p, machine=machine, algorithm=algorithm,
+        assemble=lambda returns: spec.gather([returns[j * r:(j + 1) * r] for j in range(r)]),
     )
 
 
@@ -299,26 +285,18 @@ def _dns_block_program(
     stage 3 reduces scalars along the superprocessor *i* axis.
     """
 
-    def route(info: RankInfo, dst_i: int, data, tag):
-        src, dst = rank_of(0, j, k, li, lj), rank_of(dst_i, j, k, li, lj)
-        if src == dst:
-            return data if info.rank == src else None
-        if route_mode == "relay":
-            got = yield from cube_route(info, src, dst, data, nwords=1, tag=tag)
-            return got if info.rank == dst else None
-        if info.rank == src:
-            yield Send(dst=dst, data=data, nwords=1, tag=tag)
-            return None
-        if info.rank == dst:
-            got = yield Recv(src=src, tag=tag)
-            return got
-        return None
+    group_i = [rank_of(t, j, k, li, lj) for t in range(r)]
+    relay = route_mode == "relay"
 
     def body(info: RankInfo):
-        a_routed = yield from route(info, k, a0, _TAG_ROUTE_A)
+        a_routed = yield from route(
+            info, group_i, 0, k, a0, nwords=1, tag=_TAG_ROUTE_A, relay=relay
+        )
         group_l = [rank_of(i, j, l, li, lj) for l in range(r)]
         a = yield from bcast_binomial(info, group_l, i, a_routed, nwords=1, tag=_TAG_BCAST_A)
-        b_routed = yield from route(info, j, b0, _TAG_ROUTE_B)
+        b_routed = yield from route(
+            info, group_i, 0, j, b0, nwords=1, tag=_TAG_ROUTE_B, relay=relay
+        )
         group_m = [rank_of(i, l, k, li, lj) for l in range(r)]
         b = yield from bcast_binomial(info, group_m, i, b_routed, nwords=1, tag=_TAG_BCAST_B)
 
@@ -333,7 +311,6 @@ def _dns_block_program(
                 a = yield from shift_cyclic(info, row_group, -1, a, nwords=1, tag=_TAG_ROLL_A)
                 b = yield from shift_cyclic(info, col_group, -1, b, nwords=1, tag=_TAG_ROLL_B)
 
-        group_i = [rank_of(t, j, k, li, lj) for t in range(r)]
         total = yield from reduce_binomial(
             info,
             group_i,
@@ -408,7 +385,8 @@ def run_dns_block(
                             i, j, k, li, lj, r, s, rank_of, a0, b0, route_mode
                         )
 
-    # not rank-symmetric (cube_route relays) — see _run_cube
+    # no SymmetrySpec: its host-skewed scalars are per-rank factory
+    # arguments, not declared stacked inputs, so it runs on heap
     sim = Engine(
         topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
         symmetry=None,

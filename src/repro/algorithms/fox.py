@@ -24,8 +24,10 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
+    grid_coords,
     grid_layout,
     matmul_cost,
+    rank_vector,
 )
 from repro.blockops.partition import BlockSpec, int_sqrt
 from repro.core.machine import MachineParams, NCUBE2_LIKE
@@ -95,7 +97,7 @@ def _program(
             c = a_bcast @ b if c is None else c + a_bcast @ b
             if t < side - 1:
                 b = yield from shift_cyclic(info, col_group, -1, b, tag=_TAG_ROLL + 2 * t)
-        return (i, j), c
+        return c
 
     return body
 
@@ -127,31 +129,38 @@ def run_fox(
     layout = grid_layout(topo, side, side, scheme="gray")
 
     spec = BlockSpec(n, n, side, side)
-    a_blocks = spec.scatter(A)
-    b_blocks = spec.scatter(B)
+    a_stack = spec.stack(A)
+    b_stack = spec.stack(B)
 
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
+    row_of, col_of = grid_coords(layout)
 
-    factories: list = [None] * p
-    for i in range(side):
-        for j in range(side):
-            factories[layout[i][j]] = _program(
-                i, j, a_blocks[i][j], b_blocks[i][j],
-                row_groups[i], col_groups[j], broadcast,
-            )
+    # The binomial broadcast's root in row i at step t is (i + t) mod side:
+    # the rank's column-axis position plus t, one root per row, so that
+    # form is rank-symmetric; rank (i, j) starts with A[i, j] and B[i, j].
+    # Every root needs a probe holding its block, so the whole first row
+    # probes.  The ring and sequential forms relay or fan out by position
+    # and run on heap.
+    symmetry = None
+    if broadcast == "binomial":
+        own = rank_vector(layout, np.arange(p).reshape(side, side))
+        symmetry = SymmetrySpec(
+            partitions={
+                "row": np.asarray(row_groups, dtype=np.int64),
+                "col": np.asarray(col_groups, dtype=np.int64),
+            },
+            inputs={"a": (a_stack, own), "b": (b_stack, own)},
+            extra_probes=tuple(row_groups[0]),
+        )
 
-    # Fox's broadcast is rooted: within a row, the root's trace (send-only)
-    # differs from the leaves' (recv-then-forward), so the program is not
-    # rank-symmetric.  We still advertise the grid partitions — the trace
-    # compiler's probes detect the divergence and fall back to the heap
-    # scheduler, which is the documented behavior for this driver.
-    symmetry = SymmetrySpec(
-        partitions={
-            "row": np.asarray(row_groups, dtype=np.int64),
-            "col": np.asarray(col_groups, dtype=np.int64),
-        }
-    )
+    def program(info: RankInfo):
+        i, j = row_of[info.rank], col_of[info.rank]
+        if symmetry is None:
+            a0, b0 = a_stack[i * side + j], b_stack[i * side + j]
+        else:
+            a0, b0 = info.input("a"), info.input("b")
+        return _program(i, j, a0, b0, row_groups[i], col_groups[j], broadcast)(info)
 
     sim = Engine(
         topo,
@@ -160,14 +169,9 @@ def run_fox(
         scheduler=scheduler,
         fault_plan=fault_plan,
         symmetry=symmetry,
-    ).run(factories)
-
-    def assemble(returns: list) -> np.ndarray:
-        C = np.zeros((n, n), dtype=np.result_type(A, B))
-        for (i, j), c_block in returns:
-            C[spec.block_slice(i, j)] = c_block
-        return C
+    ).run(program)
 
     return MatmulResult(
-        sim=sim, n=n, p=p, machine=machine, algorithm="fox", assemble=assemble
+        sim=sim, n=n, p=p, machine=machine, algorithm="fox",
+        assemble=lambda returns: spec.gather([[returns[r] for r in row] for row in layout]),
     )

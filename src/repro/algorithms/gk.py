@@ -65,9 +65,13 @@ def run_gk(
     ``"scatter-allgather"`` / ``"pipelined"`` are the §5.4.1 "improved
     GK" large-message schemes (:mod:`repro.simulator.jho`).
 
-    Like DNS, GK's stage-1 cube routing is position-dependent, so the
-    program is not rank-symmetric and ``scheduler="compiled"`` degrades
-    to the heap scheduler (``sim.compile_fallback`` records why).
+    With the binomial broadcast the program compiles
+    (``scheduler="compiled"``, the default): the routes' ends and the
+    broadcast and reduction roots follow one position law per group, so
+    the run is replayed from a few probe ranks and its products are
+    computed on stacked blocks.  Uneven partitions (``n`` not a multiple
+    of ``p^{1/3}``) and the §5.4.1 schemes run on the heap scheduler,
+    and ``sim.compile_fallback`` says why.
     """
     n = check_same_shape(A, B)
     r = gk_cube_side(p)

@@ -148,7 +148,7 @@ REGISTRY: dict[str, AlgorithmEntry] = {
             run=run_gk,
             feasible=_feasible_gk,
             model_key="gk",
-            rank_symmetric=False,
+            rank_symmetric=True,
         ),
     )
 }

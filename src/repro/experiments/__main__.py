@@ -44,8 +44,9 @@ def run_one(
 ) -> str:
     """Run one experiment and return its text report.
 
-    *json_out* (only honored by experiments with a JSON form, currently
-    ``resilience``) additionally writes machine-readable results to a file.
+    *json_out* (only honored by experiments with a JSON form: ``fig4``,
+    ``fig5``, ``scaling-large`` and ``resilience``) additionally writes
+    machine-readable results to a file.
     *refine*/*max_depth*/*tol* select the adaptive region-map path for
     the figure experiments (see :mod:`repro.core.refine`).
     *p_values*/*n0*/*verify*/*scheduler* tune ``scaling-large`` (the
@@ -61,12 +62,17 @@ def run_one(
                 name, p_step=step, n_step=step, refine=refine, max_depth=max_depth, tol=tol
             )
         )
-    if name == "fig4":
-        sizes = (16, 48, 96, 144) if fast else figures45._FIG4_SIZES
-        return figures45.format_text(figures45.run_fig4(sizes=sizes, jobs=jobs))
-    if name == "fig5":
-        sizes = (66, 132, 264, 352) if fast else figures45._FIG5_SIZES
-        return figures45.format_text(figures45.run_fig5(sizes=sizes, jobs=jobs))
+    if name in ("fig4", "fig5"):
+        if name == "fig4":
+            sizes = (16, 48, 96, 144) if fast else figures45._FIG4_SIZES
+            curves = figures45.run_fig4(sizes=sizes, jobs=jobs)
+        else:
+            sizes = (66, 132, 264, 352) if fast else figures45._FIG5_SIZES
+            curves = figures45.run_fig5(sizes=sizes, jobs=jobs)
+        if json_out:
+            with open(json_out, "w") as fh:
+                json.dump(figures45.to_json(curves), fh, indent=2)
+        return figures45.format_text(curves)
     if name == "sec6":
         return section6.format_text(section6.run())
     if name == "sec7":
@@ -124,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for simulation-heavy experiments (1 = serial)")
     parser.add_argument("--json-out", type=str, default=None,
                         help="write machine-readable results to a JSON file "
-                             "(scaling-large and resilience)")
+                             "(fig4, fig5, scaling-large and resilience)")
     parser.add_argument("--refine", action="store_true",
                         help="adaptive region-map refinement for fig1-3 "
                              "(evaluate only near region boundaries)")

@@ -31,7 +31,7 @@ from repro.core.models import MODELS
 from repro.experiments.report import format_table
 from repro.simulator.topology import FullyConnected
 
-__all__ = ["EfficiencyCurves", "run_fig4", "run_fig5", "format_text"]
+__all__ = ["EfficiencyCurves", "run_fig4", "run_fig5", "format_text", "to_json"]
 
 #: matrix sizes plotted (Figure 4 runs to ~190, Figure 5 to ~450)
 _FIG4_SIZES = (8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192)
@@ -44,8 +44,11 @@ class EfficiencyCurves:
 
     figure: str
     machine: MachineParams
+    p_gk: int
+    p_cannon: int
     rows: tuple[dict, ...]
-    """Per-n: simulated and modeled efficiency for both algorithms."""
+    """Per-n: simulated and modeled efficiency for both algorithms, and
+    whether each run was trace-compiled."""
 
     crossover_sim: float | None
     """Matrix size where the simulated GK and Cannon curves cross."""
@@ -106,6 +109,10 @@ def _sim_point(
         "E_cannon_sim": res_cn.efficiency,
         "E_gk_model": MODELS["gk-cm5"].efficiency(n, p_gk, machine),
         "E_cannon_model": MODELS["cannon"].efficiency(n, p_cannon, machine),
+        # which scheduler ran each point: a compiled request that fell
+        # back to heap (an uneven partition) reads False
+        "gk_compiled": res_gk.sim.compiled,
+        "cannon_compiled": res_cn.sim.compiled,
     }
 
 
@@ -135,6 +142,8 @@ def _run_figure(
     return EfficiencyCurves(
         figure=figure,
         machine=machine,
+        p_gk=p_gk,
+        p_cannon=p_cannon,
         rows=tuple(rows),
         crossover_sim=cross_sim,
         crossover_model=_model_crossover(p_gk, p_cannon, machine),
@@ -163,6 +172,20 @@ def run_fig5(
     )
 
 
+def to_json(result: EfficiencyCurves) -> dict:
+    """The figure as plain JSON: its rows, crossovers and processor counts."""
+    return {
+        "figure": result.figure,
+        "p_gk": result.p_gk,
+        "p_cannon": result.p_cannon,
+        "rows": list(result.rows),
+        "crossover_sim": result.crossover_sim,
+        "crossover_model": result.crossover_model,
+        "paper_predicted": result.paper_predicted,
+        "paper_measured": result.paper_measured,
+    }
+
+
 def format_text(result: EfficiencyCurves) -> str:
     from repro.experiments.asciiplot import ascii_plot
 
@@ -179,7 +202,9 @@ def format_text(result: EfficiencyCurves) -> str:
         f"{result.figure}: efficiency vs matrix size on the simulated CM-5 "
         f"(ts={result.machine.ts:.2f}, tw={result.machine.tw:.3f} basic-op units)",
         "",
-        format_table(list(result.rows)),
+        format_table([
+            {k: v for k, v in r.items() if not k.endswith("_compiled")} for r in result.rows
+        ]),
         "",
         plot,
         "",

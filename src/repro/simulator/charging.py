@@ -99,10 +99,16 @@ def recv_wait_times(clock: Any, arrival: Any) -> Tuple[Any, Any]:
 
 
 def _send(ph: SymSend, arr: "RankArrays", machine: "MachineParams") -> Any:
-    """Charge one symbolic send on every rank; return the sender busy time."""
-    busy, ph.arrival = message_times(machine, arr.clock, ph.nwords, ph.hops)
-    arr.messages_sent += 1
-    arr.words_sent += ph.nwords
+    """Charge one symbolic send on its ranks; return the sender busy time."""
+    act = ph.active
+    if act is None:
+        busy, ph.arrival = message_times(machine, arr.clock, ph.nwords, ph.hops)
+        arr.messages_sent += 1
+        arr.words_sent += ph.nwords
+    else:
+        busy, ph.arrival = message_times(machine, arr.clock[act], ph.nwords, ph.hops)
+        arr.messages_sent[act] += 1
+        arr.words_sent[act] += ph.nwords
     return busy
 
 
@@ -116,27 +122,45 @@ def replay(
 
     Each phase is one vectorized update of the ``(p,)`` accounts with
     the elementwise expressions the generator schedulers evaluate rank
-    by rank, so the result is bit-identical to theirs.  A send's arrival
-    vector lives only until its matched receive has read it.  A
-    :class:`SymCollective` phase is handed to *collective*.
+    by rank, so the result is bit-identical to theirs.  A masked phase
+    (``active`` set) updates only its ranks' entries, with the same
+    expressions, and leaves every other rank's accounts untouched.  A
+    send's arrival vector lives only until its matched receive has read
+    it.  A :class:`SymCollective` phase is handed to *collective*.
     """
     clock = arr.clock
     for ph in phases:
         cls = ph.__class__
         if cls is SymCompute:
-            arr.compute_time += ph.cost
-            clock += ph.cost
+            act = ph.active
+            if act is None:
+                arr.compute_time += ph.cost
+                clock += ph.cost
+            else:
+                arr.compute_time[act] += ph.cost
+                clock[act] += ph.cost
         elif cls is SymSend:
             busy = _send(ph, arr, machine)
-            clock += busy
-            arr.send_time += busy
+            act = ph.active
+            if act is None:
+                clock += busy
+                arr.send_time += busy
+            else:
+                clock[act] += busy
+                arr.send_time[act] += busy
         elif cls is SymRecv:
             src_phase = ph.source
             arrival = src_phase.arrival[ph.src]
             src_phase.arrival = None
-            waited, advanced = recv_wait_times(clock, arrival)
-            arr.recv_wait_time += waited
-            clock[:] = advanced
+            act = ph.active
+            if act is None:
+                waited, advanced = recv_wait_times(clock, arrival)
+                arr.recv_wait_time += waited
+                clock[:] = advanced
+            else:
+                waited, advanced = recv_wait_times(clock[act], arrival)
+                arr.recv_wait_time[act] += waited
+                clock[act] = advanced
         elif cls is SymSendAll:
             # one port: injections serialize; all ports: each injects at
             # the pre-send clock and the sender is busy for the longest

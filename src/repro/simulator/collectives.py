@@ -18,6 +18,8 @@ forming a subcube, one-port):
 ``allgather_ring``               ``(ts + tw*m) * (g-1)``
 ``reduce_scatter_halving``       ``ts*log g + tw*m*(g-1)/g`` + adds
 ``shift_cyclic``                 ``ts + tw*m``   (per step, pairwise)
+``route``                        ``ts + tw*m`` once, or per differing
+                                 address bit when relayed (DNS/GK stage 1)
 ===============================  =============================================
 
 Groups are ordered rank lists.  When a group of size ``2**k`` occupies a
@@ -42,7 +44,11 @@ the two paths against each other.
 A helper handed a traced block (a trace-compiler probe's stand-in, see
 :mod:`repro.simulator.payloads`) posts its ``CollectiveOp`` at any group
 size, so the compiler sees one collective whose payload it can move,
-not the message-level loop's position-dependent slicing.
+not the message-level loop's position-dependent slicing.  The rooted
+collectives (``bcast_binomial``, ``reduce_binomial``, ``route``) post it
+on every probe rank (``info.recording``), root or not: a non-root holds
+``None`` there, as it does here, and the compiler infers the root from
+the probes.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ __all__ = [
     "allgather_ring",
     "reduce_scatter_halving",
     "shift_cyclic",
+    "cube_route",
+    "route",
     "barrier",
     "words_of",
 ]
@@ -118,7 +126,7 @@ def bcast_binomial(
     returned unchanged.  Takes ``ceil(log2 g)`` sequential message steps.
     """
     g = len(group)
-    if _posts_op(info, g, data):
+    if info.recording or _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="bcast", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -160,7 +168,7 @@ def reduce_binomial(
     from repro.simulator.request import Compute  # local to avoid cycle noise
 
     g = len(group)
-    if _posts_op(info, g, data):
+    if info.recording or _posts_op(info, g, data):
         result = yield CollectiveOp(
             kind="reduce", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -357,6 +365,78 @@ def shift_cyclic(
     yield Send(dst=dst, data=data, nwords=m, tag=tag)
     received = yield Recv(src=src, tag=tag)
     return received
+
+
+def cube_route(info: RankInfo, src: int, dst: int, data: Any, nwords: int, tag: int = 0):
+    """Relay *data* from *src* to *dst* one hypercube dimension at a time.
+
+    This reproduces the paper's DNS/GK stage-1 routing cost of one full
+    message per differing address bit ("sent ... in ``log r`` steps"):
+    every intermediate node receives and re-sends the whole payload, the
+    bits flipped in ascending order.  Ranks on the relay path (including
+    *src*/*dst*) must all call this; bystanders may call it too (they
+    return immediately).  Returns the payload at *dst* (and at
+    intermediate hops), ``None`` elsewhere.
+    """
+    if src == dst:
+        return data if info.rank == src else None
+    diff = src ^ dst
+    path = [src]
+    cur = src
+    for bit in range(diff.bit_length()):
+        if diff & (1 << bit):
+            cur ^= 1 << bit
+            path.append(cur)
+    if info.rank not in path:
+        return None
+    pos = path.index(info.rank)
+    if pos > 0:
+        data = yield Recv(src=path[pos - 1], tag=tag)
+    if pos < len(path) - 1:
+        yield Send(dst=path[pos + 1], data=data, nwords=nwords, tag=tag)
+    return data
+
+
+def route(
+    info: RankInfo,
+    group: Sequence[int],
+    src_index: int,
+    dst_index: int,
+    data: Any,
+    *,
+    nwords: int,
+    tag: int = 0,
+    relay: bool = False,
+):
+    """Move *data* from ``group[src_index]`` to ``group[dst_index]``.
+
+    The stage-1 move of DNS and GK.  Direct, it is one message; with
+    *relay* it is :func:`cube_route`'s one message per differing address
+    bit, through the group members between the two.  Every member calls
+    it; only the source's *data* is read.  Returns the block at the
+    target and ``None`` everywhere else.
+    """
+    g = len(group)
+    if info.recording:
+        result = yield CollectiveOp(
+            kind="route", group=group if type(group) is list else list(group),
+            data=data, nwords=nwords, tag=tag, root_index=src_index,
+            target=dst_index, relay=relay,
+        )
+        return result
+    src, dst = group[src_index % g], group[dst_index % g]
+    if src == dst:
+        return data if info.rank == src else None
+    if relay:
+        got = yield from cube_route(info, src, dst, data, nwords=nwords, tag=tag)
+        return got if info.rank == dst else None
+    if info.rank == src:
+        yield Send(dst=dst, data=data, nwords=nwords, tag=tag)
+        return None
+    if info.rank == dst:
+        got = yield Recv(src=src, tag=tag)
+        return got
+    return None
 
 
 def barrier(info: RankInfo, label: str = ""):

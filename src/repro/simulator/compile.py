@@ -19,22 +19,33 @@ determines the stream of all ``p`` ranks — which is what lets
    own tag-matched earlier ``Send`` payload (rank symmetry says the true
    payload has the same structure); a payload not derived from the
    declared inputs is handed back as it is.  Collective helpers handed a
-   traced block post their :class:`CollectiveOp` form at any group size.
+   traced block post their :class:`CollectiveOp` form at any group size,
+   and the rooted ones (``bcast``, ``reduce``, ``route``) post it on
+   every probe, root or not.  A probe gets a traced block wherever the
+   reference returns a value and ``None`` wherever it returns ``None``;
+   the probes are recorded side by side, so a non-root can take its
+   broadcast block's shape from a probe at the root.
 2. **Detect symmetry.**  The probe traces are compared structurally
    (same op kinds, sizes, tags and payload nodes at every step, the same
    dataflow graph, the same return structure) and each peer field must
    be explained by one law — ``peer = group[(pos + d) % g]`` (cyclic) or
    ``peer = group[pos ^ d]`` (dimension exchange) — on one axis of the
-   :class:`SymmetrySpec`.  Any mismatch raises :class:`CompileFallback`
-   and the engine re-runs the program on the ``heap`` scheduler,
-   recording the reason.
+   :class:`SymmetrySpec`.  A rooted collective's root (a route's source
+   and target) must follow one *position law* per group: a constant
+   position, or another axis's position plus a constant, mod ``g``, the
+   only such law the probes admit.  Any mismatch raises
+   :class:`CompileFallback` and the engine re-runs the program on the
+   ``heap`` scheduler, recording the reason.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    and hop fields are precomputed ``(p,)`` vectors, built once per
    (axis, law, offset) and shared by every phase that uses them.  Each
    macro collective is lowered to the send/receive rounds it stands for
    (a :class:`~repro.simulator.request.SymCollective` wrapping
-   :class:`SymSend`/:class:`SymRecv` pairs, plus reduce-scatter's adds).
+   :class:`SymSend`/:class:`SymRecv` pairs, plus the adds of a
+   reduce-scatter or reduce); a rooted collective's rounds are *masked*
+   to the ranks each one involves (a broadcast tree's senders and their
+   children, a route's current holders).
    Sends and receives are FIFO-matched per (tag, law) channel at
    compile time, and replay charges each phase as one vectorized update
    into :class:`~repro.simulator.trace.RankArrays` through the one
@@ -43,11 +54,13 @@ determines the stream of all ``p`` ranks — which is what lets
    compiled run is bit-identical to ``heap``/``rescan`` whenever it
    compiles at all.
 4. **Payloads.**  The same matching resolves every received block to a
-   gather through the matched send's peer vector, and the graph becomes
-   a :class:`~repro.simulator.payloads.Dataflow` that computes every
-   rank's return value on stacked blocks — on demand, the first time
-   ``SimResult.returns`` is read, so a run that never reads its product
-   never pays for it.
+   gather through the matched send's peer vector (a broadcast's through
+   the per-rank root, a route's through its source), and the graph
+   becomes a :class:`~repro.simulator.payloads.Dataflow` that computes
+   every rank's return value on stacked blocks — on demand, the first
+   time ``SimResult.returns`` is read, so a run that never reads its
+   product never pays for it.  A value a rooted collective leaves at
+   only some ranks is ``None`` at the others, as on heap.
 
 What falls back (by design, not by accident):
 
@@ -56,10 +69,13 @@ What falls back (by design, not by accident):
   interleaving);
 * declared inputs that are not one stacked array (an uneven block
   partition);
-* any probe whose ``Recv`` precedes a reflectable ``Send`` (rooted
-  broadcasts, relay chains — genuinely position-dependent programs);
-* ``bcast``/``reduce`` macro collectives (their results are real merged
-  payload objects a generator-free replay cannot produce);
+* any probe whose ``Recv`` precedes a reflectable ``Send`` (relay
+  chains and broadcasts written as messages — the §5.4.1 schemes, Fox's
+  ring — genuinely position-dependent programs);
+* rooted collectives over an untraced payload, a reduce whose ``op`` is
+  not a plain add, roots no position law explains (or that no probe
+  holds), arithmetic on a value that is ``None`` at some ranks, and
+  programs that branch on whether they hold a rooted result;
 * programs whose payload *structure* feeds back into message sizes in a
   way reflection cannot mirror (e.g. message-level recursive-doubling
   allgather of untraced data, whose dict payloads double each round —
@@ -75,7 +91,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -114,10 +130,12 @@ __all__ = [
 _MAX_TRACE_OPS = 200_000
 _INDEX = np.dtype(np.int64)
 
-#: Macro collectives the compiler can lower to send/receive rounds; the
-#: others (``bcast``, ``reduce``) move and merge real payload objects,
-#: which a replay without live generators cannot produce.
+#: Macro collectives the compiler lowers to send/receive rounds on every rank.
 _LOWERED_KINDS = ("shift", "allgather_rd", "allgather_ring", "reduce_scatter")
+
+#: Rooted collectives, lowered to masked rounds around a root (a route's
+#: source and target) that a position law gives per group.
+_ROOTED_KINDS = ("bcast", "reduce", "route")
 
 
 class CompileFallback(Exception):
@@ -284,9 +302,7 @@ def _record_collective(
 ) -> Any:
     kind = req.kind
     if kind not in _LOWERED_KINDS:
-        raise CompileFallback(
-            f"macro collective {kind!r} moves real payloads; not compilable"
-        )
+        raise CompileFallback(f"macro collective {kind!r} is not compilable")
     # a C-level copy, so a program reusing its group list cannot rewrite
     # the trace; lowering matches it against the axis rows as an array
     group = tuple(req.group)
@@ -353,14 +369,107 @@ class _Probe:
     returns: tuple
 
 
+#: What a probe's rooted collective resumes with while no probe holding
+#: its payload has posted it yet.
+_WAIT = object()
+
+
+def _traced_meta(data: Any, graph: Graph, rank: int, kind: str) -> tuple:
+    """``(node, shape, dtype, words)`` of a rooted collective's traced payload."""
+    if not isinstance(data, TracedBlock) or data.graph is not graph or data.shape is None:
+        raise CompileFallback(
+            f"probe rank {rank}: {kind} of a {type(data).__name__} payload that is "
+            f"not derived from the declared inputs and messages"
+        )
+    return (data.node, data.shape, data.dtype, int(data.size))
+
+
+def _reduce_charge(req: CollectiveOp, data: TracedBlock) -> float | None:
+    """Check that a reduce's ``op`` is a plain add; its ``charge_op`` cost per merge."""
+    scratch = Graph()
+    x = scratch.add(("input", "x"), data.shape, data.dtype)
+    y = scratch.add(("input", "y"), data.shape, data.dtype)
+    try:
+        z = req.op(x, y)
+    except TypeError:  # a ufunc such as np.add, which traced blocks refuse
+        z = None
+    if not (
+        isinstance(z, TracedBlock)
+        and z.graph is scratch
+        and scratch.nodes[z.node][:3] == ("add", 0, 1)
+    ):
+        raise CompileFallback(f"reduce op {req.op!r} is not a plain add")
+    if req.charge_op is None:
+        return None
+    # the receiver charges the cost of the block it merges, which has
+    # the shape of its own
+    return float(req.charge_op(data))
+
+
+def _record_rooted(
+    req: CollectiveOp, rank: int, ops: list[tuple], graph: Graph, posted: dict[int, tuple]
+) -> Any:
+    """Record a ``bcast``, ``reduce`` or ``route``; return what the reference returns.
+
+    The output is a graph node on every probe, so the probes' graphs stay
+    comparable, but the program gets it only where the reference returns
+    a value: at every member of a broadcast, at a reduce's root and at a
+    route's target; elsewhere it gets ``None``.  A broadcast's or route's
+    payload is read from the probes that hold it (the root, the source),
+    which post it in *posted* under the step; the others return
+    :data:`_WAIT` until one has.
+    """
+    kind = req.kind
+    group = tuple(req.group)
+    g = len(group)
+    step = len(ops)
+    holder = req.root_index % g
+    if kind == "reduce":
+        meta = _traced_meta(req.data, graph, rank, kind)
+        extra: Any = _reduce_charge(req, req.data)
+        payload: int | None = meta[0]
+        fields: tuple[int, ...] = (holder,)
+        out_here = rank == group[holder]
+    else:
+        if rank == group[holder]:
+            meta = _traced_meta(req.data, graph, rank, kind)
+            known = posted.setdefault(step, meta)
+            if known != meta:
+                raise CompileFallback(
+                    f"probes holding the payload of the {kind} at step {step} "
+                    f"disagree: {known!r} vs {meta!r}"
+                )
+            payload = meta[0]
+        else:
+            meta = posted.get(step)
+            if meta is None:
+                return _WAIT
+            payload = None
+        if kind == "bcast":
+            extra, fields, out_here = None, (holder,), True
+        else:
+            target = req.target % g
+            extra, fields, out_here = bool(req.relay), (holder, target), rank == group[target]
+    m = int(req.nwords) if req.nwords is not None else meta[3]
+    ops.append(("rooted", kind, group, m, int(req.tag), extra, payload, fields))
+    out = graph.add(("coll", step, 0), meta[1], meta[2])
+    return out if out_here else None
+
+
 def _record_probe(
     factory: Callable[..., Any],
     make_info: Callable[[int, Mapping[str, Any]], Any],
     rank: int,
     inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
     max_ops: int,
-) -> _Probe:
-    """Drive one probe generator on traced inputs against the reflection mailbox."""
+    posted: dict[int, tuple],
+) -> Generator[int, None, _Probe]:
+    """Drive one probe generator on traced inputs against the reflection mailbox.
+
+    Yields the step of a rooted collective whose payload no probe that
+    holds it has put in *posted* yet, resumes once one has, and returns
+    the recording.
+    """
     graph = Graph()
     traced = {
         name: (_TracedStack(graph, name, stack), index)
@@ -412,6 +521,9 @@ def _record_probe(
                 ops.append(("barrier",))
             elif cls is Checkpoint:
                 ops.append(("checkpoint",))
+            elif cls is CollectiveOp and req.kind in _ROOTED_KINDS:
+                while (resume := _record_rooted(req, rank, ops, graph, posted)) is _WAIT:
+                    yield len(ops)
             elif cls is CollectiveOp:
                 resume = _record_collective(req, rank, ops, graph)
             else:
@@ -433,6 +545,47 @@ def _record_probe(
         ) from exc
     finally:
         gen.close()
+
+
+def _record_probes(
+    factories: Sequence[Callable[..., Any]],
+    make_info: Callable[[int, Mapping[str, Any]], Any],
+    probe_ranks: list[int],
+    inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    max_ops: int,
+) -> list[_Probe]:
+    """Record the probes side by side, each until it returns or waits on a payload.
+
+    A probe waiting on a rooted collective's payload resumes once a
+    probe holding it has posted it; a pass that posts nothing and ends
+    no recording means no probe holds it.
+    """
+    posted: dict[int, tuple] = {}
+    recorders = {
+        r: _record_probe(factories[r], make_info, r, inputs, max_ops, posted)
+        for r in probe_ranks
+    }
+    probes: dict[int, _Probe] = {}
+    try:
+        while len(probes) < len(recorders):
+            before = (len(posted), len(probes))
+            waits = []
+            for r, recorder in recorders.items():
+                if r not in probes:
+                    try:
+                        waits.append((r, next(recorder)))
+                    except StopIteration as done:
+                        probes[r] = done.value
+            if (len(posted), len(probes)) == before:
+                r, step = waits[0]
+                raise CompileFallback(
+                    f"probe rank {r} waits on the payload of the rooted "
+                    f"collective at step {step}, which no probe holds"
+                )
+    finally:
+        for recorder in recorders.values():
+            recorder.close()
+    return [probes[r] for r in probe_ranks]
 
 
 # -- law inference and lowering ------------------------------------------------
@@ -532,6 +685,114 @@ def _lower_collective(
     return phases, None
 
 
+def _position_law(
+    axes: dict[str, _Axis], axis: _Axis, values: list[tuple[int, int]], what: str
+) -> np.ndarray:
+    """Every rank's root (source, target) position in its group of *axis*.
+
+    A law is a constant position, or another axis's position plus a
+    constant, mod ``g``.  It must match every probe's position, give one
+    value per group, and be the only such law the probes admit (laws
+    that agree on every rank count as one); otherwise fall back.
+    """
+    g = axis.g
+    rank0, v0 = values[0]
+    candidates = [np.full(axis.pos.size, v0, dtype=np.int64)]
+    for name in sorted(axes):
+        other = axes[name]
+        candidates.append((other.pos + (v0 - int(other.pos[rank0]))) % g)
+    found: list[np.ndarray] = []
+    for vec in candidates:
+        if any(int(vec[r]) != v for r, v in values):
+            continue
+        rows = vec[axis.mat]
+        if (rows == rows[:, :1]).all() and not any(np.array_equal(vec, f) for f in found):
+            found.append(vec)
+    if len(found) != 1:
+        raise CompileFallback(
+            f"{'no' if not found else 'more than one'} position law explains "
+            f"{what} at probes {values!r}"
+        )
+    return found[0]
+
+
+def _lower_rooted(
+    vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
+    hop_cache: PairHopCache,
+    axis: _Axis,
+    shape: tuple,
+    first: np.ndarray,
+    second: np.ndarray | None = None,
+) -> tuple[list[SymCompute | SymSend | SymRecv], Any]:
+    """The masked rounds of one rooted collective on every group, and its output.
+
+    *first* is each rank's root (a route's source) position, *second* a
+    route's target position.  Each round acts only on the ranks it
+    involves, in the reference helper's order: a broadcast tree's round
+    ``k`` sends ``d = 2**k`` from every ``rel < 2**k`` that has a child;
+    a reduce's round ``k`` sends ``d = -2**k`` from every ``rel`` whose
+    lowest set bit is ``k``, and its receivers charge the merge; a relay
+    route hops one differing address bit per round, in ascending order.
+    """
+    kind, g, m, tag, extra = shape
+    phases: list[SymCompute | SymSend | SymRecv] = []
+
+    def exchange(senders: np.ndarray, receivers: np.ndarray, hops: np.ndarray) -> None:
+        send = SymSend(dst=receivers, hops=hops, nwords=m, tag=tag, active=senders)
+        positions = np.arange(senders.size, dtype=np.int64)
+        phases.extend((send, SymRecv(src=positions, tag=tag, source=send, active=receivers)))
+
+    if kind in ("bcast", "reduce"):
+        rel = (axis.pos - first) % g
+        # the helpers' ceil(log2 g) rounds
+        for k in range((g - 1).bit_length()):
+            step = 1 << k
+            if kind == "bcast":
+                senders = np.flatnonzero((rel < step) & (rel + step < g))
+                peer, hops = vectors(axis.name, "cyc", step)
+            else:
+                senders = np.flatnonzero((rel & (2 * step - 1)) == step)
+                peer, hops = vectors(axis.name, "cyc", g - step)
+            receivers = peer[senders]
+            exchange(senders, receivers, hops[senders])
+            if extra is not None:
+                phases.append(SymCompute(cost=extra, active=receivers))
+        roots = axis.mat[axis.row, first]
+        if kind == "bcast":
+            return phases, roots
+        # each group's members in relative order, the root first
+        lead = first[axis.mat[:, 0]]
+        members = axis.mat[
+            np.arange(axis.mat.shape[0])[:, None],
+            (np.arange(g)[None, :] + lead[:, None]) % g,
+        ]
+        return phases, (members, axis.row, roots == np.arange(roots.size))
+    rows = np.arange(axis.mat.shape[0])
+    src = axis.mat[rows, first[axis.mat[:, 0]]]
+    dst = axis.mat[rows, second[axis.mat[:, 0]]]
+    if not extra:
+        moving = src != dst
+        senders, receivers = src[moving], dst[moving]
+        if senders.size:
+            exchange(senders, receivers, hop_cache.bulk(senders, receivers))
+    else:
+        cur = src.copy()
+        diff = src ^ dst
+        for bit in range(int(diff.max()).bit_length()):
+            moving = ((diff >> bit) & 1) == 1
+            senders = cur[moving]
+            receivers = senders ^ (1 << bit)
+            if (receivers >= axis.pos.size).any() or not np.array_equal(
+                axis.row[receivers], rows[moving]
+            ):
+                raise CompileFallback("a relay route hops through a rank outside its group")
+            exchange(senders, receivers, hop_cache.bulk(senders, receivers))
+            cur[moving] = receivers
+    sources = axis.mat[axis.row, first]
+    targets = axis.mat[axis.row, second] == np.arange(sources.size)
+    return phases, (sources, targets)
+
+
 class BatchSchedule:
     """A lowered SPMD program: one symbolic phase per program step."""
 
@@ -577,10 +838,12 @@ def _lower(
 ) -> tuple[list[SymPhase], dict[int, tuple]]:
     """Phases for the common trace, plus what each receive or collective delivers.
 
-    The second result maps a ``recv`` step to ``("recv", payload, src)``
-    and a ``coll`` step to ``("coll", kind, axis, payload, out)`` (see
-    :func:`_lower_collective`); *payload* is the graph node the matched
-    send or the collective carries, or ``None`` when it is untraced.
+    The second result maps a ``recv`` step to ``("recv", payload, src)``,
+    a ``coll`` step to ``("coll", kind, axis, payload, out)`` (see
+    :func:`_lower_collective`) and a ``rooted`` step to ``("rooted",
+    kind, payload, out)`` (see :func:`_lower_rooted`); *payload* is the
+    graph node the matched send or the collective carries, or ``None``
+    when it is untraced.
     """
     nops = len(traces[0][1])
     for r, ops in traces[1:]:
@@ -604,6 +867,17 @@ def _lower(
             peer = _peer_vector(axes[axis], law, d)
             memo[key] = (peer, hop_cache.bulk(everyone, peer))
         return memo[key]
+
+    def group_axis(step: int, kind: str, row: list[tuple]) -> _Axis:
+        """The axis whose rows are the probes' collective groups."""
+        groups = np.asarray([op[2] for op in row], dtype=np.int64)
+        for name in sorted(axes):
+            ax = axes[name]
+            if ax.g == groups.shape[1] and np.array_equal(ax.mat[ax.row[probes]], groups):
+                return ax
+        raise CompileFallback(
+            f"step {step}: collective {kind!r} group is not a symmetry-axis row"
+        )
 
     def lower_send(step: int, fields: list[tuple], part: str = "") -> SymSend:
         """fields: per-probe (dst, nwords, tag, payload) for one message."""
@@ -653,27 +927,37 @@ def _lower(
             phases.append(SymBarrier())
         elif kind == "checkpoint":
             pass  # free without a fault plan, and compiled excludes fault plans
-        else:  # "coll"
+        elif kind == "coll":
             shape = _check_uniform(
                 [op[:2] + (len(op[2]),) + op[3:] for op in row],
                 step,
                 "collective shape",
             )
-            groups = np.asarray([op[2] for op in row], dtype=np.int64)
-            axis = None
-            for name in sorted(axes):
-                ax = axes[name]
-                if ax.g == shape[2] and np.array_equal(ax.mat[ax.row[probes]], groups):
-                    axis = ax
-                    break
-            if axis is None:
-                raise CompileFallback(
-                    f"step {step}: collective {shape[1]!r} group is not a "
-                    f"symmetry-axis row"
-                )
+            axis = group_axis(step, shape[1], row)
             rounds, out = _lower_collective(vectors, axis, shape)
             phases.append(SymCollective(kind=shape[1], phases=rounds))
             links[step] = ("coll", shape[1], axis, shape[-1], out)
+        else:  # "rooted"
+            ckind = row[0][1]
+            shape = _check_uniform(
+                [(op[1], len(op[2])) + op[3:6] for op in row], step, "collective shape"
+            )
+            axis = group_axis(step, ckind, row)
+            holders = [op[6] for op in row if op[6] is not None]
+            if not holders:
+                raise CompileFallback(f"step {step}: no probe holds the {ckind}'s payload")
+            payload = _check_uniform(holders, step, f"{ckind} payload")
+            ends = ("source", "target") if ckind == "route" else ("root",)
+            laws = [
+                _position_law(
+                    axes, axis, [(r, op[7][t]) for (r, _), op in zip(traces, row)],
+                    f"the {ckind}'s (tag={shape[3]}) {end}",
+                )
+                for t, end in enumerate(ends)
+            ]
+            rounds, out = _lower_rooted(vectors, hop_cache, axis, shape, *laws)
+            phases.append(SymCollective(kind=ckind, phases=rounds))
+            links[step] = ("rooted", ckind, payload, out)
     return phases, links
 
 
@@ -703,9 +987,30 @@ def _stacked_inputs(
     return inputs
 
 
+def _merge_returns(a: tuple, b: tuple) -> tuple | None:
+    """Two probes' return templates as one, or ``None`` when they differ.
+
+    A leaf that is a node on one probe and ``None`` on the other merges
+    into the node: a rooted collective's output is ``None`` where the
+    reference returns no value (checked by :func:`_check_roles`).
+    """
+    if a == b:
+        return a
+    if a[0] == "node" and b == ("const", None):
+        return a
+    if b[0] == "node" and a == ("const", None):
+        return b
+    if a[0] == b[0] and a[0] in ("tuple", "list") and len(a[1]) == len(b[1]):
+        kids = tuple(_merge_returns(x, y) for x, y in zip(a[1], b[1]))
+        if all(k is not None for k in kids):
+            return (a[0], kids)
+    return None
+
+
 def _common_dataflow(probes: list[_Probe]) -> tuple[list[tuple], tuple]:
-    """The probes' shared graph and return template, or fallback."""
+    """The probes' shared graph and merged return template, or fallback."""
     first = probes[0]
+    returns = first.returns
     for pr in probes[1:]:
         if pr.nodes != first.nodes:
             k = next(
@@ -718,16 +1023,58 @@ def _common_dataflow(probes: list[_Probe]) -> tuple[list[tuple], tuple]:
                 f"probe dataflow diverges at node {k}: rank {first.rank} has "
                 f"{mine!r}, rank {pr.rank} has {theirs!r}"
             )
-        if pr.returns != first.returns:
+        merged = _merge_returns(returns, pr.returns)
+        if merged is None:
             raise CompileFallback(
                 f"probe returns diverge: rank {first.rank} returns "
                 f"{first.returns!r}, rank {pr.rank} returns {pr.returns!r}"
             )
-    return first.nodes, first.returns
+        returns = merged
+    return first.nodes, returns
 
 
-def _resolve(nodes: list[tuple], links: dict[int, tuple]) -> list[tuple]:
-    """Recorded nodes with every received block turned into a gather."""
+def _check_roles(probes: list[_Probe], merged: tuple, where: dict[int, np.ndarray]) -> None:
+    """Each probe returns a node exactly where the node is defined, ``None`` elsewhere.
+
+    A node defined at only some ranks must also be seen from both sides:
+    a program that branches on whether it holds the value shows the
+    branch only on a probe where it does not.
+    """
+    ranks = [pr.rank for pr in probes]
+    for x, mask in where.items():
+        here = mask[ranks]
+        if here.all() or not here.any():
+            raise CompileFallback(
+                f"node {x} exists at only some ranks, but every probe {ranks} "
+                f"{'holds' if here.any() else 'lacks'} it"
+            )
+
+    def walk(tmpl: tuple, own: tuple, rank: int) -> None:
+        if tmpl[0] == "node":
+            mask = where.get(tmpl[1])
+            here = mask is None or bool(mask[rank])
+            if (own[0] == "node") != here:
+                raise CompileFallback(
+                    f"probe rank {rank} returns {own!r} where node {tmpl[1]} is "
+                    f"{'defined' if here else 'None'}"
+                )
+        elif tmpl[0] in ("tuple", "list"):
+            for t, o in zip(tmpl[1], own[1]):
+                walk(t, o, rank)
+
+    for pr in probes:
+        walk(merged, pr.returns, pr.rank)
+
+
+def _resolve(
+    nodes: list[tuple], links: dict[int, tuple]
+) -> tuple[list[tuple], dict[int, np.ndarray]]:
+    """Recorded nodes with every received block turned into a gather.
+
+    Also returns where each node that exists at only some ranks (a
+    reduce at its roots, a route at its targets) is defined; a node
+    read where it is not defined falls back, as heap would raise there.
+    """
     traced_recvs = {node[1] for node in nodes if node[0] == "recv"}
     for step, link in links.items():
         if link[0] == "recv" and (link[1] is not None) != (step in traced_recvs):
@@ -737,8 +1084,18 @@ def _resolve(nodes: list[tuple], links: dict[int, tuple]) -> list[tuple]:
                 f"but the probe's own send on that tag was not"
             )
     members: dict[tuple[str, int], np.ndarray] = {}
+    where: dict[int, np.ndarray] = {}
     out = []
-    for node in nodes:
+
+    def read(x: int, ranks: Any, what: str) -> None:
+        mask = where.get(x)
+        if mask is not None and not mask[ranks].all():
+            raise CompileFallback(
+                f"{what} reads node {x}, which exists only at some ranks "
+                f"(the roots or targets of a rooted collective)"
+            )
+
+    for i, node in enumerate(nodes):
         kind, meta = node[0], node[-2:]
         if kind == "recv":
             _, payload, src = links[node[1]]
@@ -747,10 +1104,29 @@ def _resolve(nodes: list[tuple], links: dict[int, tuple]) -> list[tuple]:
                     f"step {node[1]}: received {meta!r} but the matched send "
                     f"carries {nodes[payload][-2:]!r}"
                 )
+            read(payload, src, f"step {node[1]}: a Recv")
             out.append(("gather", payload, src) + meta)
+        elif kind == "coll" and links[node[1]][0] == "rooted":
+            _, ckind, payload, res = links[node[1]]
+            what = f"step {node[1]}: a {ckind}"
+            defined = None
+            if ckind == "bcast":
+                read(payload, res, what)
+                out.append(("gather", payload, res) + meta)
+            elif ckind == "route":
+                sources, defined = res
+                read(payload, sources, what)
+                out.append(("gather", payload, sources) + meta)
+            else:
+                group_rows, row, defined = res
+                read(payload, slice(None), what)
+                out.append(("reduce", payload, group_rows, row) + meta)
+            if defined is not None and not defined.all():
+                where[i] = defined
         elif kind == "coll":
             _, ckind, axis, payload, res = links[node[1]]
             t = node[2]
+            read(payload, slice(None), f"step {node[1]}: a {ckind}")
             if ckind == "shift":
                 out.append(("gather", payload, res) + meta)
             elif ckind == "reduce_scatter":
@@ -760,8 +1136,11 @@ def _resolve(nodes: list[tuple], links: dict[int, tuple]) -> list[tuple]:
                     members[(axis.name, t)] = axis.mat[axis.row, t]
                 out.append(("gather", payload, members[(axis.name, t)]) + meta)
         else:
+            if kind in ("matmul", "add"):
+                for x in node[1:3]:
+                    read(x, slice(None), f"a traced {'@' if kind == 'matmul' else '+'}")
             out.append(node)
-    return out
+    return out, where
 
 
 def compile_spmd(
@@ -788,10 +1167,10 @@ def compile_spmd(
     axes = _build_axes(symmetry, p)
     probe_ranks = _probe_ranks(axes, symmetry, p)
     inputs = _stacked_inputs(symmetry, p)
-    probes = [
-        _record_probe(factories[r], make_info, r, inputs, max_ops) for r in probe_ranks
-    ]
+    probes = _record_probes(factories, make_info, probe_ranks, inputs, max_ops)
     nodes, returns = _common_dataflow(probes)
     phases, links = _lower([(pr.rank, pr.ops) for pr in probes], axes, topology, p)
-    dataflow = Dataflow(_resolve(nodes, links), returns, inputs, p)
+    resolved, where = _resolve(nodes, links)
+    _check_roles(probes, returns, where)
+    dataflow = Dataflow(resolved, returns, inputs, p, where)
     return BatchSchedule(phases, p, probe_ranks, dataflow)

@@ -197,6 +197,13 @@ class RankInfo:
     """The driver's declared initial blocks, ``name -> (stack, index)``
     (:attr:`SymmetrySpec.inputs`); read them with :meth:`input`."""
 
+    recording: bool = False
+    """Whether this rank is a trace-compiler probe being recorded.  The
+    collective helpers then post every rooted collective (``bcast``,
+    ``reduce``, ``route``) as one :class:`CollectiveOp`, whatever the
+    rank holds, so the compiler sees the collective and its root rather
+    than one position's share of its messages."""
+
     def input(self, name: str) -> Any:
         """This rank's initial block *name*: ``stack[index[rank]]``.
 
@@ -268,9 +275,12 @@ class SimResult:
         """Each rank program's return value (its local result).
 
         The generator schedulers set this as the run ends; a compiled
-        run evaluates its payload graph here, once, on first read.
+        run evaluates its payload graph here, once, on first read, and
+        then lets go of the graph and the input stacks it holds.
         """
-        return self.payloads()
+        values = self.payloads()
+        self.payloads = None
+        return values
 
     # -- derived metrics (Section 2) ---------------------------------------------
 
@@ -464,6 +474,7 @@ class Engine:
                         machine=self.machine,
                         macro_collectives=macro_ok,
                         inputs=inputs,
+                        recording=True,
                     ),
                 )
             except CompileFallback as exc:

@@ -25,7 +25,16 @@ stream gives the timing; this module gives the data.
     materializing only that chunk of its operands, and every stack is
     freed after its last reader;
   - a reduce-scatter is ``log2 g`` rounds of ``X += X[partner]``, the
-    reference's own per-element sums.
+    reference's own per-element sums;
+  - a binomial reduce fills a fresh stack with one root value per group,
+    a chunk of groups at a time, adding members in
+    :func:`~repro.simulator.collectives.reduce_binomial`'s pairs and
+    order; an ``@`` or ``+`` that only the reduce reads is computed there,
+    for each chunk's members, so its full stack never exists.
+
+  A node a rooted collective leaves at only some ranks (a reduce at its
+  roots, a route at its targets) carries the mask of those ranks, and
+  every other rank's value is ``None``, as the reference returns there.
 
   Stacked ``np.matmul`` runs the same per-block kernel as a 2-D ``a @ b``
   and the adds are elementwise, so every rank's value is bit-identical
@@ -105,7 +114,9 @@ class Graph:
 
     Kinds recorded here: ``("input", name)``, ``("recv", step)`` for the
     block a ``Recv`` at op index *step* resumed with, ``("coll", step,
-    t)`` for output *t* of a collective, and ``("matmul"|"add", x, y)``.
+    t)`` for output *t* of a collective (recorded on every probe, also
+    where a rooted collective hands the program ``None``), and
+    ``("matmul"|"add", x, y)``.
     """
 
     __slots__ = ("nodes",)
@@ -134,15 +145,19 @@ class Dataflow:
 
     *nodes* are ``(kind, *args, shape, dtype)`` in topological order,
     with kinds ``("input", name)``, ``("gather", x, src)`` (rank ``r``
-    holds node *x* of rank ``src[r]``), ``("matmul"|"add", x, y)`` and
+    holds node *x* of rank ``src[r]``), ``("matmul"|"add", x, y)``,
     ``("rs", x, ReduceScatter, part)`` with *part* one of ``"piece"``,
-    ``"lo"``, ``"hi"``.  *inputs* maps each input name to ``(stack,
-    index)``: rank ``r`` starts with ``stack[index[r]]``.  *returns* is
-    the probes' common return template: ``("node", i)``, ``("const",
-    v)``, or ``("tuple"|"list", children)``.
+    ``"lo"``, ``"hi"``, and ``("reduce", x, members, row)``: the sum of
+    node *x* over each row of the ``(G, g)`` matrix *members* (ranks in
+    the binomial tree's relative order, the root first), which rank
+    ``r`` reads at row ``row[r]``.  *inputs* maps each input name to
+    ``(stack, index)``: rank ``r`` starts with ``stack[index[r]]``.
+    *returns* is the probes' common return template: ``("node", i)``,
+    ``("const", v)``, or ``("tuple"|"list", children)``.  *defined* maps
+    a node that exists at only some ranks to their boolean mask.
     """
 
-    __slots__ = ("nodes", "returns", "inputs", "nprocs")
+    __slots__ = ("nodes", "returns", "inputs", "nprocs", "defined")
 
     def __init__(
         self,
@@ -150,11 +165,13 @@ class Dataflow:
         returns: tuple,
         inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
         nprocs: int,
+        defined: Mapping[int, np.ndarray] | None = None,
     ) -> None:
         self.nodes = nodes
         self.returns = returns
         self.inputs = inputs
         self.nprocs = nprocs
+        self.defined = defined or {}
 
     def evaluate(self) -> list[Any]:
         """Every rank's return value, computed on stacks in one pass over the graph."""
@@ -163,9 +180,25 @@ class Dataflow:
         keep = set(leaves)
         # the node after which each value is dead
         last: dict[int, int] = {}
+        readers: dict[int, int] = {}
         for i, node in enumerate(nodes):
             for x in _operands(node):
                 last[x] = i
+                readers[x] = readers.get(x, 0) + 1
+        # an @/+ node read only by a reduce is computed inside it, a chunk
+        # of groups at a time, so its (p, r, c) stack never exists whole;
+        # its operands live until the reduce
+        fused = {
+            node[1]: i
+            for i, node in enumerate(nodes)
+            if node[0] == "reduce"
+            and nodes[node[1]][0] in _ARITH
+            and readers[node[1]] == 1
+            and node[1] not in keep
+        }
+        for x, i in fused.items():
+            for y in _operands(nodes[x]):
+                last[y] = max(last[y], i)
         dies: dict[int, list[int]] = {}
         for x, i in last.items():
             if x not in keep:
@@ -185,7 +218,11 @@ class Dataflow:
             elif kind == "rs":
                 if node[3] == "piece" and i in keep:
                     pieces[i] = self._reduce_scatter(node[1], node[2], held)
-            elif i in keep or i in last:
+            elif kind == "reduce":
+                if i in keep or i in last:
+                    fuse = node[1] in fused
+                    held[i] = (self._reduce(node[1], node[2], held, fuse), node[3])
+            elif (i in keep or i in last) and i not in fused:
                 held[i] = (self._compute(node, held), None)
             for x in dies.get(i, ()):
                 held.pop(x, None)
@@ -218,6 +255,40 @@ class Dataflow:
             flat += flat[partner]
         return flat
 
+    def _reduce(self, x: int, members: np.ndarray, held: dict, fuse: bool) -> np.ndarray:
+        """Binomial-tree sums on a stack: a fresh stack of one root value per group.
+
+        Round ``k`` adds each member at relative position ``rel + 2**k``
+        into the one at ``rel`` (``rel`` a multiple of ``2**(k+1)``),
+        the receiver's accumulator first, as
+        :func:`~repro.simulator.collectives.reduce_binomial` does.  With
+        *fuse*, node *x* is an ``@``/``+`` computed here for each chunk's
+        members only.
+        """
+        node = self.nodes[x]
+        shape, dtype = node[-2:]
+        groups, g = members.shape
+        out = np.empty((groups,) + shape, dtype=dtype)
+        widest = math.prod(shape)
+        if fuse:
+            widest = max(widest, *(math.prod(self.nodes[y][-2]) for y in node[1:3]))
+        rows = max(1, _CHUNK_WORDS // max(g * widest, 1))
+        for lo in range(0, groups, rows):
+            part = members[lo:lo + rows]
+            ranks = part.ravel()
+            # a fresh stack of the chunk's member blocks, summed in place
+            if fuse:
+                blocks = _apply(node[0], _rows(held[node[1]], ranks), _rows(held[node[2]], ranks))
+            else:
+                blocks = _rows(held[x], ranks)
+            acc = blocks.reshape(part.shape + shape)
+            step = 1
+            while step < g:
+                acc[:, : g - step : 2 * step] += acc[:, step :: 2 * step]
+                step *= 2
+            out[lo:lo + rows] = acc[:, 0]
+        return out
+
     def _per_rank(self, i: int, held: dict, pieces: dict) -> list[Any]:
         node = self.nodes[i]
         if node[0] == "rs":
@@ -228,9 +299,14 @@ class Dataflow:
                 return [flat[r, a:b] for r, (a, b) in enumerate(bounds)]
             return (rs.lo if part == "lo" else rs.hi).tolist()
         base, index = held[i]
+        mask = self.defined.get(i)
         if index is None:
-            return list(base)
-        return [base[k] for k in index.tolist()]
+            values = list(base)
+        else:
+            values = [base[k] for k in index.tolist()]
+        if mask is None:
+            return values
+        return [v if here else None for v, here in zip(values, mask.tolist())]
 
 
 _ARITH = ("matmul", "add")
@@ -240,7 +316,7 @@ def _operands(node: tuple) -> tuple[int, ...]:
     kind = node[0]
     if kind in _ARITH:
         return node[1:3]
-    if kind in ("gather", "rs"):
+    if kind in ("gather", "rs", "reduce"):
         return node[1:2]
     return ()
 
@@ -252,6 +328,12 @@ def _apply(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _take(value: tuple[Any, np.ndarray | None], sl: slice) -> np.ndarray:
     base, index = value
     return base[sl] if index is None else base[index[sl]]
+
+
+def _rows(value: tuple[Any, np.ndarray | None], ranks: np.ndarray) -> np.ndarray:
+    """A fresh stack of the given ranks' values."""
+    base, index = value
+    return base[ranks] if index is None else base[index[ranks]]
 
 
 def _leaves(template: tuple) -> list[int]:

@@ -166,7 +166,7 @@ class CollectiveOp:
 
     kind: str
     """One of ``"bcast"``, ``"reduce"``, ``"allgather_rd"``,
-    ``"allgather_ring"``, ``"reduce_scatter"``, ``"shift"``."""
+    ``"allgather_ring"``, ``"reduce_scatter"``, ``"shift"``, ``"route"``."""
 
     group: Sequence[int]
     """Ordered member ranks.  Kept as whatever sequence the program
@@ -177,10 +177,15 @@ class CollectiveOp:
     nwords: int | None = None
     tag: int = 0
     root_index: int = 0
+    """The root of a ``bcast``/``reduce``, and the source of a ``route``."""
     offset: int = 0
     op: Callable[[Any, Any], Any] | None = None
     charge_op: Callable[[Any], float] | None = None
     charge_adds: bool = True
+    target: int = 0
+    """The group index a ``route`` delivers to."""
+    relay: bool = False
+    """Whether a ``route`` relays one hypercube dimension at a time."""
 
 
 Request = Compute | Send | SendAll | Recv | Barrier | Checkpoint | CollectiveOp
@@ -199,23 +204,31 @@ Request = Compute | Send | SendAll | Recv | Barrier | Checkpoint | CollectiveOp
 # (:func:`repro.simulator.charging.replay`) charges each phase as one
 # vectorized update into :class:`~repro.simulator.trace.RankArrays` with
 # zero generator resumes.
+#
+# A phase that only some ranks take part in (a round of a rooted
+# collective: a broadcast tree's senders, a route's current holders)
+# carries *active*, the vector of those ranks; its per-rank
+# fields are then given per active rank, in *active*'s order, and every
+# other rank's accounts stay untouched.
 
 
 @dataclass(slots=True)
 class SymCompute:
-    """Every rank charges *cost* units of local computation (scalar or per rank)."""
+    """Every rank (or each rank in *active*) charges *cost* units of computation."""
 
     cost: float | np.ndarray
+    active: np.ndarray | None = None
 
 
 @dataclass(slots=True)
 class SymSend:
     """Every rank sends ``nwords`` words to ``dst[rank]`` (hops precomputed).
 
-    *nwords* is one size for every rank or a per-rank vector.
+    *nwords* is one size for every rank or a per-rank vector.  With
+    *active*, only those ranks send, and ``dst``/``hops`` are theirs.
     ``arrival`` holds the per-sender arrival vector during replay, from
     this send until the matched :class:`SymRecv` has read it back
-    through its source-rank vector.
+    through its source vector.
     """
 
     dst: np.ndarray
@@ -223,6 +236,7 @@ class SymSend:
     nwords: int | np.ndarray
     tag: int = 0
     arrival: np.ndarray | None = None
+    active: np.ndarray | None = None
 
 
 @dataclass(slots=True)
@@ -234,11 +248,16 @@ class SymSendAll:
 
 @dataclass(slots=True)
 class SymRecv:
-    """Every rank receives from ``src[rank]`` the message sent in phase *source*."""
+    """Every rank receives from ``src[rank]`` the message sent in phase *source*.
+
+    With *active*, only those ranks receive, and ``src`` holds, for each
+    of them, the position of its sender in the source phase's *active*.
+    """
 
     src: np.ndarray
     tag: int = 0
     source: SymSend | None = None
+    active: np.ndarray | None = None
 
 
 @dataclass(slots=True)
@@ -254,8 +273,8 @@ class SymCollective:
 
     Every group of one symmetry axis runs the collective at this step;
     *phases* are its rounds as :class:`SymSend`/:class:`SymRecv` pairs
-    (plus reduce-scatter's :class:`SymCompute` adds) over the whole
-    machine.  :func:`repro.simulator.macro.run_batch_collective` replays
+    (plus the adds of a reduce-scatter or a reduce as :class:`SymCompute`)
+    over the whole machine, masked to the ranks a rooted round involves.  :func:`repro.simulator.macro.run_batch_collective` replays
     them.
     """
 

@@ -19,6 +19,9 @@ costs, all-port) against the reference.
 
 from __future__ import annotations
 
+import operator
+import zlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ import repro.simulator.collectives as coll
 import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
 from repro.core.machine import MachineParams, NCUBE2_LIKE
-from repro.simulator.compile import SymmetrySpec, compile_spmd
+from repro.simulator.compile import CompileFallback, SymmetrySpec, compile_spmd
 from repro.simulator.engine import Engine, RankInfo
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import (
@@ -58,21 +61,27 @@ def _assert_identical(compiled, reference, p):
 # driver-level equivalence: all six algorithms
 # ---------------------------------------------------------------------------
 
-#: (key, n, p) — smallest instances that exercise each driver's traffic
+#: (key, n, p) — smallest instances that exercise each driver's traffic;
+#: DNS at p = 16 is the block form, at p = 64 the one-element cube program
 DRIVER_CASES = [
     ("cannon", 16, 16),
     ("simple", 16, 16),
     ("fox", 16, 16),
     ("berntsen", 8, 8),
     ("dns", 4, 16),
+    ("dns", 4, 64),
     ("gk", 16, 8),
 ]
 
 
+def _operands(key, n):
+    # a stable seed: str hashes are salted per process
+    rng = np.random.default_rng((zlib.crc32(key.encode()), n))
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
 def _run_driver(key, n, p, scheduler):
-    rng = np.random.default_rng((hash(key) & 0xFFFF, n))
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
+    A, B = _operands(key, n)
     return registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler)
 
 
@@ -93,9 +102,7 @@ def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypat
     # compiled or not, the product is the generator schedulers', bit for bit
     assert np.array_equal(res_c.C, res_h.C)
     assert np.array_equal(res_c.C, res_r.C)
-    rng = np.random.default_rng((hash(key) & 0xFFFF, n))
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
+    A, B = _operands(key, n)
     np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
 
@@ -109,9 +116,10 @@ def test_compiled_engagement_matches_registry_annotation(key, n, p, monkeypatch)
     """
     monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     res = _run_driver(key, n, p, "compiled")
-    assert res.sim.compiled == registry.get(key).rank_symmetric, (
-        res.sim.compile_fallback
-    )
+    # the registry's dns entry describes its block form (p < n^3); the
+    # one-element form is the cube program GK runs, which compiles
+    expected = registry.get(key).rank_symmetric or (key == "dns" and p == n**3)
+    assert res.sim.compiled == expected, res.sim.compile_fallback
 
 
 #: (driver, n, p): the drivers at a common size, GK at its native cube,
@@ -159,6 +167,11 @@ def test_words_moved_meet_the_communication_lower_bound(key, n, p, scheduler):
     floor = p * (3 * flops ** (2 / 3) - 3 * resident)
     assert floor > 0
     assert 2 * res.sim.total_words >= floor
+    # a compiled case must not pass on a silent heap fallback; Fox's
+    # default ring broadcast forwards by position and runs on heap
+    assert res.sim.compiled == (scheduler == "compiled" and key != "fox"), (
+        res.sim.compile_fallback
+    )
 
 
 def test_cannon_p1024_compiled_bit_identical(monkeypatch):
@@ -492,6 +505,200 @@ def test_compiled_fuzz_random_machines(seed, monkeypatch):
     assert res_c.compiled, res_c.compile_fallback
     _assert_identical(res_c, res_h, p)
     _assert_identical(res_c, res_r, p)
+
+
+# ---------------------------------------------------------------------------
+# rooted collectives: masked rounds around roots a position law gives
+# ---------------------------------------------------------------------------
+
+
+def _grid_spec(rows, g, shape, seed):
+    """A rows x g grid, rank = row * g + col: axis "row" holds the groups,
+    axis "col" the columns (a rank's position there is its row).  Every
+    rank starts with its own two blocks; rows 0 and 1 probe in full, so
+    every root of every law has a probe holding its block."""
+    p = rows * g
+    rng = np.random.default_rng(seed)
+    own = np.arange(p)
+    grid = own.reshape(rows, g)
+    spec = SymmetrySpec(
+        partitions={"row": grid, "col": grid.T.copy()},
+        inputs={
+            "a": (rng.standard_normal((p,) + shape), own),
+            "b": (rng.standard_normal((p,) + shape), own),
+        },
+        extra_probes=tuple(range(min(2, rows) * g)),
+    )
+    return spec, grid.tolist()
+
+
+def _law(kind, c, g):
+    """A root position per grid row: constant, or the row plus a constant."""
+    return (lambda row: c % g) if kind == "const" else (lambda row: (row + c) % g)
+
+
+def _rooted_program(groups, g, laws, relay, nwords, reuse_product):
+    bcast_root, reduce_root, src, dst = laws
+
+    def body(info: RankInfo):
+        row, col = divmod(info.rank, g)
+        group = groups[row]
+        a, b = info.input("a"), info.input("b")
+        yield Compute(3.0)
+        root = bcast_root(row)
+        got = yield from coll.bcast_binomial(
+            info, group, root, a if col == root else None, nwords=nwords, tag=1
+        )
+        yield Compute(float(a.size))
+        c = got @ b
+        total = yield from coll.reduce_binomial(
+            info, group, reduce_root(row), c, op=operator.add, tag=2,
+            charge_op=lambda x: 0.5 * x.size,
+        )
+        # an allreduce: the reduce's roots broadcast its sums
+        summed = yield from coll.bcast_binomial(info, group, reduce_root(row), total, tag=3)
+        # a product the reduce alone reads is computed inside it; one
+        # read again is a stack of its own
+        payload = (c if reuse_product else a) + summed
+        moved = yield from coll.route(
+            info, group, src(row), dst(row), payload, nwords=a.size, tag=4, relay=relay
+        )
+        return total, moved
+
+    return body
+
+
+def _assert_same_optional_returns(compiled, reference):
+    assert len(compiled.returns) == len(reference.returns)
+    for got, want in zip(compiled.returns, reference.returns):
+        for x, y in zip(got, want):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rooted_collectives_compile_bit_identically(seed, monkeypatch):
+    """bcast, reduce and route (direct and relay) on random machines,
+    group sizes (non-powers of two too) and root laws of both kinds."""
+    rng = np.random.default_rng(100 + seed)
+    relay = seed % 4 == 3
+    g = int(rng.choice([4, 8])) if relay else int(rng.choice([2, 3, 5, 6, 7, 8]))
+    rows = int(rng.integers(1, 4)) if seed else 1
+    p = rows * g
+    machine = MachineParams(
+        ts=float(rng.uniform(1, 200)),
+        tw=float(rng.uniform(0.1, 8)),
+        th=float(rng.uniform(0, 5)),
+        routing=("ct", "sf")[seed % 2],
+        all_port=bool(seed % 3 == 0),
+        name=f"rooted{seed}",
+    )
+    if relay:
+        # rank = row * g + col with g a power of two: relay hops stay in the row
+        topo = Hypercube(p.bit_length() - 1) if p & (p - 1) == 0 and seed == 3 else Mesh2D(rows, g)
+    else:
+        topo = FullyConnected(p) if seed % 2 else Mesh2D(rows, g)
+    kinds = ("const", "row")
+    laws = tuple(
+        _law(kinds[int(rng.integers(2))], int(rng.integers(g)), g) for _ in range(4)
+    )
+    nwords = None if seed % 3 else 7
+    spec, groups = _grid_spec(rows, g, (2, 2), seed)
+    program = _rooted_program(groups, g, laws, relay, nwords, reuse_product=bool(seed % 2))
+    res_c = Engine(topo, machine, scheduler="compiled", symmetry=spec).run(program)
+    res_h = Engine(topo, machine, scheduler="heap", symmetry=spec).run(program)
+    res_r = Engine(topo, machine, scheduler="rescan", symmetry=spec).run(program)
+    assert res_c.compiled, res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_r, p)
+    _assert_same_optional_returns(res_c, res_h)
+    # heap's macro bcast/reduce executors agree too
+    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    res_m = Engine(topo, machine, scheduler="heap", symmetry=spec).run(program)
+    _assert_identical(res_c, res_m, p)
+    _assert_same_optional_returns(res_c, res_m)
+
+
+def _fallback_program(case, groups, g):
+    def body(info: RankInfo):
+        row = info.rank // g
+        group = groups[row]
+        a, b = info.input("a"), info.input("b")
+        if case == "route-arithmetic":
+            moved = yield from coll.route(info, group, 0, 1, a, nwords=a.size, tag=4)
+            return moved + b
+        root = (row * 2) % g if case == "no-law" else 0
+        op = (lambda x, y: x @ y) if case == "not-add" else operator.add
+        total = yield from coll.reduce_binomial(info, group, root, a @ b, op=op, tag=2)
+        if case == "root-branch" and total is not None:
+            yield Compute(1.0)
+        return total
+
+    return body
+
+
+@pytest.mark.parametrize(
+    "case,reason",
+    [
+        ("root-branch", "probe traces diverge"),
+        ("no-law", "no position law explains the reduce's"),
+        ("not-add", "is not a plain add"),
+    ],
+)
+def test_rooted_programs_that_do_not_compile_fall_back(case, reason):
+    rows, g = 3, 5
+    spec, groups = _grid_spec(rows, g, (2, 2), 7)
+    program = _fallback_program(case, groups, g)
+    res_c = Engine(FullyConnected(rows * g), NCUBE2_LIKE, scheduler="compiled",
+                   symmetry=spec).run(program)
+    res_h = Engine(FullyConnected(rows * g), NCUBE2_LIKE, scheduler="heap",
+                   symmetry=spec).run(program)
+    assert not res_c.compiled
+    assert reason in res_c.compile_fallback
+    _assert_identical(res_c, res_h, rows * g)
+    assert [x is None for x in res_c.returns] == [x is None for x in res_h.returns]
+    for got, want in zip(res_c.returns, res_h.returns):
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+def test_arithmetic_on_a_route_result_at_non_targets_falls_back():
+    """Heap raises on the None a non-target holds; compiling must not hide it."""
+    rows, g = 2, 4
+    spec, groups = _grid_spec(rows, g, (2, 2), 8)
+    program = _fallback_program("route-arithmetic", groups, g)
+    topo = FullyConnected(rows * g)
+    with pytest.raises(CompileFallback, match="raised TypeError"):
+        compile_spmd(
+            [program] * (rows * g), topo, NCUBE2_LIKE, spec,
+            make_info=lambda r, inputs: RankInfo(
+                rank=r, nprocs=rows * g, topology=topo, machine=NCUBE2_LIKE,
+                inputs=inputs, recording=True,
+            ),
+        )
+    for scheduler in ("compiled", "heap"):
+        with pytest.raises(TypeError):
+            Engine(topo, NCUBE2_LIKE, scheduler=scheduler, symmetry=spec).run(program)
+
+
+#: (blocks, side) of every GK point the paper pipeline compiles: Fig. 4
+#: at p = 64, ``scaling``'s fixed-size curve, and Fig. 5's even points
+STACKED_BLOCKS = [
+    *((64, n // 4) for n in (8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192)),
+    (8, 24), (64, 12), (512, 6),
+    *((512, n // 8) for n in (88, 176, 264, 352, 440)),
+]
+
+
+@pytest.mark.parametrize("count,b", STACKED_BLOCKS)
+def test_stacked_matmul_equals_per_block_products(count, b):
+    """Compiled payloads multiply on stacks; heap multiplies block by block."""
+    rng = np.random.default_rng((count, b))
+    a = rng.standard_normal((count, b, b))
+    c = rng.standard_normal((count, b, b))
+    stacked = np.matmul(a, c)
+    assert all(np.array_equal(stacked[k], a[k] @ c[k]) for k in range(count))
 
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (paper regeneration drivers)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,8 @@ class TestFigures45:
         res = figures45.run_fig5(sizes=(88, 264, 352))
         assert res.crossover_sim is not None and 88 < res.crossover_sim < 352
         assert res.crossover_model == pytest.approx(295, abs=12)
+        # even partitions on both sides: every run was trace-compiled
+        assert all(r["gk_compiled"] and r["cannon_compiled"] for r in res.rows)
 
     def test_verification_catches_corruption(self):
         # the driver verifies every product; a sanity check that it runs
@@ -154,11 +158,17 @@ class TestCLI:
         assert main(["table1", "--out", str(out)]) == 0
         assert "Table 1" in out.read_text()
 
-    def test_main_fig4_fast(self, capsys):
+    def test_main_fig4_fast(self, capsys, tmp_path):
         from repro.experiments.__main__ import main
 
-        assert main(["fig4", "--fast"]) == 0
-        assert "crossover" in capsys.readouterr().out
+        out = tmp_path / "fig4.json"
+        assert main(["fig4", "--fast", "--json-out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "crossover" in text and "compiled" not in text
+        data = json.loads(out.read_text())
+        assert (data["figure"], data["p_gk"], data["p_cannon"]) == ("fig4", 64, 64)
+        assert [r["n"] for r in data["rows"]] == [16, 48, 96, 144]
+        assert all(r["gk_compiled"] and r["cannon_compiled"] for r in data["rows"])
 
     def test_unknown_experiment_rejected(self):
         from repro.experiments.__main__ import main

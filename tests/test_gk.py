@@ -58,6 +58,16 @@ class TestCorrectness:
         res = run_gk(A, B, 64, MACHINE, topology=FullyConnected(64), route_mode="relay")
         assert np.allclose(res.C, A @ B)
 
+    def test_cube_side_not_a_power_of_two(self):
+        # a fully connected machine takes any cube; ranks are (i*r + j)*r + k
+        A, B = rand_pair(9, seed=5)
+        res = run_gk(A, B, 27, MACHINE, topology=FullyConnected(27))
+        heap = run_gk(A, B, 27, MACHINE, topology=FullyConnected(27), scheduler="heap")
+        assert res.sim.compiled, res.sim.compile_fallback
+        assert res.parallel_time == heap.parallel_time
+        assert np.array_equal(res.C, heap.C)
+        assert np.allclose(res.C, A @ B)
+
 
 class TestValidation:
     def test_non_cube_p(self):

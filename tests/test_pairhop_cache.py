@@ -120,6 +120,7 @@ def test_engine_runs_leave_no_shared_caches_behind():
     import gc
 
     from repro.algorithms.cannon import run_cannon
+    from repro.algorithms.fox import run_fox
     from repro.algorithms.gk import run_gk_cm5
 
     rng = np.random.default_rng(3)
@@ -128,7 +129,9 @@ def test_engine_runs_leave_no_shared_caches_behind():
     for _ in range(3):
         res = run_cannon(A, B, 16, topology=FullyConnected(16))
         assert res.sim.compiled
-        assert not run_gk_cm5(A, B, 8).sim.compiled
+        assert run_gk_cm5(A, B, 8).sim.compiled
+        # the ring broadcast forwards by position: a heap run
+        assert not run_fox(A, B, 16, topology=FullyConnected(16)).sim.compiled
         del res
     gc.collect()
     assert len(PairHopCache._shared) == n_before

@@ -28,7 +28,9 @@ from repro.core.machine import CM5
 from repro.simulator.topology import FullyConnected
 
 #: (figure, algorithm, n, p) — matrix sizes drawn from the figures'
-#: plotted ranges, including each figure's crossover neighborhood.
+#: plotted ranges, including each figure's crossover neighborhood; GK's
+#: Fig. 5 points at n = 44 and 110 partition unevenly (heap), n = 264
+#: evenly (compiled).
 CM5_CONFIGS = [
     ("fig4", "gk", 8, 64),
     ("fig4", "gk", 64, 64),
@@ -38,6 +40,7 @@ CM5_CONFIGS = [
     ("fig4", "cannon", 96, 64),
     ("fig5", "gk", 44, 512),
     ("fig5", "gk", 110, 512),
+    ("fig5", "gk", 264, 512),
     ("fig5", "cannon", 44, 484),
     ("fig5", "cannon", 110, 484),
 ]
