@@ -52,15 +52,16 @@ experiments:
 resilience-smoke:
 	python -m repro.experiments resilience --fast --json-out RESILIENCE.json
 
-# Figures 4 and 5 at --fast sizes, every product verified against A @ B.
-# Each row records whether its GK and Cannon runs were trace-compiled; a
-# point whose partition is even (n a multiple of the cube or grid side)
-# that ran on heap fails the target, so GK or Cannon cannot stop
-# compiling unnoticed.  Uneven points run on heap by design.
+# Figures 4 and 5 at --fast sizes and the scaling experiment, every
+# product verified against A @ B.  Each row records whether its runs
+# were trace-compiled; any GK or Cannon run that went to heap fails the
+# target, uneven partitions (n not a multiple of the cube or grid side)
+# included, so no paper workload can stop compiling unnoticed.
 paper-smoke:
 	python -m repro.experiments fig4 --fast --no-disk-cache --json-out PAPER_FIG4.json > /dev/null
 	python -m repro.experiments fig5 --fast --no-disk-cache --json-out PAPER_FIG5.json > /dev/null
-	python -c 'import json, math, sys; figs = [json.load(open(f)) for f in sys.argv[1:]]; bad = [(f["figure"], r["n"], a) for f in figs for r in f["rows"] for a, side in (("gk", round(f["p_gk"] ** (1 / 3))), ("cannon", math.isqrt(f["p_cannon"]))) if r["n"] % side == 0 and not r[a + "_compiled"]]; print(sum(len(f["rows"]) for f in figs), "points checked"); sys.exit(f"even partitions not trace-compiled: {bad}" if bad else 0)' PAPER_FIG4.json PAPER_FIG5.json
+	python -m repro.experiments scaling --no-disk-cache --json-out PAPER_SCALING.json > /dev/null
+	python -c 'import json, sys; figs = [json.load(open(f)) for f in sys.argv[1:3]]; parts = json.load(open(sys.argv[3])); bad = [(f["figure"], r["n"], a) for f in figs for r in f["rows"] for a in ("gk", "cannon") if not r[a + "_compiled"]]; bad += [(part, r["algorithm"], r["p"], r["compile_fallback"]) for part, rows in parts.items() for r in rows if not r["compiled"]]; print(sum(len(f["rows"]) for f in figs), "figure points and", sum(map(len, parts.values())), "scaling rows checked"); sys.exit(f"not trace-compiled: {bad}" if bad else 0)' PAPER_FIG4.json PAPER_FIG5.json PAPER_SCALING.json
 
 # Complete, verified 16384- and 65536-rank Cannon simulations on the
 # compiled (record->replay) scheduler, scaling-large's default: the

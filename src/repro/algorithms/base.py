@@ -41,14 +41,18 @@ __all__ = [
 ]
 
 
-def matmul_cost(a: int, b: int, c: int) -> float:
+def matmul_cost(a: Any, b: Any, c: Any) -> Any:
     """Basic-op units to multiply an ``a x b`` block by a ``b x c`` block.
 
     The paper's convention (Section 2): one fused multiply-add is one unit,
     so a block product costs ``a*b*c`` units and accumulating into C is
-    free (it is the "add" half of the fused operation).
+    free (it is the "add" half of the fused operation).  Written as
+    ``1.0 * a * b * c``, which for ints below ``2**53`` is bitwise
+    ``float(a) * float(b) * float(c)``, so that dimensions that differ
+    from rank to rank (a trace-compiled probe's extents) give a cost
+    expression instead of raising.
     """
-    return float(a) * float(b) * float(c)
+    return 1.0 * a * b * c
 
 
 def serial_work(n: int, m: int | None = None, k: int | None = None) -> float:

@@ -69,9 +69,9 @@ def run_gk(
     (``scheduler="compiled"``, the default): the routes' ends and the
     broadcast and reduction roots follow one position law per group, so
     the run is replayed from a few probe ranks and its products are
-    computed on stacked blocks.  Uneven partitions (``n`` not a multiple
-    of ``p^{1/3}``) and the §5.4.1 schemes run on the heap scheduler,
-    and ``sim.compile_fallback`` says why.
+    computed on stacked blocks, one stack per block shape when ``n`` is
+    not a multiple of ``p^{1/3}``.  The §5.4.1 schemes run on the heap
+    scheduler, and ``sim.compile_fallback`` says why.
     """
     n = check_same_shape(A, B)
     r = gk_cube_side(p)

@@ -45,8 +45,8 @@ def run_one(
     """Run one experiment and return its text report.
 
     *json_out* (only honored by experiments with a JSON form: ``fig4``,
-    ``fig5``, ``scaling-large`` and ``resilience``) additionally writes
-    machine-readable results to a file.
+    ``fig5``, ``scaling``, ``scaling-large`` and ``resilience``)
+    additionally writes machine-readable results to a file.
     *refine*/*max_depth*/*tol* select the adaptive region-map path for
     the figure experiments (see :mod:`repro.core.refine`).
     *p_values*/*n0*/*verify*/*scheduler* tune ``scaling-large`` (the
@@ -82,7 +82,11 @@ def run_one(
     if name == "validation":
         return validation.format_text(validation.run())
     if name == "scaling":
-        return scaling.format_text(scaling.run())
+        parts = scaling.run()
+        if json_out:
+            with open(json_out, "w") as fh:
+                json.dump(parts, fh, indent=2)
+        return scaling.format_text(parts)
     if name == "scaling-large":
         if p_values is None:
             p_values = (64, 256, 1024) if fast else (64, 256, 1024, 4096)
@@ -130,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for simulation-heavy experiments (1 = serial)")
     parser.add_argument("--json-out", type=str, default=None,
                         help="write machine-readable results to a JSON file "
-                             "(fig4, fig5, scaling-large and resilience)")
+                             "(fig4, fig5, scaling, scaling-large and resilience)")
     parser.add_argument("--refine", action="store_true",
                         help="adaptive region-map refinement for fig1-3 "
                              "(evaluate only near region boundaries)")

@@ -109,8 +109,8 @@ def _sim_point(
         "E_cannon_sim": res_cn.efficiency,
         "E_gk_model": MODELS["gk-cm5"].efficiency(n, p_gk, machine),
         "E_cannon_model": MODELS["cannon"].efficiency(n, p_cannon, machine),
-        # which scheduler ran each point: a compiled request that fell
-        # back to heap (an uneven partition) reads False
+        # which scheduler ran each point: every point compiles, uneven
+        # partitions included; a run that fell back to heap reads False
         "gk_compiled": res_gk.sim.compiled,
         "cannon_compiled": res_cn.sim.compiled,
     }

@@ -17,6 +17,7 @@ runs of Cannon's algorithm and the GK algorithm.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 
@@ -38,6 +39,15 @@ __all__ = [
 
 #: round-number machine for the scaling demonstrations
 _MACHINE = MachineParams(ts=20.0, tw=1.0, name="scaling")
+
+
+#: Row fields saying which scheduler ran a row; tables leave them out
+_PATH_FIELDS = ("compiled", "compile_fallback")
+
+
+def _path(res: Any) -> dict[str, Any]:
+    """Which scheduler ran a row: a compiled request that fell back to heap says why."""
+    return {"compiled": res.sim.compiled, "compile_fallback": res.sim.compile_fallback}
 
 
 def _round_feasible_n(key: str, n_target: float, p: int) -> int:
@@ -76,6 +86,7 @@ def speedup_curve(
                 "speedup_sim": res.speedup,
                 "efficiency_sim": res.efficiency,
                 "efficiency_model": MODELS[key].efficiency(n, p, machine),
+                **_path(res),
             }
         )
     return rows
@@ -114,6 +125,7 @@ def isoefficiency_in_simulation(
                 "W": n**3,
                 "efficiency_sim": res.efficiency,
                 "efficiency_model": MODELS[key].efficiency(n, p, machine),
+                **_path(res),
             }
         )
     return rows
@@ -169,10 +181,7 @@ def scaled_speedup(
                 "scaled_speedup_sim": res.speedup,
                 "efficiency_sim": res.efficiency,
                 "efficiency_model": MODELS[key].efficiency(n, p, machine),
-                # which scheduler actually ran: a compiled request that
-                # fell back to heap says why
-                "compiled": res.sim.compiled,
-                "compile_fallback": res.sim.compile_fallback,
+                **_path(res),
             }
         )
     return rows
@@ -211,16 +220,33 @@ def run_large_p(
 
 
 def format_text(results: dict[str, list[dict]]) -> str:
+    fixed = results["fixed_size_cannon"] + results["fixed_size_gk"]
+    iso = results["iso_cannon"] + results["iso_gk"]
     out = [
         "Scaling behaviour (full simulations; Section 3's premises)",
         "",
         "1) fixed problem size: efficiency decays with p",
-        format_table(results["fixed_size_cannon"] + results["fixed_size_gk"]),
+        format_table(fixed, _columns(fixed)),
         "",
         "2) problem grown along the isoefficiency function: efficiency holds",
-        format_table(results["iso_cannon"] + results["iso_gk"]),
+        format_table(iso, _columns(iso)),
     ]
+    out += _fallbacks(fixed + iso)
     return "\n".join(out)
+
+
+def _columns(rows: list[dict]) -> list[str] | None:
+    """A table's columns: every field but which scheduler ran the row."""
+    return [c for c in rows[0] if c not in _PATH_FIELDS] if rows else None
+
+
+def _fallbacks(rows: list[dict]) -> list[str]:
+    return [
+        f"{r['algorithm']} p={r['p']}: trace compilation fell back to heap: "
+        f"{r['compile_fallback']}"
+        for r in rows
+        if r["compile_fallback"]
+    ]
 
 
 def format_large_p_text(results: dict[str, list[dict]]) -> str:
@@ -234,9 +260,5 @@ def format_large_p_text(results: dict[str, list[dict]]) -> str:
         "speedup E*p climbs linearly with the machine.",
         format_table(rows, columns),
     ]
-    out += [
-        f"p={r['p']}: trace compilation fell back to heap: {r['compile_fallback']}"
-        for r in rows
-        if r["compile_fallback"]
-    ]
+    out += _fallbacks(rows)
     return "\n".join(out)

@@ -54,6 +54,7 @@ the probes.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -153,17 +154,21 @@ def reduce_binomial(
     root_index: int,
     data: Any,
     *,
-    op: Callable[[Any, Any], Any] = np.add,
+    op: Callable[[Any, Any], Any] = operator.add,
     nwords: int | None = None,
     tag: int = 0,
     charge_op: Callable[[Any], float] | None = None,
 ):
     """All-to-one reduction over *group* along a binomial tree.
 
-    Returns the reduced value at the root and ``None`` elsewhere.  If
-    *charge_op* is given it maps a received payload to a compute cost in
-    basic-op units (e.g. ``lambda x: x.size`` for elementwise adds) and
-    the cost is charged via a :class:`Compute` request.
+    Returns the reduced value at the root and ``None`` elsewhere.  *op*
+    merges the receiver's accumulator with the received value; the
+    default, ``operator.add``, is a plain ``+``, which the trace compiler
+    records (a numpy ufunc such as ``np.add`` gives the same arrays but
+    makes a compiled run fall back).  If *charge_op* is given it maps a
+    received payload to a compute cost in basic-op units (e.g. ``lambda
+    x: x.size`` for elementwise adds) and the cost is charged via a
+    :class:`Compute` request.
     """
     from repro.simulator.request import Compute  # local to avoid cycle noise
 

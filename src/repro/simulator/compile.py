@@ -24,7 +24,12 @@ determines the stream of all ``p`` ranks — which is what lets
    every probe, root or not.  A probe gets a traced block wherever the
    reference returns a value and ``None`` wherever it returns ``None``;
    the probes are recorded side by side, so a non-root can take its
-   broadcast block's shape from a probe at the root.
+   broadcast block's shape from a probe at the root.  Under an uneven
+   block partition a block dimension that differs from rank to rank is
+   an :class:`~repro.simulator.payloads.Extent`; sizes and costs the
+   program derives from it (``words_of``, ``matmul_cost``, a reduce's
+   ``charge_op``, a returned int) are recorded as expressions, and
+   probes compare their keys, never their values.
 2. **Detect symmetry.**  The probe traces are compared structurally
    (same op kinds, sizes, tags and payload nodes at every step, the same
    dataflow graph, the same return structure) and each peer field must
@@ -52,7 +57,11 @@ determines the stream of all ``p`` ranks — which is what lets
    replay loop in :mod:`repro.simulator.charging`.  The replay
    evaluates exactly the reference cost expressions elementwise, so a
    compiled run is bit-identical to ``heap``/``rescan`` whenever it
-   compiles at all.
+   compiles at all.  Once the graph is resolved, one pass gives every
+   node its per-rank shape vectors (an input's from the block-shape
+   table, a gather's from its source, a reduce's from its members),
+   checks the shape rules recording deferred, and sets each symbolic
+   size and cost to its ``(p,)`` values.
 4. **Payloads.**  The same matching resolves every received block to a
    gather through the matched send's peer vector (a broadcast's through
    the per-rank root, a route's through its source), and the graph
@@ -60,15 +69,25 @@ determines the stream of all ``p`` ranks — which is what lets
    every rank's return value on stacked blocks — on demand, the first
    time ``SimResult.returns`` is read, so a run that never reads its
    product never pays for it.  A value a rooted collective leaves at
-   only some ranks is ``None`` at the others, as on heap.
+   only some ranks is ``None`` at the others, as on heap.  An uneven
+   input is grouped into one stack per block shape, and arithmetic runs
+   once per operand-class pair; an even partition is the one-class case.
 
 What falls back (by design, not by accident):
 
 * no :class:`SymmetrySpec` from the driver, or tracing / link contention
   / an active fault plan (those regimes need live per-rank event
   interleaving);
-* declared inputs that are not one stacked array (an uneven block
-  partition);
+* declared inputs that cannot be grouped into stacks (a list of blocks
+  of differing dtype or ndim);
+* an all-gather or reduce-scatter of blocks whose size differs from
+  rank to rank (simple and Berntsen at an uneven partition);
+* a program that turns an extent into a number, compares or branches on
+  it (``int(a.shape[0])``, ``if a.shape[0] > k``), or whose deferred
+  shape rules fail at some rank: ``@`` of blocks whose inner
+  dimensions differ, ``+`` of blocks of differing shape (numpy would
+  broadcast some of these on heap), or a reduce over members of
+  differing shape;
 * any probe whose ``Recv`` precedes a reflectable ``Send`` (relay
   chains and broadcasts written as messages — the §5.4.1 schemes, Fox's
   ring — genuinely position-dependent programs);
@@ -98,7 +117,16 @@ import numpy as np
 from repro.core.machine import MachineParams
 from repro.simulator.charging import replay
 from repro.simulator.macro import run_batch_collective
-from repro.simulator.payloads import Dataflow, Graph, ReduceScatter, TracedBlock
+from repro.simulator.payloads import (
+    Dataflow,
+    Extent,
+    Graph,
+    ReduceScatter,
+    TracedBlock,
+    evaluate,
+    key_of,
+    symbolic,
+)
 from repro.simulator.request import (
     Barrier,
     Checkpoint,
@@ -124,7 +152,7 @@ __all__ = [
     "SymmetrySpec",
     "BatchSchedule",
     "compile_spmd",
-    "unstacked_input",
+    "ungroupable_input",
 ]
 
 _MAX_TRACE_OPS = 200_000
@@ -156,10 +184,14 @@ class SymmetrySpec:
 
     *inputs* maps a name to ``(stack, index)``: rank ``r`` starts with
     block ``stack[index[r]]``, which its program reads through
-    :meth:`~repro.simulator.engine.RankInfo.input`.  A compiled run
-    evaluates its payloads on these stacks, so *stack* must be one array
-    whose leading axis indexes blocks (a list, as an uneven block
-    partition gives, makes the run fall back).
+    :meth:`~repro.simulator.engine.RankInfo.input`.  *stack* is one array
+    whose leading axis indexes blocks, or, for an uneven block partition,
+    a list of blocks of one dtype and ndim.  A compiled run groups a
+    list into one stack per block shape and evaluates its payloads on
+    those stacks; a dimension that differs between blocks reaches the
+    probes as an :class:`~repro.simulator.payloads.Extent`.  A list that
+    cannot be grouped (blocks of differing dtype or ndim) makes the run
+    fall back before probing.
 
     *extra_probes* optionally adds ranks to the probe set (the default
     probes are the first/second/last members of each axis's first group,
@@ -250,16 +282,31 @@ def _reflect(value: Any) -> Any:
 
 
 class _TracedStack:
-    """A declared input stack as a probe sees it: each block is a graph input."""
+    """A declared input stack as a probe sees it: each block is a graph input.
 
-    __slots__ = ("graph", "name", "stack")
+    A dimension that differs between the input's blocks is an extent of
+    the input node; the others are the block's own ints.
+    """
 
-    def __init__(self, graph: Graph, name: str, stack: np.ndarray) -> None:
-        self.graph, self.name, self.stack = graph, name, stack
+    __slots__ = ("graph", "name", "stack", "varies")
+
+    def __init__(self, graph: Graph, name: str, stack: Any, varies: tuple[bool, ...]) -> None:
+        self.graph, self.name, self.stack, self.varies = graph, name, stack, varies
 
     def __getitem__(self, k: Any) -> TracedBlock:
         block = self.stack[k]
-        return self.graph.add(("input", self.name), block.shape, block.dtype)
+        shape = tuple(None if v else d for d, v in zip(block.shape, self.varies))
+        return self.graph.source(("input", self.name), shape, block.dtype)
+
+
+def _count(x: Any) -> Any:
+    """A recorded size: an ``int``, or an extent's key."""
+    return x.key if isinstance(x, Extent) else int(x)
+
+
+def _cost(x: Any) -> Any:
+    """A recorded cost: a ``float``, or an extent's key."""
+    return x.key if isinstance(x, Extent) else float(x)
 
 
 def _payload(data: Any) -> int | None:
@@ -310,8 +357,13 @@ def _record_collective(
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
     data = req.data
-    m = int(req.nwords) if req.nwords is not None else words_of(data)
-    w = words_of(data)
+    w = _count(words_of(data))
+    m = _count(req.nwords) if req.nwords is not None else w
+    if kind != "shift" and (symbolic(m) or symbolic(w)):
+        raise CompileFallback(
+            f"macro collective {kind!r} of a block whose size differs from rank "
+            f"to rank (an uneven partition) is not compilable"
+        )
     flat_size = int(data.size) if kind == "reduce_scatter" else 0
     step = len(ops)
     ops.append(
@@ -331,10 +383,10 @@ def _record_collective(
     if not isinstance(data, TracedBlock):
         return _synthesize_collective(req, rank)
     if kind == "shift":
-        return graph.add(("coll", step, 0), data.shape, data.dtype)
+        return graph.source(("coll", step, 0), data.shape, data.dtype)
     if kind != "reduce_scatter":
         # every member's contribution, ordered by group position
-        return [graph.add(("coll", step, t), data.shape, data.dtype) for t in range(g)]
+        return [graph.source(("coll", step, t), data.shape, data.dtype) for t in range(g)]
     # (piece, lo, hi): per-rank values with no common shape
     summed = np.result_type(data.dtype, np.float64)
     return (
@@ -348,6 +400,9 @@ def _template(value: Any, graph: Graph, rank: int) -> tuple:
     """A probe's return value as a structure of graph nodes and constants."""
     if isinstance(value, TracedBlock) and value.graph is graph:
         return ("node", value.node)
+    if isinstance(value, Extent):
+        # a size the program returns: evaluated per rank once bound
+        return ("expr", value.key)
     if isinstance(value, (tuple, list)):
         kind = "tuple" if isinstance(value, tuple) else "list"
         return (kind, tuple(_template(v, graph, rank) for v in value))
@@ -375,23 +430,28 @@ _WAIT = object()
 
 
 def _traced_meta(data: Any, graph: Graph, rank: int, kind: str) -> tuple:
-    """``(node, shape, dtype, words)`` of a rooted collective's traced payload."""
+    """``(node, shape, dtype, words)`` of a rooted collective's traced payload.
+
+    Extents are given by their keys, so probes compare metadata with ``==``.
+    """
     if not isinstance(data, TracedBlock) or data.graph is not graph or data.shape is None:
         raise CompileFallback(
             f"probe rank {rank}: {kind} of a {type(data).__name__} payload that is "
             f"not derived from the declared inputs and messages"
         )
-    return (data.node, data.shape, data.dtype, int(data.size))
+    return (data.node, tuple(map(key_of, data.shape)), data.dtype, _count(data.size))
 
 
-def _reduce_charge(req: CollectiveOp, data: TracedBlock) -> float | None:
+def _reduce_charge(req: CollectiveOp, data: TracedBlock) -> Any:
     """Check that a reduce's ``op`` is a plain add; its ``charge_op`` cost per merge."""
     scratch = Graph()
     x = scratch.add(("input", "x"), data.shape, data.dtype)
     y = scratch.add(("input", "y"), data.shape, data.dtype)
     try:
         z = req.op(x, y)
-    except TypeError:  # a ufunc such as np.add, which traced blocks refuse
+    except TypeError:
+        # a numpy ufunc passed as op (np.add): traced blocks refuse
+        # ufuncs; the helper's default, operator.add, records the add
         z = None
     if not (
         isinstance(z, TracedBlock)
@@ -402,8 +462,8 @@ def _reduce_charge(req: CollectiveOp, data: TracedBlock) -> float | None:
     if req.charge_op is None:
         return None
     # the receiver charges the cost of the block it merges, which has
-    # the shape of its own
-    return float(req.charge_op(data))
+    # the shape of its own (a reduce's members share one shape)
+    return _cost(req.charge_op(data))
 
 
 def _record_rooted(
@@ -417,7 +477,8 @@ def _record_rooted(
     route's target; elsewhere it gets ``None``.  A broadcast's or route's
     payload is read from the probes that hold it (the root, the source),
     which post it in *posted* under the step; the others return
-    :data:`_WAIT` until one has.
+    :data:`_WAIT` until one has.  A broadcast sized by its payload sends
+    the root's size in every round, which its recorded ``extra`` says.
     """
     kind = req.kind
     group = tuple(req.group)
@@ -446,13 +507,13 @@ def _record_rooted(
                 return _WAIT
             payload = None
         if kind == "bcast":
-            extra, fields, out_here = None, (holder,), True
+            extra, fields, out_here = req.nwords is None, (holder,), True
         else:
             target = req.target % g
             extra, fields, out_here = bool(req.relay), (holder, target), rank == group[target]
-    m = int(req.nwords) if req.nwords is not None else meta[3]
+    m = _count(req.nwords) if req.nwords is not None else meta[3]
     ops.append(("rooted", kind, group, m, int(req.tag), extra, payload, fields))
-    out = graph.add(("coll", step, 0), meta[1], meta[2])
+    out = graph.source(("coll", step, 0), meta[1], meta[2])
     return out if out_here else None
 
 
@@ -460,7 +521,7 @@ def _record_probe(
     factory: Callable[..., Any],
     make_info: Callable[[int, Mapping[str, Any]], Any],
     rank: int,
-    inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    inputs: Mapping[str, "_Input"],
     max_ops: int,
     posted: dict[int, tuple],
 ) -> Generator[int, None, _Probe]:
@@ -472,8 +533,8 @@ def _record_probe(
     """
     graph = Graph()
     traced = {
-        name: (_TracedStack(graph, name, stack), index)
-        for name, (stack, index) in inputs.items()
+        name: (_TracedStack(graph, name, inp.blocks, inp.varies), inp.index)
+        for name, inp in inputs.items()
     }
     gen = factory(make_info(rank, traced))
     ops: list[tuple] = []
@@ -489,15 +550,15 @@ def _record_probe(
             resume = None
             cls = req.__class__
             if cls is Compute:
-                ops.append(("compute", float(req.cost)))
+                ops.append(("compute", _cost(req.cost)))
             elif cls is Send:
                 ops.append(
-                    ("send", int(req.dst), int(req.nwords), int(req.tag), _payload(req.data))
+                    ("send", int(req.dst), _count(req.nwords), int(req.tag), _payload(req.data))
                 )
                 pending.setdefault(int(req.tag), deque()).append(req.data)
             elif cls is SendAll:
                 parts = tuple(
-                    (int(m.dst), int(m.nwords), int(m.tag), _payload(m.data))
+                    (int(m.dst), _count(m.nwords), int(m.tag), _payload(m.data))
                     for m in req.messages
                 )
                 ops.append(("sendall", parts))
@@ -513,8 +574,9 @@ def _record_probe(
                 ops.append(("recv", int(req.src), int(req.tag)))
                 own = queue.popleft()
                 if isinstance(own, TracedBlock):
-                    # resolved at lowering to the matched send's node
-                    resume = graph.add(("recv", len(ops) - 1), own.shape, own.dtype)
+                    # resolved at lowering to the matched send's node; its
+                    # extents are bound to the sender's
+                    resume = graph.source(("recv", len(ops) - 1), own.shape, own.dtype)
                 else:
                     resume = _reflect(own)
             elif cls is Barrier:
@@ -551,7 +613,7 @@ def _record_probes(
     factories: Sequence[Callable[..., Any]],
     make_info: Callable[[int, Mapping[str, Any]], Any],
     probe_ranks: list[int],
-    inputs: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    inputs: Mapping[str, "_Input"],
     max_ops: int,
 ) -> list[_Probe]:
     """Record the probes side by side, each until it returns or waits on a payload.
@@ -633,6 +695,7 @@ def _lower_collective(
     vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
     axis: _Axis,
     shape: tuple,
+    deferred: list[tuple],
 ) -> tuple[list[SymCompute | SymSend | SymRecv], Any]:
     """The send/receive rounds one macro collective stands for, on every group.
 
@@ -640,7 +703,9 @@ def _lower_collective(
     :mod:`repro.simulator.macro`: the same sizes, partners and order.
     Also returns what the rounds deliver: a shift's source vector, or a
     reduce-scatter's partners and final per-rank intervals (``None`` for
-    the all-gathers, whose outputs are the axis's group members).
+    the all-gathers, whose outputs are the axis's group members).  A
+    shift's size that is an extent goes on *deferred*: every rank sends
+    its own block.
     """
     _, kind, g, m, w, tag, offset, charge_adds, flat_size, _ = shape
     phases: list[SymCompute | SymSend | SymRecv] = []
@@ -648,6 +713,8 @@ def _lower_collective(
     def exchange(law: str, d_to: int, d_from: int, nwords: Any) -> None:
         dst, hops = vectors(axis.name, law, d_to)
         send = SymSend(dst=dst, hops=hops, nwords=nwords, tag=tag)
+        if symbolic(nwords):
+            deferred.append((send, "nwords", nwords, None))
         src = vectors(axis.name, law, d_from)[0]
         phases.extend((send, SymRecv(src=src, tag=tag, source=send)))
 
@@ -721,6 +788,7 @@ def _lower_rooted(
     hop_cache: PairHopCache,
     axis: _Axis,
     shape: tuple,
+    deferred: list[tuple],
     first: np.ndarray,
     second: np.ndarray | None = None,
 ) -> tuple[list[SymCompute | SymSend | SymRecv], Any]:
@@ -733,12 +801,22 @@ def _lower_rooted(
     a reduce's round ``k`` sends ``d = -2**k`` from every ``rel`` whose
     lowest set bit is ``k``, and its receivers charge the merge; a relay
     route hops one differing address bit per round, in ascending order.
+    A size or merge cost that is an extent goes on *deferred*: each
+    sender's own, or the root's for a broadcast sized by its payload,
+    and each receiver's merge.
     """
     kind, g, m, tag, extra = shape
     phases: list[SymCompute | SymSend | SymRecv] = []
+    # each rank's group root (a route's source), as an absolute rank
+    roots = axis.mat[axis.row, first]
+    sized_at = roots if kind == "bcast" and extra else None
 
     def exchange(senders: np.ndarray, receivers: np.ndarray, hops: np.ndarray) -> None:
         send = SymSend(dst=receivers, hops=hops, nwords=m, tag=tag, active=senders)
+        if symbolic(m):
+            deferred.append(
+                (send, "nwords", m, senders if sized_at is None else sized_at[senders])
+            )
         positions = np.arange(senders.size, dtype=np.int64)
         phases.extend((send, SymRecv(src=positions, tag=tag, source=send, active=receivers)))
 
@@ -755,9 +833,11 @@ def _lower_rooted(
                 peer, hops = vectors(axis.name, "cyc", g - step)
             receivers = peer[senders]
             exchange(senders, receivers, hops[senders])
-            if extra is not None:
-                phases.append(SymCompute(cost=extra, active=receivers))
-        roots = axis.mat[axis.row, first]
+            if kind == "reduce" and extra is not None:
+                merge = SymCompute(cost=extra, active=receivers)
+                if symbolic(extra):
+                    deferred.append((merge, "cost", extra, receivers))
+                phases.append(merge)
         if kind == "bcast":
             return phases, roots
         # each group's members in relative order, the root first
@@ -788,9 +868,9 @@ def _lower_rooted(
                 raise CompileFallback("a relay route hops through a rank outside its group")
             exchange(senders, receivers, hop_cache.bulk(senders, receivers))
             cur[moving] = receivers
-    sources = axis.mat[axis.row, first]
-    targets = axis.mat[axis.row, second] == np.arange(sources.size)
-    return phases, (sources, targets)
+    # a route's root is its source
+    targets = axis.mat[axis.row, second] == np.arange(roots.size)
+    return phases, (roots, targets)
 
 
 class BatchSchedule:
@@ -835,15 +915,18 @@ def _lower(
     axes: dict[str, _Axis],
     topology: Topology,
     p: int,
-) -> tuple[list[SymPhase], dict[int, tuple]]:
-    """Phases for the common trace, plus what each receive or collective delivers.
+) -> tuple[list[SymPhase], dict[int, tuple], list[tuple]]:
+    """Phases for the common trace, what each receive or collective delivers,
+    and the symbolic fields to bind.
 
     The second result maps a ``recv`` step to ``("recv", payload, src)``,
     a ``coll`` step to ``("coll", kind, axis, payload, out)`` (see
     :func:`_lower_collective`) and a ``rooted`` step to ``("rooted",
     kind, payload, out)`` (see :func:`_lower_rooted`); *payload* is the
     graph node the matched send or the collective carries, or ``None``
-    when it is untraced.
+    when it is untraced.  The third lists ``(phase, attr, key, at)``: a
+    size or cost recorded as an extent's key, to be set to its per-rank
+    values at the ranks *at* (every rank when ``None``) by :func:`_bind`.
     """
     nops = len(traces[0][1])
     for r, ops in traces[1:]:
@@ -858,6 +941,7 @@ def _lower(
     memo: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray]] = {}
     phases: list[SymPhase] = []
     links: dict[int, tuple] = {}
+    deferred: list[tuple] = []
     channels: dict[tuple[int, str, str, int], deque[tuple[SymSend, int | None]]] = {}
 
     def vectors(axis: str, law: str, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -887,7 +971,9 @@ def _lower(
         peers = [(r, f[0]) for (r, _), f in zip(traces, fields)]
         axis, law, d = _infer_law(axes, peers, f"Send{part}(tag={tag})")
         dst, hops = vectors(axis, law, d)
-        ph = SymSend(dst=dst, hops=hops, nwords=int(nwords), tag=int(tag))
+        ph = SymSend(dst=dst, hops=hops, nwords=nwords, tag=int(tag))
+        if symbolic(nwords):
+            deferred.append((ph, "nwords", nwords, None))
         channels.setdefault((int(tag), axis, law, d), deque()).append((ph, payload))
         return ph
 
@@ -896,7 +982,9 @@ def _lower(
         kind = _check_uniform([op[0] for op in row], step, "op kind")
         if kind == "compute":
             cost = _check_uniform([op[1] for op in row], step, "compute cost")
-            phases.append(SymCompute(cost=float(cost)))
+            phases.append(SymCompute(cost=cost))
+            if symbolic(cost):
+                deferred.append((phases[-1], "cost", cost, None))
         elif kind == "send":
             phases.append(lower_send(step, [op[1:] for op in row]))
         elif kind == "sendall":
@@ -934,7 +1022,7 @@ def _lower(
                 "collective shape",
             )
             axis = group_axis(step, shape[1], row)
-            rounds, out = _lower_collective(vectors, axis, shape)
+            rounds, out = _lower_collective(vectors, axis, shape, deferred)
             phases.append(SymCollective(kind=shape[1], phases=rounds))
             links[step] = ("coll", shape[1], axis, shape[-1], out)
         else:  # "rooted"
@@ -955,27 +1043,69 @@ def _lower(
                 )
                 for t, end in enumerate(ends)
             ]
-            rounds, out = _lower_rooted(vectors, hop_cache, axis, shape, *laws)
+            rounds, out = _lower_rooted(vectors, hop_cache, axis, shape, deferred, *laws)
             phases.append(SymCollective(kind=ckind, phases=rounds))
             links[step] = ("rooted", ckind, payload, out)
-    return phases, links
+    return phases, links, deferred
 
 
-def unstacked_input(spec: SymmetrySpec) -> str | None:
-    """Why *spec*'s inputs cannot be evaluated as stacks, or ``None``."""
+def ungroupable_input(spec: SymmetrySpec) -> str | None:
+    """Why *spec*'s inputs cannot be grouped into stacks by block shape, or ``None``."""
     for name, (stack, _) in spec.inputs.items():
-        if not isinstance(stack, np.ndarray):
+        if isinstance(stack, np.ndarray):
+            continue
+        if not (
+            isinstance(stack, (list, tuple))
+            and stack
+            and all(isinstance(b, np.ndarray) for b in stack)
+            and len({(b.ndim, b.dtype) for b in stack}) == 1
+        ):
             return (
-                f"input {name!r} is not one stacked array (an uneven block "
-                f"partition); its blocks cannot be evaluated as a stack"
+                f"input {name!r} is neither one stacked array nor a list of blocks "
+                f"of one dtype and ndim; its blocks cannot be grouped into stacks"
             )
     return None
 
 
-def _stacked_inputs(
-    spec: SymmetrySpec, p: int
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    reason = unstacked_input(spec)
+class _Input:
+    """A declared input, as recording, binding and evaluation read it.
+
+    *varies* says which block dimensions differ between the input's
+    blocks; *dims* gives each rank's block dimensions (an ``int`` where
+    every block agrees, else a ``(p,)`` vector); *held* is the
+    :class:`~repro.simulator.payloads.Dataflow` value ``(stacks, cls,
+    index)`` with one stack per block shape.
+    """
+
+    __slots__ = ("blocks", "index", "varies", "dims", "held")
+
+    def __init__(self, blocks: Any, index: np.ndarray) -> None:
+        self.blocks, self.index = blocks, index
+        if isinstance(blocks, np.ndarray):
+            self.varies = (False,) * (blocks.ndim - 1)
+            self.dims: tuple = blocks.shape[1:]
+            self.held: tuple = ([blocks], None, index)
+            return
+        table = np.asarray([b.shape for b in blocks], dtype=np.int64)
+        self.varies = tuple(bool((col != col[0]).any()) for col in table.T)
+        self.dims = tuple(
+            table[index, axis] if v else int(table[0, axis])
+            for axis, v in enumerate(self.varies)
+        )
+        classes: dict[tuple, list[int]] = {}
+        for b, block in enumerate(blocks):
+            classes.setdefault(block.shape, []).append(b)
+        cls = np.empty(len(blocks), dtype=np.int64)
+        row = np.empty(len(blocks), dtype=np.int64)
+        for k, members in enumerate(classes.values()):
+            cls[members] = k
+            row[members] = np.arange(len(members))
+        stacks = [np.stack([blocks[b] for b in members]) for members in classes.values()]
+        self.held = (stacks, cls[index] if len(stacks) > 1 else None, row[index])
+
+
+def _grouped_inputs(spec: SymmetrySpec, p: int) -> dict[str, _Input]:
+    reason = ungroupable_input(spec)
     if reason is not None:
         raise CompileFallback(reason)
     inputs = {}
@@ -983,7 +1113,7 @@ def _stacked_inputs(
         index = np.asarray(index, dtype=np.int64)
         if index.shape != (p,):
             raise ValueError(f"input {name!r} needs one block index per rank, got {index.shape}")
-        inputs[name] = (stack, index)
+        inputs[name] = _Input(stack, index)
     return inputs
 
 
@@ -1066,6 +1196,25 @@ def _check_roles(probes: list[_Probe], merged: tuple, where: dict[int, np.ndarra
         walk(merged, pr.returns, pr.rank)
 
 
+def _fits(received: tuple, sent: tuple) -> bool:
+    """Whether a received block's recorded ``(shape, dtype)`` can be the sent one's.
+
+    Dtypes and ndims must agree, and each dimension must be the same int
+    on both sides or an extent on both; :func:`_bind` gives the received
+    extents the sender's values.  (So a value whose dimensions are all
+    ints is one stack.)
+    """
+    (rshape, rtype), (sshape, stype) = received, sent
+    if rtype != stype or (rshape is None) != (sshape is None):
+        return False
+    if rshape is None:
+        return True
+    return len(rshape) == len(sshape) and all(
+        a == b if a.__class__ is int else b.__class__ is not int
+        for a, b in zip(rshape, sshape)
+    )
+
+
 def _resolve(
     nodes: list[tuple], links: dict[int, tuple]
 ) -> tuple[list[tuple], dict[int, np.ndarray]]:
@@ -1099,7 +1248,7 @@ def _resolve(
         kind, meta = node[0], node[-2:]
         if kind == "recv":
             _, payload, src = links[node[1]]
-            if nodes[payload][-2:] != meta:
+            if not _fits(meta, nodes[payload][-2:]):
                 raise CompileFallback(
                     f"step {node[1]}: received {meta!r} but the matched send "
                     f"carries {nodes[payload][-2:]!r}"
@@ -1143,6 +1292,101 @@ def _resolve(
     return out, where
 
 
+def _same(a: Any, b: Any, what: str) -> None:
+    """Two per-rank dimensions (ints or vectors) agree at every rank, or fallback."""
+    if not np.all(a == b):
+        raise CompileFallback(f"{what} at some ranks")
+
+
+def _extents(nodes: list[tuple], inputs: Mapping[str, _Input]) -> dict[tuple[int, int], Any]:
+    """Every extent's per-rank values, from one pass over the resolved graph.
+
+    Each node's dimensions follow the rules the reference's arrays obey:
+    an input's come from the block-shape table, a gather's are its
+    source's (a received block has its sender's shape), ``@`` takes its
+    operands' outer dimensions and ``+`` its operands' shape, and a
+    reduce its members'.  The rules recording deferred are checked
+    here: the inner dimensions of ``@`` agree, the operands of ``+``
+    have one shape, and every member of a reduce has one shape.  Any
+    rank that breaks one makes the run fall back.
+    """
+    values: dict[tuple[int, int], Any] = {}
+    dims: list[Any] = []
+    for i, node in enumerate(nodes):
+        kind = node[0]
+        got: tuple | None
+        if kind == "input":
+            got = inputs[node[1]].dims
+        elif kind == "gather":
+            src = node[2]
+            got = tuple(d if d.__class__ is int else d[src] for d in dims[node[1]])
+        elif kind == "matmul":
+            a, b = dims[node[1]], dims[node[2]]
+            _same(a[1], b[0], f"node {i}: the inner dimensions of a traced @ differ")
+            got = (a[0], b[1])
+        elif kind == "add":
+            a, b = dims[node[1]], dims[node[2]]
+            for x, y in zip(a, b):
+                _same(x, y, f"node {i}: the operands of a traced + differ in shape")
+            got = a
+        elif kind == "reduce":
+            members, row = node[2], node[3]
+            for d in dims[node[1]]:
+                if d.__class__ is not int:
+                    _same(d[members], d[members[:, :1]],
+                          f"node {i}: the members of a reduce differ in shape")
+            root = members[row, 0]
+            got = tuple(d if d.__class__ is int else d[root] for d in dims[node[1]])
+        else:  # a reduce-scatter's per-rank values
+            got = None
+        if got is not None:
+            # the node's own extents; its int dimensions agree by construction
+            for axis, (want, have) in enumerate(zip(node[-2], got)):
+                if want == ("s", i, axis):
+                    values[(i, axis)] = have
+        dims.append(got)
+    return values
+
+
+def _bind(
+    nodes: list[tuple], inputs: Mapping[str, _Input], deferred: list[tuple], returns: tuple, p: int
+) -> tuple:
+    """Set every symbolic size and cost to its per-rank values; bind the return template.
+
+    Each recorded key is evaluated once over the extents' vectors and
+    indexed by its phase's ranks.  Sizes and costs are checked here, per
+    rank, for the non-negativity the requests check on concrete values.
+    Returns the template with each expression leaf as its per-rank values.
+    """
+    values = _extents(nodes, inputs)
+    memo: dict[Any, Any] = {}
+
+    def per_rank(key: Any) -> Any:
+        if key not in memo:
+            memo[key] = evaluate(key, values)
+        return memo[key]
+
+    for phase, attr, key, at in deferred:
+        v = per_rank(key)
+        if at is not None and np.ndim(v):
+            v = v[at]
+        if attr == "nwords" and np.asarray(v).dtype.kind not in "iu":
+            raise CompileFallback(f"a message size {key!r} is not a whole number of words")
+        if np.any(np.asarray(v) < 0):
+            raise CompileFallback(f"{attr} {key!r} is negative at some ranks")
+        setattr(phase, attr, v)
+
+    def bind(template: tuple) -> tuple:
+        kind = template[0]
+        if kind == "expr":
+            return ("each", tuple(np.broadcast_to(per_rank(template[1]), (p,)).tolist()))
+        if kind in ("tuple", "list"):
+            return (kind, tuple(bind(child) for child in template[1]))
+        return template
+
+    return bind(returns)
+
+
 def compile_spmd(
     factories: Sequence[Callable[..., Any]],
     topology: Topology,
@@ -1166,11 +1410,16 @@ def compile_spmd(
     p = len(factories)
     axes = _build_axes(symmetry, p)
     probe_ranks = _probe_ranks(axes, symmetry, p)
-    inputs = _stacked_inputs(symmetry, p)
+    inputs = _grouped_inputs(symmetry, p)
     probes = _record_probes(factories, make_info, probe_ranks, inputs, max_ops)
     nodes, returns = _common_dataflow(probes)
-    phases, links = _lower([(pr.rank, pr.ops) for pr in probes], axes, topology, p)
+    phases, links, deferred = _lower([(pr.rank, pr.ops) for pr in probes], axes, topology, p)
     resolved, where = _resolve(nodes, links)
     _check_roles(probes, returns, where)
-    dataflow = Dataflow(resolved, returns, inputs, p, where)
+    # extents exist only where an input's blocks differ in shape; an even
+    # partition records plain ints and has nothing to bind
+    if any(any(inp.varies) for inp in inputs.values()):
+        returns = _bind(resolved, inputs, deferred, returns, p)
+    held = {name: inp.held for name, inp in inputs.items()}
+    dataflow = Dataflow(resolved, returns, held, p, where)
     return BatchSchedule(phases, p, probe_ranks, dataflow)

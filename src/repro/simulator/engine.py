@@ -112,7 +112,7 @@ from repro.simulator.compile import (
     CompileFallback,
     SymmetrySpec,
     compile_spmd,
-    unstacked_input,
+    ungroupable_input,
 )
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.faults import CompiledFaults, FaultPlan
@@ -561,7 +561,7 @@ class Engine:
             return "link contention enabled"
         if self.fault_plan is not None:
             return "active fault plan"
-        return unstacked_input(self.symmetry)
+        return ungroupable_input(self.symmetry)
 
     def _run_rescan(self, states: list[_RankState]) -> None:
         """The seed round-robin scheduler: rescan every pending rank each pass.

@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.simulator.payloads import TracedBlock
+from repro.simulator.payloads import Extent, TracedBlock
 
 __all__ = [
     "Compute",
@@ -49,11 +49,12 @@ __all__ = [
 ]
 
 
-def words_of(data: Any) -> int:
+def words_of(data: Any) -> Any:
     """Number of matrix words in *data* (arrays and traced blocks count
-    elements; scalars 1)."""
+    elements; scalars 1).  A traced block whose size differs from rank to
+    rank counts an :class:`~repro.simulator.payloads.Extent`."""
     if isinstance(data, (np.ndarray, TracedBlock)):
-        return int(data.size)
+        return data.size
     if isinstance(data, (list, tuple)):
         return sum(words_of(x) for x in data)
     return 1
@@ -67,7 +68,8 @@ class Compute:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
+        # an extent is checked per rank once the compiler binds it
+        if self.cost.__class__ is not Extent and self.cost < 0:
             raise ValueError("compute cost must be non-negative")
 
 
@@ -87,7 +89,8 @@ class Send:
     tag: int = 0
 
     def __post_init__(self) -> None:
-        if self.nwords < 0:
+        # an extent is checked per rank once the compiler binds it
+        if self.nwords.__class__ is not Extent and self.nwords < 0:
             raise ValueError("nwords must be non-negative")
 
 
@@ -199,7 +202,8 @@ Request = Compute | Send | SendAll | Recv | Barrier | Checkpoint | CollectiveOp
 # a symbolic descriptor carries the whole machine's: peer and hop fields
 # are numpy vectors indexed by rank, and sizes and costs are scalars
 # shared by every rank or, where a step's size depends on the rank's
-# position (reduce-scatter's uneven halves), vectors too.  A compiled
+# position (reduce-scatter's uneven halves, blocks of an uneven
+# partition), vectors too.  A compiled
 # schedule is simply a list of these phases; replaying it
 # (:func:`repro.simulator.charging.replay`) charges each phase as one
 # vectorized update into :class:`~repro.simulator.trace.RankArrays` with

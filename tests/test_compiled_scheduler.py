@@ -63,7 +63,7 @@ def _assert_identical(compiled, reference, p):
 
 #: (key, n, p) — smallest instances that exercise each driver's traffic;
 #: DNS at p = 16 is the block form, at p = 64 the one-element cube program
-DRIVER_CASES = [
+EVEN_CASES = [
     ("cannon", 16, 16),
     ("simple", 16, 16),
     ("fox", 16, 16),
@@ -72,6 +72,20 @@ DRIVER_CASES = [
     ("dns", 4, 64),
     ("gk", 16, 8),
 ]
+
+#: (key, n, p, fallback) — each driver at an uneven partition (n not a
+#: multiple of the grid or cube side; both DNS forms need r | n, so DNS
+#: has none), with why it falls back, or None where it compiles
+UNEVEN_CASES = [
+    ("cannon", 18, 16, None),
+    ("simple", 18, 16, "'allgather_rd' of a block whose size differs"),
+    ("fox", 18, 16, "no SymmetrySpec"),
+    ("berntsen", 9, 8, "'reduce_scatter' of a block whose size differs"),
+    # a 4-cube: broadcast rounds forward from non-roots, at the root's size
+    ("gk", 18, 64, None),
+]
+
+DRIVER_CASES = EVEN_CASES + [case[:3] for case in UNEVEN_CASES]
 
 
 def _operands(key, n):
@@ -106,7 +120,7 @@ def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypat
     np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
 
-@pytest.mark.parametrize("key,n,p", DRIVER_CASES)
+@pytest.mark.parametrize("key,n,p", EVEN_CASES)
 def test_compiled_engagement_matches_registry_annotation(key, n, p, monkeypatch):
     """With the macro path available, engagement == the library annotation.
 
@@ -120,6 +134,17 @@ def test_compiled_engagement_matches_registry_annotation(key, n, p, monkeypatch)
     # one-element form is the cube program GK runs, which compiles
     expected = registry.get(key).rank_symmetric or (key == "dns" and p == n**3)
     assert res.sim.compiled == expected, res.sim.compile_fallback
+
+
+@pytest.mark.parametrize("key,n,p,fallback", UNEVEN_CASES)
+def test_uneven_partitions_compile_or_say_why(key, n, p, fallback, monkeypatch):
+    """Cannon and GK compile at uneven partitions; all-gathers and
+    reduce-scatters of blocks whose size varies within a group do not."""
+    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    res = _run_driver(key, n, p, "compiled")
+    assert res.sim.compiled == (fallback is None), res.sim.compile_fallback
+    if fallback is not None:
+        assert fallback in res.sim.compile_fallback
 
 
 #: (driver, n, p): the drivers at a common size, GK at its native cube,
@@ -289,6 +314,15 @@ def test_symmetric_program_compiles():
     _assert_identical(res_c, res_h, p)
 
 
+def _ungroupable_spec(p):
+    """The ring, with an input list whose blocks differ in dtype."""
+    blocks = [np.ones((2, 2), dtype=np.float64 if r % 2 else np.float32) for r in range(p)]
+    return SymmetrySpec(
+        partitions={"ring": np.arange(p, dtype=np.int64)[None, :]},
+        inputs={"a": (blocks, np.arange(p))},
+    )
+
+
 @pytest.mark.parametrize(
     "kwargs,reason",
     [
@@ -296,6 +330,7 @@ def test_symmetric_program_compiles():
         (dict(trace=True), "tracing"),
         (dict(link_contention=True), "contention"),
         (dict(fault_plan=FaultPlan(seed=1)), "fault plan"),
+        (dict(symmetry=_ungroupable_spec(8)), "cannot be grouped into stacks"),
     ],
 )
 def test_pre_probe_blockers_fall_back(kwargs, reason):
@@ -378,8 +413,9 @@ def test_dataflow_that_is_not_symmetric_falls_back(arithmetic, reason):
     _assert_same_returns(res_c, res_h)
 
 
-def test_uneven_partition_falls_back_with_reason():
-    """Cannon at n = 30 on a 4x4 grid: blocks differ in shape, no stack."""
+def test_uneven_partition_compiles_bit_identically():
+    """Cannon at n = 30 on a 4x4 grid: blocks of 8 or 7 rows and columns,
+    evaluated on one stack per shape, bit for bit heap's and rescan's."""
     rng = np.random.default_rng(5)
     A = rng.standard_normal((30, 30))
     B = rng.standard_normal((30, 30))
@@ -387,10 +423,105 @@ def test_uneven_partition_falls_back_with_reason():
 
     res_c = run_cannon(A, B, 16, scheduler="compiled")
     res_h = run_cannon(A, B, 16, scheduler="heap")
-    assert not res_c.sim.compiled
-    assert "uneven" in res_c.sim.compile_fallback
+    res_r = run_cannon(A, B, 16, scheduler="rescan")
+    assert res_c.sim.compiled, res_c.sim.compile_fallback
     _assert_identical(res_c.sim, res_h.sim, 16)
+    _assert_identical(res_c.sim, res_r.sim, 16)
     assert np.array_equal(res_c.C, res_h.C)
+    assert np.array_equal(res_c.C, res_r.C)
+
+
+def _uneven_ring(p, rows, case):
+    """A ring whose A blocks have ``rows[r % len(rows)]`` rows at rank r
+    (a list input, so the row count is an extent) and whose B blocks are
+    one 3x3 stack.  *case* picks what the program does with them."""
+    rng = np.random.default_rng((p, len(rows)))
+    a_blocks = [rng.standard_normal((rows[r % len(rows)], 3)) for r in range(p)]
+    own = np.arange(p)
+    spec = SymmetrySpec(
+        partitions={"ring": own[None, :]},
+        inputs={"a": (a_blocks, own), "b": (rng.standard_normal((p, 3, 3)), own)},
+    )
+    ring = own.tolist()
+
+    def body(info: RankInfo):
+        a, b = info.input("a"), info.input("b")
+        if case == "int":
+            yield Compute(float(int(a.shape[0])))
+        elif case == "branch" and a.shape[0] > 1:
+            yield Compute(1.0)
+        elif case == "negative":
+            yield Compute(2.0 - a.shape[0])
+        if case == "reduce":
+            total = yield from coll.reduce_binomial(info, ring, 0, a, tag=2)
+            return total
+        yield Compute(9.0 * a.shape[0])
+        yield Send(dst=(info.rank + 1) % p, data=a, nwords=a.size, tag=1)
+        left = yield Recv(src=(info.rank - 1) % p, tag=1)
+        if case == "add":
+            return a + left
+        # sizes and costs from extents come back as the reference's numbers
+        return left @ b, left.size, 1.0 * left.shape[0] * 3
+    return body, spec
+
+
+def test_uneven_ring_compiles_sizes_and_products():
+    p = 8
+    program, spec = _uneven_ring(p, (2, 3, 3, 5), "ok")
+    res_c = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(program)
+    res_h = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="heap", symmetry=spec).run(program)
+    res_r = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="rescan", symmetry=spec).run(program)
+    assert res_c.compiled, res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_r, p)
+    for (c, size, cost), (c_h, size_h, cost_h) in zip(res_c.returns, res_h.returns):
+        assert np.array_equal(c, c_h)
+        assert (size, cost) == (size_h, cost_h)
+        assert (type(size), type(cost)) == (int, float)
+
+
+# rows 1 and 3 alternate: heap's numpy broadcasts (1, 3) + (3, 3), but
+# the traced + and the reduce demand one shape at every rank
+@pytest.mark.parametrize(
+    "case,reason",
+    [
+        ("int", "differs from rank to rank"),
+        ("branch", "differs from rank to rank"),
+        ("add", "the operands of a traced + differ in shape at some ranks"),
+        ("reduce", "the members of a reduce differ in shape at some ranks"),
+    ],
+)
+def test_uneven_programs_that_do_not_compile_fall_back(case, reason):
+    p = 8
+    program, spec = _uneven_ring(p, (1, 3), case)
+    res_c = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(program)
+    res_h = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="heap", symmetry=spec).run(program)
+    assert not res_c.compiled
+    assert reason in res_c.compile_fallback
+    _assert_identical(res_c, res_h, p)
+    for got, want in zip(res_c.returns, res_h.returns):
+        got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+        for x, y in zip(got, want):
+            assert (x is None) == (y is None)
+            assert y is None or np.array_equal(x, y)
+
+
+def test_a_cost_negative_at_some_ranks_falls_back():
+    """Heap raises where a rank's cost is negative; compiling must not hide it."""
+    p = 8
+    program, spec = _uneven_ring(p, (1, 3), "negative")
+    topo = Hypercube(3)
+    with pytest.raises(CompileFallback, match="negative at some ranks"):
+        compile_spmd(
+            [program] * p, topo, NCUBE2_LIKE, spec,
+            make_info=lambda r, inputs: RankInfo(
+                rank=r, nprocs=p, topology=topo, machine=NCUBE2_LIKE,
+                inputs=inputs, recording=True,
+            ),
+        )
+    for scheduler in ("compiled", "heap"):
+        with pytest.raises(ValueError, match="non-negative"):
+            Engine(topo, NCUBE2_LIKE, scheduler=scheduler, symmetry=spec).run(program)
 
 
 def test_malformed_symmetry_spec_raises():
@@ -537,8 +668,10 @@ def _law(kind, c, g):
     return (lambda row: c % g) if kind == "const" else (lambda row: (row + c) % g)
 
 
-def _rooted_program(groups, g, laws, relay, nwords, reuse_product):
+def _rooted_program(groups, g, laws, relay, nwords, reuse_product, default_op=False):
     bcast_root, reduce_root, src, dst = laws
+    # reduce_binomial's default op is operator.add
+    op = {} if default_op else {"op": operator.add}
 
     def body(info: RankInfo):
         row, col = divmod(info.rank, g)
@@ -552,8 +685,7 @@ def _rooted_program(groups, g, laws, relay, nwords, reuse_product):
         yield Compute(float(a.size))
         c = got @ b
         total = yield from coll.reduce_binomial(
-            info, group, reduce_root(row), c, op=operator.add, tag=2,
-            charge_op=lambda x: 0.5 * x.size,
+            info, group, reduce_root(row), c, tag=2, charge_op=lambda x: 0.5 * x.size, **op
         )
         # an allreduce: the reduce's roots broadcast its sums
         summed = yield from coll.bcast_binomial(info, group, reduce_root(row), total, tag=3)
@@ -581,6 +713,17 @@ def _assert_same_optional_returns(compiled, reference):
 def test_rooted_collectives_compile_bit_identically(seed, monkeypatch):
     """bcast, reduce and route (direct and relay) on random machines,
     group sizes (non-powers of two too) and root laws of both kinds."""
+    _check_rooted(seed, monkeypatch, default_op=False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduce_with_the_default_op_compiles(seed, monkeypatch):
+    """reduce_binomial's default op is a plain add: compiled runs match
+    heap and rescan with it."""
+    _check_rooted(seed, monkeypatch, default_op=True)
+
+
+def _check_rooted(seed, monkeypatch, default_op):
     rng = np.random.default_rng(100 + seed)
     relay = seed % 4 == 3
     g = int(rng.choice([4, 8])) if relay else int(rng.choice([2, 3, 5, 6, 7, 8]))
@@ -605,7 +748,9 @@ def test_rooted_collectives_compile_bit_identically(seed, monkeypatch):
     )
     nwords = None if seed % 3 else 7
     spec, groups = _grid_spec(rows, g, (2, 2), seed)
-    program = _rooted_program(groups, g, laws, relay, nwords, reuse_product=bool(seed % 2))
+    program = _rooted_program(
+        groups, g, laws, relay, nwords, reuse_product=bool(seed % 2), default_op=default_op
+    )
     res_c = Engine(topo, machine, scheduler="compiled", symmetry=spec).run(program)
     res_h = Engine(topo, machine, scheduler="heap", symmetry=spec).run(program)
     res_r = Engine(topo, machine, scheduler="rescan", symmetry=spec).run(program)
@@ -690,13 +835,45 @@ STACKED_BLOCKS = [
     *((512, n // 8) for n in (88, 176, 264, 352, 440)),
 ]
 
+#: (n, side) of every uneven partition the paper pipeline compiles: GK's
+#: Fig. 5 points on the 8-cube, ``iso_gk`` (cube sides 2, 4, 8) and
+#: ``iso_cannon`` (grid sides 2, 4, 8).  Their blocks are q or q + 1 wide,
+#: q = n // side, so a class product is any (rows, inner, cols) triple
+#: of the two.
+UNEVEN_POINTS = [
+    *((n, 8) for n in (44, 66, 110, 132, 220, 308)),
+    (15, 2), (47, 4), (130, 8),
+    (9, 2), (17, 4), (34, 8),
+]
+CLASS_TRIPLES = sorted(
+    {
+        (r, k, c)
+        for n, side in UNEVEN_POINTS
+        for r in (n // side, n // side + 1)
+        for k in (n // side, n // side + 1)
+        for c in (n // side, n // side + 1)
+    }
+)
 
-@pytest.mark.parametrize("count,b", STACKED_BLOCKS)
+
+@pytest.mark.parametrize(
+    "count,b",
+    [
+        *STACKED_BLOCKS,
+        # one stack per class, of 1 to 81 blocks (a chunk's share of a class)
+        *(
+            pytest.param(count, triple, id=f"{count}-{'x'.join(map(str, triple))}")
+            for triple in CLASS_TRIPLES
+            for count in (1, 3, 81)
+        ),
+    ],
+)
 def test_stacked_matmul_equals_per_block_products(count, b):
     """Compiled payloads multiply on stacks; heap multiplies block by block."""
-    rng = np.random.default_rng((count, b))
-    a = rng.standard_normal((count, b, b))
-    c = rng.standard_normal((count, b, b))
+    rows, inner, cols = (b, b, b) if isinstance(b, int) else b
+    rng = np.random.default_rng((count, rows, inner, cols))
+    a = rng.standard_normal((count, rows, inner))
+    c = rng.standard_normal((count, inner, cols))
     stacked = np.matmul(a, c)
     assert all(np.array_equal(stacked[k], a[k] @ c[k]) for k in range(count))
 
@@ -766,3 +943,32 @@ def test_totals_fall_back_to_python_sums_without_arrays():
     assert sim.total_words == with_arrays[1]
     assert sim.total_compute_time == pytest.approx(with_arrays[2], rel=1e-12)
     assert sim.total_comm_time == pytest.approx(with_arrays[3], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the paper pipeline compiles everywhere, uneven partitions included
+# ---------------------------------------------------------------------------
+
+
+def test_paper_pipeline_never_falls_back_after_probing(monkeypatch):
+    """Figs. 4 and 5 (Fig. 5's n = 44 partitions unevenly on the 8-cube)
+    and the scaling experiment (its iso points are all uneven), with any
+    ``CompileFallback`` raised while compiling turned into a failure.
+
+    perfbench's 65,536-rank watch rebinds ``compile_spmd`` this way for
+    the rest of its process and runs the paper workload there afterwards,
+    so a run that falls back after probing fails that benchmark.
+    """
+    from repro.experiments import figures45, scaling
+
+    def strict(*args, **kwargs):
+        try:
+            return compile_spmd(*args, **kwargs)
+        except CompileFallback as exc:
+            raise AssertionError(f"fell back after probing: {exc}") from exc
+
+    monkeypatch.setattr(engine_mod, "compile_spmd", strict)
+    figs = [figures45.run_fig4(sizes=(8, 16)), figures45.run_fig5(sizes=(44,))]
+    parts = scaling.run()
+    assert all(r["gk_compiled"] and r["cannon_compiled"] for f in figs for r in f.rows)
+    assert all(r["compiled"] for rows in parts.values() for r in rows)

@@ -29,8 +29,8 @@ from repro.simulator.topology import FullyConnected
 
 #: (figure, algorithm, n, p) — matrix sizes drawn from the figures'
 #: plotted ranges, including each figure's crossover neighborhood; GK's
-#: Fig. 5 points at n = 44 and 110 partition unevenly (heap), n = 264
-#: evenly (compiled).
+#: Fig. 5 points at n = 44 and 110 partition unevenly (blocks of four
+#: shapes, one stack per shape), n = 264 evenly.  Every one compiles.
 CM5_CONFIGS = [
     ("fig4", "gk", 8, 64),
     ("fig4", "gk", 64, 64),
@@ -75,6 +75,8 @@ def test_ready_and_rescan_identical_on_cm5_configs(
     figure, algorithm, n, p, macro, scheduler, monkeypatch
 ):
     ready = _run(algorithm, n, p, scheduler, macro, monkeypatch)
+    if scheduler == "compiled":
+        assert ready.sim.compiled, ready.sim.compile_fallback
     # the rescan reference always simulates message level (the engine
     # rejects macro requests there), so with macro=True this pins the
     # fast path against the reference on the real figure workloads
