@@ -4,18 +4,16 @@ Ten workloads are timed, each against a faithful replica of the
 implementation it replaced:
 
 * ``engine`` — one representative grid of simulations under the seed
-  ``rescan`` scheduler vs the event-driven ``ready`` scheduler.
+  ``rescan`` scheduler vs the event-heap ``heap`` scheduler.
 * ``engine_heap`` — the event-heap scheduler on a message-path-heavy
   relay-ring workload at ``p = 4096`` and ``p = 16384``.  Tokens travel
   toward decreasing ranks, so every rescan pass (which steps ranks in
   increasing order) advances each ring by a single hop and pays an
   O(p) scan per event — the scheduling cost the heap's O(log p) pops
-  eliminate.  The *gated* configuration is fault-active: with a
-  ``FaultPlan`` set, requesting ``scheduler="ready"`` silently resolves
-  to the rescan reference (that fallback is exactly the 4096-rank
-  ceiling the heap core removes), so the heap-vs-ready-setting speedup
-  there is the honest measure of what selecting ``heap`` buys.  Plain
-  no-fault numbers for all three schedulers are reported informationally.
+  eliminate.  The *gated* configuration is fault-active (a
+  ``FaultPlan`` set): heap against the rescan reference, the only other
+  scheduler that charges a plan.  Plain no-fault numbers for both are
+  reported informationally.
 * ``engine_compiled`` — the trace compiler (``scheduler="compiled"``)
   on fault-free Cannon at ``p = 65536`` (``--fast``: 4096) vs the event
   heap.  The compiled path replays the recorded batch schedule with zero
@@ -29,18 +27,15 @@ implementation it replaced:
   and live allocation blocks for both schedulers at ``p = 1024``.
 * ``sweep`` — the seed sweep loop (per-row ``A @ B`` verification,
   rescan scheduler, no cache) vs the current harness (hoisted per-``n``
-  verification, ready scheduler, ``jobs`` workers).  The *pipeline*
+  verification, default scheduler, ``jobs`` workers).  The *pipeline*
   numbers run the same grid twice — a sweep followed by a re-query, the
   figure-regeneration / re-export scenario the shared result cache is
   for — so the second pass is served from cache.
 * ``region_map`` — the seed per-cell ``best_algorithm`` Python loop vs
   the vectorized ``winner_grid`` map, on the Figure 1 machine.
-* ``collectives`` — the macro-collective fast path.  A broadcast-heavy
-  program at ``p = 1024`` is timed under the macro path, the
-  message-level ready path, and the rescan reference (the message-level
-  reference configuration every other speedup here is judged against);
-  the Figure 4/5 regeneration pipeline is timed in the default fast
-  configuration vs that same reference.
+* ``collectives`` — the Figure 4/5 regeneration pipeline under the
+  default scheduler vs the rescan reference (the configuration every
+  other speedup here is judged against).
 
 * ``refinement`` — the adaptive region-map refinement
   (:func:`repro.core.refine.refine_winner_grid`) vs the dense vectorized
@@ -66,8 +61,8 @@ The engine/sweep/region-map/collectives sections run with the disk tier
 disabled so their baselines measure computation, not shard reloads.
 
 Results land in ``BENCH_PR10.json`` together with pass/fail acceptance
-flags (pipeline sweep >= 2.5x, region_map >= 5x, macro broadcast >= 4x
-over the reference, Figure 4/5 pipeline >= 1.25x, refinement >= 8x at
+flags (pipeline sweep >= 2.5x, region_map >= 5x, Figure 4/5 pipeline
+>= 1.25x over the reference, refinement >= 8x at
 its largest grid and >= 1.5x at 1024^2, warm disk-cache figures
 pipeline >= 10x over cold, engine_heap fault-active >= 10x at
 p = 16384, engine_compiled >= 8x over the heap at p = 65536 and
@@ -106,7 +101,7 @@ from repro.core.machine import NCUBE2_LIKE, MachineParams  # noqa: E402
 from repro.core.models import MODELS  # noqa: E402
 from repro.core.regions import best_algorithm, region_map  # noqa: E402
 from repro.experiments.sweep import sweep  # noqa: E402
-from repro.simulator import collectives, engine  # noqa: E402
+from repro.simulator import engine  # noqa: E402
 from repro.simulator.engine import Engine  # noqa: E402
 from repro.simulator.faults import FaultPlan  # noqa: E402
 from repro.simulator.request import Recv, Send  # noqa: E402
@@ -168,19 +163,6 @@ def _with_scheduler(name: str, fn):
         engine.DEFAULT_SCHEDULER = prev
 
 
-def _with_config(scheduler: str, macro: bool, fn):
-    """Run *fn* with both engine defaults (scheduler, macro path) forced."""
-    prev_s = engine.DEFAULT_SCHEDULER
-    prev_m = engine.DEFAULT_MACRO_COLLECTIVES
-    engine.DEFAULT_SCHEDULER = scheduler
-    engine.DEFAULT_MACRO_COLLECTIVES = macro
-    try:
-        return fn()
-    finally:
-        engine.DEFAULT_SCHEDULER = prev_s
-        engine.DEFAULT_MACRO_COLLECTIVES = prev_m
-
-
 def _time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -204,8 +186,8 @@ def bench_engine(fast: bool, repeats: int) -> dict:
                 run_cannon(A, B, p, machine=MACHINE)
 
     rescan = _time(lambda: _with_scheduler("rescan", run_grid), repeats)
-    ready = _time(lambda: _with_scheduler("ready", run_grid), repeats)
-    return {"rescan_s": rescan, "ready_s": ready, "speedup": rescan / ready}
+    heap = _time(lambda: _with_scheduler("heap", run_grid), repeats)
+    return {"rescan_s": rescan, "heap_s": heap, "speedup": rescan / heap}
 
 
 def _relay_factory(ring_len: int):
@@ -234,20 +216,17 @@ def _relay_factory(ring_len: int):
 
 
 def bench_engine_heap(fast: bool, repeats: int) -> dict:
-    """Heap vs ready vs rescan on the message-path relay workload.
+    """Heap vs rescan on the message-path relay workload.
 
     Two configurations per machine size:
 
-    * *plain* — no faults, no tracing.  All three schedulers are real
-      alternatives here; the heap-vs-rescan ratio shows the scheduling
-      asymptotics, the heap-vs-ready ratio is honest about the shared
-      per-event floor (generator resumes, request objects) that no
-      scheduler removes.
-    * *fault_active* — an active ``FaultPlan`` (link degradation).  Here
-      ``scheduler="ready"`` resolves to the rescan reference — the
-      pre-heap engine had no fast path at all in this configuration —
-      so this ratio is what the ``heap`` selection actually buys on
-      fault-active runs, and it is the gated number.
+    * *plain* — no faults, no tracing; the ratio shows the scheduling
+      asymptotics.
+    * *fault_active* — an active ``FaultPlan`` (link degradation), which
+      heap charges through the reference helpers.  The pre-heap engine
+      had no fast path at all in this configuration, so this ratio is
+      what the heap core buys on fault-active runs, and it is the gated
+      number.
 
     Every timed run's ``parallel_time`` is cross-checked between
     schedulers, so the speedup is never measured against a diverged
@@ -271,34 +250,24 @@ def bench_engine_heap(fast: bool, repeats: int) -> dict:
             )
             return eng.run([prog] * p).parallel_time
 
-        t_p = {
-            (s, f): run_with(s, f)
-            for s in ("heap", "ready", "rescan") for f in (False, True)
-        }
-        assert len({t for (s, f), t in t_p.items() if not f}) == 1
-        assert len({t for (s, f), t in t_p.items() if f}) == 1
+        for fault in (False, True):
+            assert run_with("heap", fault) == run_with("rescan", fault)
 
         heap_s = _time(lambda: run_with("heap", False), rep)
-        ready_s = _time(lambda: run_with("ready", False), rep)
         rescan_s = _time(lambda: run_with("rescan", False), rep)
         fault_heap_s = _time(lambda: run_with("heap", True), rep)
-        fault_ready_setting_s = _time(lambda: run_with("ready", True), rep)
+        fault_rescan_s = _time(lambda: run_with("rescan", True), rep)
         sizes[str(p)] = {
             "ring_len": length,
             "plain": {
                 "heap_s": heap_s,
-                "ready_s": ready_s,
                 "rescan_s": rescan_s,
                 "heap_over_rescan": rescan_s / heap_s,
-                "heap_over_ready": ready_s / heap_s,
             },
             "fault_active": {
                 "heap_s": fault_heap_s,
-                "ready_setting_s": fault_ready_setting_s,
-                "speedup": fault_ready_setting_s / fault_heap_s,
-                "note": "scheduler='ready' resolves to the rescan reference "
-                        "when a FaultPlan is active; heap is the only fast "
-                        "path in this configuration",
+                "rescan_s": fault_rescan_s,
+                "speedup": fault_rescan_s / fault_heap_s,
             },
         }
     return {
@@ -520,46 +489,8 @@ def bench_sweep(fast: bool, repeats: int, jobs: int) -> dict:
     }
 
 
-def _bcast_heavy_factory(p: int, rounds: int):
-    """A broadcast-dominated SPMD program over the full machine.
-
-    Rotating roots keep every round a genuine one-to-all broadcast (the
-    pattern the GK algorithm's outer loop is made of) while the single
-    full-machine group (``g = p``) is exactly where the macro executors
-    amortize best.
-    """
-    group = list(range(p))
-
-    def prog(info):
-        data = np.ones(64)
-        acc = 0.0
-        for r in range(rounds):
-            root = r % 8
-            got = yield from collectives.bcast_binomial(
-                info, group, root, data if info.rank == root else None
-            )
-            acc += float(got[0])
-        return acc
-
-    return prog
-
-
 def bench_collectives(fast: bool, repeats: int) -> dict:
     from repro.experiments import figures45
-    from repro.simulator.topology import Hypercube
-
-    # the macro acceptance gate is judged at p = 1024 even in --fast runs
-    # (the whole bench is a few seconds); only the fig4/5 grids shrink
-    p, rounds = 1024, 32
-    topo = Hypercube.of_size(p)
-    factory = _bcast_heavy_factory(p, rounds)
-
-    def run_bcast():
-        engine.run_spmd(topo, NCUBE2_LIKE, factory)
-
-    macro_s = _time(lambda: _with_config("ready", True, run_bcast), repeats)
-    msg_ready_s = _time(lambda: _with_config("ready", False, run_bcast), repeats)
-    reference_s = _time(lambda: _with_config("rescan", False, run_bcast), repeats)
 
     fig4_sizes = (16, 48) if fast else (16, 48, 96, 144)
     fig5_sizes = (66, 132) if fast else (66, 132, 264, 352)
@@ -568,19 +499,10 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
         figures45.run_fig4(sizes=fig4_sizes)
         figures45.run_fig5(sizes=fig5_sizes)
 
-    fig45_fast_s = _time(lambda: _with_config("ready", True, run_fig45), repeats)
-    fig45_reference_s = _time(lambda: _with_config("rescan", False, run_fig45), repeats)
+    fig45_fast_s = _time(run_fig45, repeats)
+    fig45_reference_s = _time(lambda: _with_scheduler("rescan", run_fig45), repeats)
 
     return {
-        "bcast": {
-            "p": p,
-            "rounds": rounds,
-            "macro_s": macro_s,
-            "msg_ready_s": msg_ready_s,
-            "reference_s": reference_s,
-            "speedup_vs_reference": reference_s / macro_s,
-            "speedup_vs_msg_ready": msg_ready_s / macro_s,
-        },
         "fig45_pipeline": {
             "fig4_sizes": list(fig4_sizes),
             "fig5_sizes": list(fig5_sizes),
@@ -774,12 +696,6 @@ def main(argv=None) -> int:
         "sweep_pipeline_speedup_ge_2_5x":
             report["sweep"]["pipeline_speedup"] >= 2.5,
         "region_map_speedup_ge_5x": report["region_map"]["speedup"] >= 5.0,
-        # the denominator is the rescan reference configuration, which the
-        # ENG006 cleanup made ~25% faster (see the fig45/sweep gate notes);
-        # the measured ratio moved from ~5.9x to ~4.6-4.9x while the macro
-        # path itself is unchanged, so the gate sits under the new floor
-        "macro_bcast_speedup_ge_4x":
-            report["collectives"]["bcast"]["speedup_vs_reference"] >= 4.0,
         # the full-size fig 4/5 grids spend most of their time in local
         # numpy matmuls that are identical in both configurations, which
         # dilutes the scheduler/collective advantage relative to the
@@ -815,15 +731,15 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     print(f"engine:     rescan {report['engine']['rescan_s']:.3f}s  "
-          f"ready {report['engine']['ready_s']:.3f}s  "
+          f"heap {report['engine']['heap_s']:.3f}s  "
           f"speedup {report['engine']['speedup']:.2f}x")
     for p, sz in heap_sizes.items():
         pl, fa = sz["plain"], sz["fault_active"]
         print(f"engine_heap: p={p} plain heap {pl['heap_s']:.3f}s "
-              f"ready {pl['ready_s']:.3f}s rescan {pl['rescan_s']:.3f}s "
+              f"rescan {pl['rescan_s']:.3f}s "
               f"({pl['heap_over_rescan']:.1f}x vs rescan)  "
               f"fault-active heap {fa['heap_s']:.3f}s "
-              f"ready-setting {fa['ready_setting_s']:.3f}s "
+              f"rescan {fa['rescan_s']:.3f}s "
               f"({fa['speedup']:.1f}x)")
     for p, sz in compiled_sizes.items():
         print(f"engine_compiled: p={p} heap {sz['heap_s']:.3f}s "
@@ -840,12 +756,8 @@ def main(argv=None) -> int:
     print(f"region_map: seed {report['region_map']['seed_style_s']*1e3:.1f}ms  "
           f"vectorized {report['region_map']['vectorized_s']*1e3:.2f}ms  "
           f"speedup {report['region_map']['speedup']:.1f}x")
-    bc = report["collectives"]["bcast"]
     f45 = report["collectives"]["fig45_pipeline"]
-    print(f"collectives: bcast p={bc['p']} macro {bc['macro_s']:.3f}s  "
-          f"reference {bc['reference_s']:.3f}s ({bc['speedup_vs_reference']:.2f}x, "
-          f"{bc['speedup_vs_msg_ready']:.2f}x vs msg-ready)  "
-          f"fig45 {f45['fast_s']:.3f}s vs {f45['reference_s']:.3f}s "
+    print(f"collectives: fig45 {f45['fast_s']:.3f}s vs {f45['reference_s']:.3f}s "
           f"({f45['speedup_vs_reference']:.2f}x)")
     for res, r in report["refinement"]["resolutions"].items():
         print(f"refinement: {res}x{res} dense {r['dense_s']*1e3:.1f}ms  "

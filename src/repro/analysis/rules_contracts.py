@@ -138,13 +138,13 @@ class MachineFingerprintRule(Rule):
 class HeapInsertionEverywhereRule(Rule):
     """ENG007: event-heap insertion goes through Engine._schedule, repo-wide.
 
-    ENG006 polices ``heappush`` inside ``engine.py``; this rule extends
-    the single-insertion-point contract to *every* module.  The heap's
-    total order is the ``(timestamp, priority, seq, rank)`` key and the
-    monotone ``seq`` is owned by ``Engine._schedule`` — an experiment or
-    report heappushing into an engine's heap (or building its own event
-    heap with bare tuples) forks the ordering contract and silently
-    breaks replay determinism.
+    The heap's total order is the ``(timestamp, priority, seq, rank)``
+    key and the monotone ``seq`` that makes ties deterministic is owned
+    by ``Engine._schedule``.  A ``heappush`` anywhere else — in
+    ``engine.py`` itself, or an experiment or report heappushing into an
+    engine's heap (or building its own event heap with bare tuples) —
+    can push a malformed key or reuse a sequence number, forking the
+    ordering contract and silently breaking replay determinism.
     """
 
     rule_id = "ENG007"

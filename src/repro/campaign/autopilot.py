@@ -56,7 +56,7 @@ class AutopilotProfile:
     cube_p_pool: tuple[int, ...] = (8, 64)
     ts_pool: tuple[float, ...] = (10.0, 50.0, 150.0)
     tw_pool: tuple[float, ...] = (0.5, 1.0, 4.0)
-    schedulers: tuple[str, ...] = ("ready", "rescan", "heap")
+    schedulers: tuple[str, ...] = ("compiled", "rescan", "heap")
     topologies: tuple[str, ...] = ("hypercube", "hypercube", "fully-connected")
     fault_kinds: tuple[str, ...] = (
         "none", "drops", "stragglers", "degrade", "crash", "drops",
@@ -76,7 +76,7 @@ PROFILES: dict[str, AutopilotProfile] = {
         cube_p_pool=(8,),
         ts_pool=(10.0, 150.0),
         tw_pool=(1.0, 4.0),
-        schedulers=("ready", "heap"),
+        schedulers=("compiled", "heap"),
     ),
 }
 

@@ -48,13 +48,18 @@ _SIGNATURES = (
 def alt_scheduler_for(scenario: Scenario) -> str:
     """The scheduler the divergence oracle cross-checks against.
 
-    Always a pair with a bit-identity contract: the reference (rescan)
-    against the heap core.  ``ready`` scenarios are checked against
-    ``heap`` (under an active fault plan ``ready`` itself degrades to
-    rescan, so the pair still spans both cores); ``compiled`` replays
-    are checked against the ``heap`` schedule they were compiled from.
+    Always a pair with a bit-identity contract: ``heap`` scenarios are
+    checked against the reference (``rescan``), ``rescan`` scenarios
+    against ``heap``, and ``compiled`` replays against the ``heap``
+    schedule they were compiled from.  A fault plan stops compilation,
+    so a ``compiled`` scenario with one runs on heap and is checked
+    against ``rescan``, keeping the pair across two cores.
     """
-    return "rescan" if scenario.scheduler == "heap" else "heap"
+    if scenario.scheduler == "heap" or (
+        scenario.scheduler == "compiled" and not scenario.fault_plan.is_null
+    ):
+        return "rescan"
+    return "heap"
 
 
 def _topology_for(kind: str, p: int) -> Topology | None:

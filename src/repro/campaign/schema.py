@@ -44,7 +44,7 @@ __all__ = [
 #: Version salt of the scenario canonical form.  Bump whenever the
 #: schema's *meaning* changes (a new field, a changed default) so old
 #: scenario IDs go stale instead of aliasing different experiments.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Interconnects a scenario may request.  ``"hypercube"`` is the paper's
 #: machine (each driver embeds its logical grid into it);
@@ -110,8 +110,9 @@ class Scenario:
     fault_plan: FaultPlan = FaultPlan()
     """What may go wrong (``FaultPlan()`` = the failure-free machine)."""
 
-    scheduler: str = "ready"
-    """Engine scheduler (one of :data:`~repro.simulator.engine.SCHEDULERS`)."""
+    scheduler: str = "compiled"
+    """Engine scheduler (one of :data:`~repro.simulator.engine.SCHEDULERS`);
+    the default is the engine's."""
 
     seed: int = 0
     """Operand seed: matrices come from ``default_rng((seed, n))``,
@@ -286,7 +287,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         p_values=tuple(int(v) for v in doc["p_values"]),
         topology=doc.get("topology", "hypercube"),
         fault_plan=fault_plan,
-        scheduler=doc.get("scheduler", "ready"),
+        scheduler=doc.get("scheduler", "compiled"),
         seed=doc.get("seed", 0),
         verify=doc.get("verify", True),
         name=doc.get("name", ""),

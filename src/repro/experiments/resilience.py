@@ -141,8 +141,8 @@ def run(
     *scheduler* selects the engine core (``None`` = engine default).
     Fault-active runs are bit-identical between the reference (rescan)
     and heap schedulers, so the report's curves do not depend on it —
-    passing ``"heap"`` merely changes how the timeline is scheduled
-    internally (``"ready"`` silently falls back to rescan under a plan).
+    passing ``"rescan"`` merely changes how the timeline is scheduled
+    internally (the default takes heap under a plan).
     """
     A, B = _operands(n, seed)
     expected = A @ B if verify else None

@@ -1,10 +1,10 @@
 """Shared vectorized charging helpers for the simulator cost model.
 
 Every code path that charges message costs against whole rank vectors —
-the event-heap scheduler's batched branches (:mod:`repro.simulator.engine`),
-the macro-collective executor (:mod:`repro.simulator.macro`), and the
-record→replay trace compiler (:mod:`repro.simulator.compile`) — goes
-through the two helpers in this module so the arithmetic cannot drift
+the event-heap scheduler's batched branches (:mod:`repro.simulator.engine`)
+and the record→replay trace compiler (:mod:`repro.simulator.compile`),
+compiled collectives included — goes through the two helpers in this
+module so the arithmetic cannot drift
 from the scalar reference in :meth:`repro.core.machine.MachineParams`:
 
 * sender busy time: ``ts + tw*m``

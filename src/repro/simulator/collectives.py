@@ -27,24 +27,17 @@ subcube whose members differ only in *k* fixed bit positions — which is
 how every algorithm in this package lays out its groups — each step of
 the power-of-two collectives crosses exactly one hypercube link.
 
-Macro fast path
----------------
+Compiled collectives
+--------------------
 
-When the engine advertises ``info.macro_collectives`` (tracing off, link
-contention off, no fault plan, event-driven scheduler), each helper validates its
-arguments and then yields a single
-:class:`~repro.simulator.request.CollectiveOp` instead of its message
-sequence; the engine rendezvouses the group and applies one closed-form,
-vectorized clock/stats update (:mod:`repro.simulator.macro`) that is
-bit-identical to the message-level path below — same clocks, same
-per-rank accounts, same message/word totals, same payload aliasing.  The
-message-level implementations remain the reference: the fuzz suite pins
-the two paths against each other.
-
-A helper handed a traced block (a trace-compiler probe's stand-in, see
-:mod:`repro.simulator.payloads`) posts its ``CollectiveOp`` at any group
-size, so the compiler sees one collective whose payload it can move,
-not the message-level loop's position-dependent slicing.  The rooted
+On the generator schedulers (``heap`` and the ``rescan`` reference)
+every helper runs as the messages below.  A helper handed a traced
+block (a trace-compiler probe's stand-in, see
+:mod:`repro.simulator.payloads`) instead yields one
+:class:`~repro.simulator.request.CollectiveOp`, so the compiler sees one
+collective whose payload it can move, not the message-level loop's
+position-dependent slicing, and lowers it to whole-machine rounds
+charged by :func:`repro.simulator.charging.replay`.  The rooted
 collectives (``bcast_binomial``, ``reduce_binomial``, ``route``) post it
 on every probe rank (``info.recording``), root or not: a non-root holds
 ``None`` there, as it does here, and the compiler infers the root from
@@ -80,22 +73,6 @@ __all__ = [
 ]
 
 
-#: Smallest group for which a helper takes the macro fast path.  Below
-#: this, the per-call numpy overhead of the vectorized executors exceeds
-#: the message-level cost (measured crossover is near 64 ranks); above
-#: it the fast path wins and keeps widening.  Both paths are
-#: bit-identical, so this is purely a performance knob — tests pin it to
-#: 2 to force macro coverage of small groups.
-MACRO_GROUP_MIN: int = 64
-
-
-def _posts_op(info: RankInfo, g: int, data: Any) -> bool:
-    """Whether a helper posts its :class:`CollectiveOp` form."""
-    return isinstance(data, TracedBlock) or (
-        info.macro_collectives and g >= MACRO_GROUP_MIN
-    )
-
-
 def my_index(info: RankInfo, group: Sequence[int]) -> int:
     """This rank's position inside *group* (raises if absent)."""
     try:
@@ -127,7 +104,7 @@ def bcast_binomial(
     returned unchanged.  Takes ``ceil(log2 g)`` sequential message steps.
     """
     g = len(group)
-    if info.recording or _posts_op(info, g, data):
+    if info.recording or isinstance(data, TracedBlock):
         result = yield CollectiveOp(
             kind="bcast", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -173,7 +150,7 @@ def reduce_binomial(
     from repro.simulator.request import Compute  # local to avoid cycle noise
 
     g = len(group)
-    if info.recording or _posts_op(info, g, data):
+    if info.recording or isinstance(data, TracedBlock):
         result = yield CollectiveOp(
             kind="reduce", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -217,7 +194,7 @@ def allgather_recursive_doubling(
     g = len(group)
     if g & (g - 1):
         raise ProgramError(f"recursive doubling needs a power-of-two group, got {g}")
-    if _posts_op(info, g, data):
+    if isinstance(data, TracedBlock):
         result = yield CollectiveOp(
             kind="allgather_rd", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -250,7 +227,7 @@ def allgather_ring(
 ):
     """All-to-all broadcast over *group* on a logical ring (``g-1`` steps)."""
     g = len(group)
-    if _posts_op(info, g, data):
+    if isinstance(data, TracedBlock):
         result = yield CollectiveOp(
             kind="allgather_ring", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -297,19 +274,14 @@ def reduce_scatter_halving(
     if g & (g - 1):
         raise ProgramError(f"recursive halving needs a power-of-two group, got {g}")
     if isinstance(data, TracedBlock):
-        flat = data
-    else:
-        flat = np.ascontiguousarray(data).reshape(-1).astype(
-            np.result_type(data, np.float64), copy=True
-        )
-    if _posts_op(info, g, data):
-        # the private working copy above is made eagerly, exactly when the
-        # reference path would; the executor reduces it in place
         result = yield CollectiveOp(
             kind="reduce_scatter", group=group if type(group) is list else list(group),
-            data=flat, tag=tag, charge_adds=charge_adds,
+            data=data, tag=tag, charge_adds=charge_adds,
         )
         return result
+    flat = np.ascontiguousarray(data).reshape(-1).astype(
+        np.result_type(data, np.float64), copy=True
+    )
     idx = my_index(info, group)
     lo, hi = 0, flat.size
 
@@ -355,9 +327,9 @@ def shift_cyclic(
     """
     g = len(group)
     if offset % g == 0:
-        my_index(info, group)  # keep the membership check of the slow path
+        my_index(info, group)  # keep the membership check of the message path
         return data
-    if _posts_op(info, g, data):
+    if isinstance(data, TracedBlock):
         result = yield CollectiveOp(
             kind="shift", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, offset=offset,

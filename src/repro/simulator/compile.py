@@ -19,9 +19,10 @@ determines the stream of all ``p`` ranks — which is what lets
    own tag-matched earlier ``Send`` payload (rank symmetry says the true
    payload has the same structure); a payload not derived from the
    declared inputs is handed back as it is.  Collective helpers handed a
-   traced block post their :class:`CollectiveOp` form at any group size,
-   and the rooted ones (``bcast``, ``reduce``, ``route``) post it on
-   every probe, root or not.  A probe gets a traced block wherever the
+   traced block post their :class:`CollectiveOp` form (the generator
+   schedulers only ever see their messages), and the rooted ones
+   (``bcast``, ``reduce``, ``route``) post it on every probe, root or
+   not.  A probe gets a traced block wherever the
    reference returns a value and ``None`` wherever it returns ``None``;
    the probes are recorded side by side, so a non-root can take its
    broadcast block's shape from a probe at the root.  Under an uneven
@@ -45,7 +46,7 @@ determines the stream of all ``p`` ranks — which is what lets
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    and hop fields are precomputed ``(p,)`` vectors, built once per
    (axis, law, offset) and shared by every phase that uses them.  Each
-   macro collective is lowered to the send/receive rounds it stands for
+   posted collective is lowered to the send/receive rounds it stands for
    (a :class:`~repro.simulator.request.SymCollective` wrapping
    :class:`SymSend`/:class:`SymRecv` pairs, plus the adds of a
    reduce-scatter or reduce); a rooted collective's rounds are *masked*
@@ -158,7 +159,7 @@ __all__ = [
 _MAX_TRACE_OPS = 200_000
 _INDEX = np.dtype(np.int64)
 
-#: Macro collectives the compiler lowers to send/receive rounds on every rank.
+#: Collectives the compiler lowers to send/receive rounds on every rank.
 _LOWERED_KINDS = ("shift", "allgather_rd", "allgather_ring", "reduce_scatter")
 
 #: Rooted collectives, lowered to masked rounds around a root (a route's
@@ -318,38 +319,10 @@ def _payload(data: Any) -> int | None:
     return data.node
 
 
-def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
-    """The structural stand-in for a collective over an untraced payload."""
-    g = len(req.group)
-    if req.kind == "shift":
-        # reference returns the (src)-neighbor's payload: same structure
-        return req.data
-    if req.kind in ("allgather_rd", "allgather_ring"):
-        return [req.data] * g
-    # reduce_scatter: walk the recursive-halving index arithmetic for
-    # this rank's position; values are the probe's own (unsummed) words
-    # but the slice geometry — all that can feed back into timing — is exact
-    idx = list(req.group).index(rank)
-    flat = req.data
-    lo, hi = 0, int(flat.size)
-    block = g
-    while block > 1:
-        half = block // 2
-        mid = lo + (hi - lo) // 2
-        if idx % block < half:
-            hi = mid
-        else:
-            lo = mid
-        block = half
-    return (flat[lo:hi].copy(), lo, hi)
-
-
-def _record_collective(
-    req: CollectiveOp, rank: int, ops: list[tuple], graph: Graph
-) -> Any:
+def _record_collective(req: CollectiveOp, ops: list[tuple], graph: Graph) -> Any:
     kind = req.kind
     if kind not in _LOWERED_KINDS:
-        raise CompileFallback(f"macro collective {kind!r} is not compilable")
+        raise CompileFallback(f"collective {kind!r} is not compilable")
     # a C-level copy, so a program reusing its group list cannot rewrite
     # the trace; lowering matches it against the axis rows as an array
     group = tuple(req.group)
@@ -357,11 +330,13 @@ def _record_collective(
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
     data = req.data
+    if not isinstance(data, TracedBlock):
+        raise CompileFallback(f"collective {kind!r} of an untraced payload")
     w = _count(words_of(data))
     m = _count(req.nwords) if req.nwords is not None else w
     if kind != "shift" and (symbolic(m) or symbolic(w)):
         raise CompileFallback(
-            f"macro collective {kind!r} of a block whose size differs from rank "
+            f"collective {kind!r} of a block whose size differs from rank "
             f"to rank (an uneven partition) is not compilable"
         )
     flat_size = int(data.size) if kind == "reduce_scatter" else 0
@@ -380,8 +355,6 @@ def _record_collective(
             _payload(data),
         )
     )
-    if not isinstance(data, TracedBlock):
-        return _synthesize_collective(req, rank)
     if kind == "shift":
         return graph.source(("coll", step, 0), data.shape, data.dtype)
     if kind != "reduce_scatter":
@@ -587,7 +560,7 @@ def _record_probe(
                 while (resume := _record_rooted(req, rank, ops, graph, posted)) is _WAIT:
                     yield len(ops)
             elif cls is CollectiveOp:
-                resume = _record_collective(req, rank, ops, graph)
+                resume = _record_collective(req, ops, graph)
             else:
                 raise CompileFallback(
                     f"probe rank {rank}: unsupported request {cls.__name__}"
@@ -697,10 +670,10 @@ def _lower_collective(
     shape: tuple,
     deferred: list[tuple],
 ) -> tuple[list[SymCompute | SymSend | SymRecv], Any]:
-    """The send/receive rounds one macro collective stands for, on every group.
+    """The send/receive rounds one posted collective stands for, on every group.
 
-    Each round mirrors the per-group executor in
-    :mod:`repro.simulator.macro`: the same sizes, partners and order.
+    Each round mirrors the message-level helper in
+    :mod:`repro.simulator.collectives`: the same sizes, partners and order.
     Also returns what the rounds deliver: a shift's source vector, or a
     reduce-scatter's partners and final per-rank intervals (``None`` for
     the all-gathers, whose outputs are the axis's group members).  A

@@ -32,7 +32,7 @@ Scheduling
 
 Because programs are deterministic and sends never block on the
 receiver, the simulation is *confluent*: final clocks and payloads do
-not depend on the order ranks are stepped in.  Four schedulers exploit
+not depend on the order ranks are stepped in.  Three schedulers exploit
 that freedom differently:
 
 * ``"compiled"`` (default) — trace compilation
@@ -42,14 +42,8 @@ that freedom differently:
   program it cannot compile, and any run with tracing, link contention
   or a fault plan, runs on ``"heap"`` instead, with the reason in
   ``SimResult.compile_fallback``.
-* ``"ready"`` — event-driven.  Runnable ranks sit in a ready
-  queue; a rank blocked on ``Recv`` is parked in a wakeup map keyed by
-  its mailbox channel and revisited only when a matching message is
-  deposited, and ranks blocked on ``Barrier`` are merely counted.  Each
-  rank is touched O(#requests + #wakeups) times, and with tracing off
-  the hot loop allocates no trace events and formats no labels.
-* ``"heap"`` — the central min-heap event core for large-p runs.  All
-  pending work lives in one ``heapq`` queue of
+* ``"heap"`` — the central min-heap event core, the one production
+  generator loop.  All pending work lives in one ``heapq`` queue of
   ``(timestamp, priority, seq, rank)`` tuples, so every scheduling
   decision is O(log p); same-timestamp event batches are popped
   together and their Compute/Send/SendAll arithmetic is charged
@@ -64,6 +58,12 @@ that freedom differently:
   bit-identical clocks, and ``benchmarks/perf_guard.py`` uses it as the
   performance baseline.
 
+Collectives run as the point-to-point messages of the helpers in
+:mod:`repro.simulator.collectives` on both generator loops.  A
+:class:`CollectiveOp` is posted only to the trace compiler, which
+lowers it to whole-machine rounds; one yielded on a generator loop is a
+:class:`ProgramError`.
+
 Heap ordering contract
 ----------------------
 
@@ -73,7 +73,7 @@ time first, then the priority class (:data:`PRI_RESUME` before
 remaining tie by insertion order.  ``seq`` is unique, so ``rank`` never
 decides a comparison — it rides along for debuggability.  Every
 insertion goes through the single :meth:`Engine._schedule` helper
-(rule ENG006 enforces this), and no dict or set iteration ever picks
+(rule ENG007 enforces this), and no dict or set iteration ever picks
 the next event, so event order — and therefore the trace, the fault
 timeline, and every clock — is identical run to run regardless of hash
 seeds.  The property suite in ``tests/test_heap_scheduler.py`` pins
@@ -82,18 +82,17 @@ this contract.
 Scheduler selection
 -------------------
 
-``link_contention`` mode uses the rescan scheduler when ``"ready"``
-was selected (``"compiled"`` falls back to ``"heap"``): link
-reservations are granted in deterministic scheduler order, so the
-reference order is part of that mode's contract, and the
-heap scheduler's heap order is part of *its* contract (the two agree
-whenever routes do not conflict, e.g. single-hop traffic).  An active
-``fault_plan`` (:mod:`repro.simulator.faults`) resolves the same way —
-the recovery timeline is pure per-rank/per-channel arithmetic, so heap
-and rescan runs are bit-identical — and always disables the macro
-collective fast path; a plan whose rates are all zero still takes the
-fault path but is bit-identical to running with no plan at all (the
-fuzz suite pins this).
+A run takes the scheduler it names (``"compiled"`` when it names none).
+``link_contention`` and an active ``fault_plan``
+(:mod:`repro.simulator.faults`) stop ``"compiled"`` before probing, so
+those runs take ``"heap"`` unless ``"rescan"`` is named.  Link
+reservations are granted in scheduler order: heap order is the
+contention contract of a default run, and it agrees with rescan order
+whenever routes do not conflict (e.g. single-hop traffic).  The fault
+recovery timeline is pure per-rank/per-channel arithmetic, so heap and
+rescan runs under a plan are bit-identical; a plan whose rates are all
+zero still takes the fault path but is bit-identical to running with no
+plan at all (the fuzz suite pins both).
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ from repro.simulator.compile import (
 )
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.faults import CompiledFaults, FaultPlan
-from repro.simulator.macro import run_collective
 from repro.simulator.network import LinkReservations, route_path
 from repro.simulator.request import (
     Barrier,
@@ -137,7 +135,6 @@ __all__ = [
     "Engine",
     "run_spmd",
     "DEFAULT_SCHEDULER",
-    "DEFAULT_MACRO_COLLECTIVES",
     "SCHEDULERS",
     "PRI_RESUME",
     "PRI_WAKE",
@@ -148,7 +145,7 @@ __all__ = [
 #: trace-compiles rank-symmetric programs into a vectorized batch
 #: schedule (:mod:`repro.simulator.compile`) and transparently falls
 #: back to ``"heap"`` when the program cannot be compiled.
-SCHEDULERS: tuple[str, ...] = ("ready", "rescan", "heap", "compiled")
+SCHEDULERS: tuple[str, ...] = ("rescan", "heap", "compiled")
 
 #: Heap-event priority classes (second field of the ordering key
 #: ``(timestamp, priority, seq, rank)``): a rank resuming at its own
@@ -171,11 +168,6 @@ _VEC_MIN: int = 8
 #: algorithm driver.
 DEFAULT_SCHEDULER: str = "compiled"
 
-#: Process-wide default used when ``Engine(macro_collectives=None)``.
-#: Benchmarks flip this to ``False`` to time the message-level reference
-#: collectives under the same scheduler.
-DEFAULT_MACRO_COLLECTIVES: bool = True
-
 
 @dataclass(frozen=True)
 class RankInfo:
@@ -185,13 +177,6 @@ class RankInfo:
     nprocs: int
     topology: Topology
     machine: MachineParams
-
-    macro_collectives: bool = False
-    """Whether the engine accepts :class:`CollectiveOp` macro requests
-    this run.  The collective helpers consult this to pick between one
-    closed-form vectorized update and the message-level reference path;
-    it is only set when tracing and link contention are off and the
-    event-driven scheduler is active."""
 
     inputs: Mapping[str, Any] = field(default_factory=dict, repr=False, compare=False)
     """The driver's declared initial blocks, ``name -> (stack, index)``
@@ -326,13 +311,23 @@ class SimResult:
         return sum(s.words_sent for s in self.stats)
 
 
+def _unsupported(r: int, req: Any) -> ProgramError:
+    """The error for a request no generator loop charges."""
+    if isinstance(req, CollectiveOp):
+        return ProgramError(
+            f"rank {r} yielded collective {req.kind!r} as a CollectiveOp, which only "
+            "the trace compiler reads; use the helpers in repro.simulator.collectives"
+        )
+    return ProgramError(f"rank {r} yielded unsupported request {req!r}")
+
+
 class _RankState:
     """Per-rank scheduling state; clocks and accounts live in :class:`RankArrays`.
 
     ``clock`` and ``stats`` are views into the run's shared arrays, so
     scalar code paths (the reference scheduler, SendAll) keep their
-    original shape while the macro executors and barrier releases update
-    whole rank sets vectorized.
+    original shape while the heap's batched charges and barrier releases
+    update whole rank sets vectorized.
     """
 
     __slots__ = ("gen", "rank", "_arr", "stats", "blocked_on", "done", "retval", "barrier_epoch", "send_value")
@@ -342,7 +337,7 @@ class _RankState:
         self.rank = rank
         self._arr = arr
         self.stats = arr.view(rank)
-        self.blocked_on: Recv | Barrier | CollectiveOp | None = None
+        self.blocked_on: Recv | Barrier | None = None
         self.done = False
         self.retval: Any = None
         self.barrier_epoch = 0
@@ -369,7 +364,6 @@ class Engine:
         max_trace_events: int = 1_000_000,
         link_contention: bool = False,
         scheduler: str | None = None,
-        macro_collectives: bool | None = None,
         fault_plan: FaultPlan | None = None,
         symmetry: SymmetrySpec | None = None,
     ) -> None:
@@ -385,15 +379,9 @@ class Engine:
         if scheduler is not None and scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}")
         self.scheduler = scheduler
-        #: ``None`` defers to :data:`DEFAULT_MACRO_COLLECTIVES`; the flag
-        #: is only honored when tracing, link contention, and faults are
-        #: off and the ready or heap scheduler runs (the reference paths
-        #: stay exact).
-        self.macro_collectives = macro_collectives
-        #: deterministic fault schedule; when set, the run uses the
-        #: reference scheduler unless ``"heap"`` was selected (the heap
-        #: core charges faults through the reference helpers), and
-        #: macro collectives are disabled either way.
+        #: deterministic fault schedule; when set, ``"compiled"`` falls
+        #: back to heap, which charges faults through the reference
+        #: helpers, bit-identically to ``"rescan"``.
         self.fault_plan = fault_plan
         #: rank-symmetry annotation consumed by ``scheduler="compiled"``;
         #: without one, a compiled request falls straight back to heap.
@@ -401,19 +389,13 @@ class Engine:
         self._faults: CompiledFaults | None = None
         # the heap scheduler's event queue of (timestamp, priority, seq,
         # rank) tuples plus its monotone tie-break counter; every
-        # insertion goes through _schedule (ENG006)
+        # insertion goes through _schedule (ENG007)
         self._event_heap: list[tuple[float, int, int, int]] = []
         self._event_seq = 0
         # mailbox key -> rank parked on that channel (heap scheduler)
         self._waiting: dict[tuple[int, int, int], int] = {}
         # mailboxes[(src, dst, tag)] -> FIFO of (arrival_time, payload, nwords)
         self._mail: dict[tuple[int, int, int], deque[tuple[float, Any, int]]] = {}
-        # (src, dst) -> hop count, filled lazily (repeated pairs dominate)
-        self._dist: dict[tuple[int, int], int] = {}
-        # (kind, tag, len(group)) -> pending entries [posts, count, pos, group];
-        # bucketed by cheap signature so posting never hashes a whole group
-        # (list equality short-circuits on the first differing rank)
-        self._pending_collectives: dict[tuple[str, int, int], list[list]] = {}
         self._arr: RankArrays | None = None
 
     # -- public API -----------------------------------------------------------------
@@ -438,23 +420,6 @@ class Engine:
             compile_fallback = self._compiled_blocker()
             if compile_fallback is not None:
                 scheduler = "heap"
-        if (self.link_contention or self.fault_plan is not None) and scheduler != "heap":
-            # reservation/recovery order is defined by the reference
-            # scheduler; the heap core handles both natively through the
-            # reference helpers (see the module docstring)
-            scheduler = "rescan"
-        macro = (
-            self.macro_collectives
-            if self.macro_collectives is not None
-            else DEFAULT_MACRO_COLLECTIVES
-        )
-        macro_ok = (
-            macro
-            and scheduler in ("ready", "heap", "compiled")
-            and not self.trace.enabled
-            and not self.link_contention
-            and self.fault_plan is None
-        )
         self._faults = (
             self.fault_plan.compile(p) if self.fault_plan is not None else None
         )
@@ -472,7 +437,6 @@ class Engine:
                         nprocs=p,
                         topology=self.topology,
                         machine=self.machine,
-                        macro_collectives=macro_ok,
                         inputs=inputs,
                         recording=True,
                     ),
@@ -507,7 +471,6 @@ class Engine:
                         nprocs=p,
                         topology=self.topology,
                         machine=self.machine,
-                        macro_collectives=macro_ok,
                         inputs=inputs,
                     )
                 ),
@@ -517,16 +480,12 @@ class Engine:
             for r, f in enumerate(factories)
         ]
         self._mail.clear()
-        self._dist.clear()
-        self._pending_collectives.clear()
         self._event_heap = []
         self._event_seq = 0
         self._waiting.clear()
         self.links = LinkReservations() if self.link_contention else None
 
-        if scheduler == "ready":
-            self._run_ready(states)
-        elif scheduler == "heap":
+        if scheduler == "heap":
             self._run_heap(states)
         else:
             self._run_rescan(states)
@@ -567,7 +526,7 @@ class Engine:
         """The seed round-robin scheduler: rescan every pending rank each pass.
 
         Kept verbatim as the reference implementation; the fuzz suite
-        asserts the ready-queue scheduler matches it bit-for-bit.
+        asserts the heap and compiled schedulers match it bit-for-bit.
         """
         pending = set(range(len(states)))
         while pending:
@@ -591,180 +550,6 @@ class Engine:
                     ),
                 )
 
-    def _run_ready(self, states: list[_RankState]) -> None:
-        """Event-driven fast path: ready queue + per-channel wakeup map.
-
-        A rank leaves the ready queue only by finishing or blocking; a
-        rank blocked on ``Recv`` is parked under its mailbox key and
-        re-enqueued by the send that feeds it, and ranks blocked on
-        ``Barrier`` are only counted.  The arithmetic matches the rescan
-        scheduler expression-for-expression so clocks are bit-identical.
-        Cost-model parameters, mailboxes, and hop distances are hoisted
-        into locals, and with tracing off no :class:`TraceEvent` (nor its
-        label string) is ever constructed.
-        """
-        machine = self.machine
-        ts, tw, th = machine.ts, machine.tw, machine.th
-        cut_through = machine.routing == "ct"
-        topo = self.topology
-        size = topo.size
-        distance = topo.distance
-        dist = self._dist
-        mail = self._mail
-        tracing = self.trace.enabled
-        record = self.trace.record
-
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        clk_arr = arr.clock
-        comp_arr = arr.compute_time
-        sendt_arr = arr.send_time
-        rwait_arr = arr.recv_wait_time
-        msgs_arr = arr.messages_sent
-        words_arr = arr.words_sent
-
-        ready = deque(range(len(states)))
-        waiting: dict[tuple[int, int, int], int] = {}  # mailbox key -> parked rank
-        barrier_blocked = 0
-        active = len(states)
-
-        while active:
-            while ready:
-                r = ready.popleft()
-                st = states[r]
-                clock = clk_arr.item(r)
-                value = None
-                blocked = st.blocked_on
-                if blocked is not None:
-                    if blocked.__class__ is CollectiveOp:
-                        # resumed by a completed macro collective: the
-                        # executor already advanced clock and accounts
-                        value = st.send_value
-                        st.send_value = None
-                        st.blocked_on = None
-                    else:
-                        # woken by a deposit on this channel: complete the Recv
-                        arrival, value, nwords = mail[(blocked.src, r, blocked.tag)].popleft()
-                        if tracing:
-                            end = arrival if arrival > clock else clock
-                            record(TraceEvent(r, clock, end, "recv",
-                                              f"<-{blocked.src} {nwords}w", tag=blocked.tag))
-                        if arrival > clock:
-                            rwait_arr[r] += arrival - clock
-                            clock = arrival
-                        st.blocked_on = None
-                gen_send = st.gen.send
-                fire = None
-                while True:
-                    try:
-                        req = gen_send(value)
-                    except StopIteration as stop:
-                        st.done = True
-                        st.retval = stop.value
-                        active -= 1
-                        break
-                    value = None
-                    cls = req.__class__
-                    if cls is Compute:
-                        cost = req.cost
-                        if tracing:
-                            record(TraceEvent(r, clock, clock + cost, "compute", req.label))
-                        comp_arr[r] += cost
-                        clock += cost
-                    elif cls is Recv:
-                        key = (req.src, r, req.tag)
-                        q = mail.get(key)
-                        if q:
-                            arrival, value, nwords = q.popleft()
-                            if tracing:
-                                end = arrival if arrival > clock else clock
-                                record(TraceEvent(r, clock, end, "recv",
-                                                  f"<-{req.src} {nwords}w", tag=req.tag))
-                            if arrival > clock:
-                                rwait_arr[r] += arrival - clock
-                                clock = arrival
-                        else:
-                            st.blocked_on = req
-                            waiting[key] = r
-                            break
-                    elif cls is Send:
-                        dst = req.dst
-                        if not 0 <= dst < size:
-                            raise ProgramError(f"rank {r} sent to invalid rank {dst}")
-                        pair = (r, dst)
-                        hops = dist.get(pair)
-                        if hops is None:
-                            hops = dist[pair] = max(distance(r, dst), 1)
-                        nwords = req.nwords
-                        # same expressions as MachineParams.transfer_time /
-                        # sender_busy_time, hoisted out of the method calls
-                        if cut_through:
-                            duration = ts + tw * nwords + th * hops
-                        else:
-                            duration = ts + (tw * nwords + th) * hops
-                        busy = ts + tw * nwords
-                        arrival = clock + duration
-                        key = (r, dst, req.tag)
-                        q = mail.get(key)
-                        if q is None:
-                            q = mail[key] = deque()
-                        q.append((arrival, req.data, nwords))
-                        msgs_arr[r] += 1
-                        words_arr[r] += nwords
-                        sendt_arr[r] += busy
-                        if tracing:
-                            record(TraceEvent(r, clock, clock + busy, "send",
-                                              f"->{dst} {nwords}w", tag=req.tag))
-                        clock = clock + busy
-                        woken = waiting.pop(key, None)
-                        if woken is not None:
-                            ready.append(woken)
-                    elif cls is SendAll:
-                        st.clock = clock
-                        self._do_send_all(st, r, req)
-                        clock = clk_arr.item(r)
-                        for m in req.messages:
-                            woken = waiting.pop((r, m.dst, m.tag), None)
-                            if woken is not None:
-                                ready.append(woken)
-                    elif cls is Barrier:
-                        st.blocked_on = req
-                        barrier_blocked += 1
-                        break
-                    elif cls is Checkpoint:
-                        # free without a fault plan, and a plan never runs
-                        # under this scheduler (run() forces rescan)
-                        pass
-                    elif cls is CollectiveOp:
-                        st.blocked_on = req
-                        fire = self._post_collective(r, req, size)
-                        break
-                    else:
-                        raise ProgramError(f"rank {r} yielded unsupported request {req!r}")
-                clk_arr[r] = clock
-                st.send_value = None
-                if fire is not None:
-                    # the last member posted: run the vectorized executor
-                    # (after this rank's clock flush) and wake the group
-                    returns = run_collective(fire, arr, topo, machine)
-                    for i, member in enumerate(fire[0].group):
-                        states[member].send_value = returns[i]
-                        ready.append(member)
-            if not active:
-                return
-            if barrier_blocked == active:
-                self._release_barrier_ready(states)
-                barrier_blocked = 0
-                ready.extend(r for r, s in enumerate(states) if not s.done)
-            else:
-                raise DeadlockError(
-                    {
-                        r: repr(states[r].blocked_on)
-                        for r in range(len(states))
-                        if not states[r].done and states[r].blocked_on is not None
-                    }
-                )
-
     def _schedule(self, when: float, priority: int, rank: int) -> None:
         """Insert an event into the heap queue — the only insertion point.
 
@@ -774,8 +559,8 @@ class Engine:
         ever decides which rank runs next and event order is identical
         run to run regardless of hash seeds.  ``seq`` is unique, so the
         trailing ``rank`` never settles a comparison; it is part of the
-        key for debuggability.  Rule ENG006 enforces that every
-        ``heappush`` in this module goes through this helper.
+        key for debuggability.  Rule ENG007 enforces that every
+        ``heappush`` goes through this helper.
         """
         self._event_seq = seq = self._event_seq + 1
         heappush(self._event_heap, (when, priority, seq, rank))
@@ -851,25 +636,17 @@ class Engine:
                     value = None
                     blocked = st.blocked_on
                     if blocked is not None:
-                        if blocked.__class__ is CollectiveOp:
-                            # resumed by a completed macro collective: the
-                            # executor already advanced clock and accounts
-                            value = st.send_value
-                            st.send_value = None
-                            st.blocked_on = None
-                        else:
-                            # woken by a deposit on this channel: complete the Recv
-                            arrival, value, nwords = mail[(blocked.src, r, blocked.tag)].popleft()
-                            if tracing:
-                                end = arrival if arrival > clock else clock
-                                record(TraceEvent(r, clock, end, "recv",
-                                                  f"<-{blocked.src} {nwords}w", tag=blocked.tag))
-                            if arrival > clock:
-                                rwait_arr[r] += arrival - clock
-                                clock = arrival
-                            st.blocked_on = None
+                        # woken by a deposit on this channel: complete the Recv
+                        arrival, value, nwords = mail[(blocked.src, r, blocked.tag)].popleft()
+                        if tracing:
+                            end = arrival if arrival > clock else clock
+                            record(TraceEvent(r, clock, end, "recv",
+                                              f"<-{blocked.src} {nwords}w", tag=blocked.tag))
+                        if arrival > clock:
+                            rwait_arr[r] += arrival - clock
+                            clock = arrival
+                        st.blocked_on = None
                     gen_send = st.gen.send
-                    fire = None
                     while True:
                         try:
                             req = gen_send(value)
@@ -930,23 +707,7 @@ class Engine:
                             # free without a fault plan (this loop never
                             # runs with one)
                             continue
-                        if cls is CollectiveOp:
-                            st.blocked_on = req
-                            clk_arr[r] = clock
-                            fire = self._post_collective(r, req, size)
-                            break
-                        raise ProgramError(
-                            f"rank {r} yielded unsupported request {req!r}"
-                        )
-                    st.send_value = None
-                    if fire is not None:
-                        # the last member posted: every member is parked
-                        # with a flushed clock, so run the vectorized
-                        # executor and schedule the group's resumes
-                        returns = run_collective(fire, arr, topo, machine)
-                        for i, member in enumerate(fire[0].group):
-                            states[member].send_value = returns[i]
-                            schedule(clk_arr.item(member), PRI_RESUME, member)
+                        raise _unsupported(r, req)
 
                 # ---- batched charging (one vectorized shot per kind) ----
                 if comp_items:
@@ -1139,7 +900,7 @@ class Engine:
             if not active:
                 return
             if barrier_blocked == active:
-                self._release_barrier_ready(states)
+                self._release_barrier_fast(states)
                 barrier_blocked = 0
                 for r, s in enumerate(states):
                     if not s.done:
@@ -1308,58 +1069,8 @@ class Engine:
             c2 = self._arr.clock.item(woken)
             self._schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
 
-    def _post_collective(
-        self, r: int, req: CollectiveOp, size: int
-    ) -> list[CollectiveOp] | None:
-        """Park rank *r* on its macro collective; return the full post list
-        once every member of the group has posted (else ``None``).
-
-        Pending collectives are bucketed by ``(kind, tag, len(group))``
-        and matched by group equality.  Disjoint concurrent groups (the
-        common case: row/column subcubes of one phase) mismatch on their
-        first rank, so the scan stays O(#concurrent groups) per post with
-        a single full comparison for the matching entry.
-        """
-        group = req.group
-        key = (req.kind, req.tag, len(group))
-        bucket = self._pending_collectives.get(key)
-        entry = None
-        if bucket is not None:
-            for e in bucket:
-                eg = e[3]
-                if eg is group or eg == group:
-                    entry = e
-                    break
-        if entry is None:
-            pos = {rank: i for i, rank in enumerate(group)}
-            if len(pos) != len(group):
-                raise ProgramError(f"collective group has duplicate ranks: {list(group)!r}")
-            for member in group:
-                if not 0 <= member < size:
-                    raise ProgramError(f"collective group member {member} outside [0, {size})")
-            entry = [[None] * len(group), 0, pos, group]
-            if bucket is None:
-                bucket = self._pending_collectives[key] = []
-            bucket.append(entry)
-        posts = entry[0]
-        i = entry[2].get(r)
-        if i is None:
-            raise ProgramError(f"rank {r} posted a collective for a group it is not in")
-        if posts[i] is not None:
-            raise ProgramError(
-                f"rank {r} posted {req.kind!r} twice for tag {req.tag} on the same group"
-            )
-        posts[i] = req
-        entry[1] += 1
-        if entry[1] == len(posts):
-            bucket.remove(entry)
-            if not bucket:
-                del self._pending_collectives[key]
-            return posts
-        return None
-
-    def _release_barrier_ready(self, states: list[_RankState]) -> None:
-        """Vectorized barrier release for the ready scheduler (tracing falls
+    def _release_barrier_fast(self, states: list[_RankState]) -> None:
+        """Vectorized barrier release for the heap's fast loop (tracing falls
         back to the reference release, which records per-rank events)."""
         if self.trace.enabled:
             self._try_release_barrier(states)
@@ -1439,14 +1150,8 @@ class Engine:
                     self.trace.record(
                         TraceEvent(r, start, st.clock, "checkpoint", req.label)
                     )
-        elif isinstance(req, CollectiveOp):
-            raise ProgramError(
-                f"rank {r} posted macro collective {req.kind!r} under the reference "
-                "charging path; CollectiveOp requires a macro-capable run (programs "
-                "should consult RankInfo.macro_collectives)"
-            )
         else:
-            raise ProgramError(f"rank {r} yielded unsupported request {req!r}")
+            raise _unsupported(r, req)
 
     def _do_send(self, st: _RankState, r: int, req: Send, *, start_at: float, advance: bool) -> float:
         """Inject one message; return the sender-busy duration (incl. link stall)."""
@@ -1560,7 +1265,6 @@ def run_spmd(
     *,
     trace: bool = False,
     scheduler: str | None = None,
-    macro_collectives: bool | None = None,
     fault_plan: FaultPlan | None = None,
     symmetry: SymmetrySpec | None = None,
 ) -> SimResult:
@@ -1570,7 +1274,6 @@ def run_spmd(
         machine,
         trace=trace,
         scheduler=scheduler,
-        macro_collectives=macro_collectives,
         fault_plan=fault_plan,
         symmetry=symmetry,
     ).run(factory)

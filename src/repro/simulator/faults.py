@@ -47,10 +47,12 @@ Fault semantics (all charged in modeled basic-op units):
 A zero-rate plan is *exactly* free: every hook returns its input
 unchanged (no float is re-derived), so running with
 ``FaultPlan()`` is bit-identical to running with no plan at all — the
-fuzz suite pins this against both schedulers and the macro collective
-fast path.  An active plan forces the reference (rescan) scheduler and
-disables macro collectives, like ``link_contention`` does, because the
-recovery timeline is part of the deterministic contract.
+fuzz suite pins this against both generator schedulers and the
+compiled one.  An active plan stops trace compilation, like
+``link_contention`` does, because the recovery timeline is part of the
+deterministic contract: the run takes the heap scheduler, which charges
+the plan through the reference helpers bit-identically to the
+reference (``rescan``) scheduler, unless ``rescan`` is named.
 """
 
 from __future__ import annotations

@@ -148,23 +148,18 @@ class Checkpoint:
 
 @dataclass(slots=True)
 class CollectiveOp:
-    """One rank's share of a macro-simulated collective.
+    """One rank's share of a collective, as the trace compiler records it.
 
-    Emitted by the helpers in :mod:`repro.simulator.collectives` when the
-    engine advertises the macro fast path
-    (:attr:`~repro.simulator.engine.RankInfo.macro_collectives`).  The
-    engine parks the rank until every member of *group* has posted the
-    matching request — same ``(kind, group, tag)`` — and then simulates
-    the whole collective as one closed-form, vectorized clock/stats
-    update (:mod:`repro.simulator.macro`) whose results are bit-identical
-    to the message-level reference implementation.  The generator is
-    resumed with exactly the value the reference collective would have
-    returned.
-
-    The reference contract carries over: every member of *group* must
-    make the matching call.  A mismatched program (a member that never
-    posts) deadlocks, where the message-level path might let individual
-    ranks run ahead on partially matched traffic.
+    Emitted by the helpers in :mod:`repro.simulator.collectives` only on
+    a trace-compiler probe: for a traced payload, and for every rooted
+    collective while recording (:attr:`RankInfo.recording
+    <repro.simulator.engine.RankInfo.recording>`).  The compiler
+    (:mod:`repro.simulator.compile`) lowers it to the send/receive rounds
+    the message-level helper would run, over every group at once, and
+    resumes the probe with a traced stand-in for what that helper
+    returns.  The generator schedulers charge only messages; a
+    ``CollectiveOp`` yielded there raises
+    :class:`~repro.simulator.errors.ProgramError`.
     """
 
     kind: str
@@ -172,9 +167,8 @@ class CollectiveOp:
     ``"allgather_ring"``, ``"reduce_scatter"``, ``"shift"``, ``"route"``."""
 
     group: Sequence[int]
-    """Ordered member ranks.  Kept as whatever sequence the program
-    built (no copy — this sits on the per-rank hot path); the program
-    must not mutate it between posting and the collective completing."""
+    """Ordered member ranks, as the program built them; the compiler
+    copies them when it records the collective."""
 
     data: Any = None
     nwords: int | None = None
@@ -273,13 +267,13 @@ class SymBarrier:
 
 @dataclass(slots=True)
 class SymCollective:
-    """One macro collective, lowered to the primitive phases it stands for.
+    """One collective, lowered to the primitive phases it stands for.
 
     Every group of one symmetry axis runs the collective at this step;
     *phases* are its rounds as :class:`SymSend`/:class:`SymRecv` pairs
     (plus the adds of a reduce-scatter or a reduce as :class:`SymCompute`)
-    over the whole machine, masked to the ranks a rooted round involves.  :func:`repro.simulator.macro.run_batch_collective` replays
-    them.
+    over the whole machine, masked to the ranks a rooted round involves.
+    :func:`repro.simulator.macro.run_batch_collective` replays them.
     """
 
     kind: str

@@ -93,8 +93,8 @@ class Topology(ABC):
     def distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`distance` over paired node arrays.
 
-        The macro collective executors charge a whole group's messages in
-        one shot, so concrete topologies override this with closed-form
+        :meth:`PairHopCache.bulk` looks up a whole batch of pairs in one
+        shot, so concrete topologies override this with closed-form
         array arithmetic; the base implementation falls back to the
         scalar metric.
         """

@@ -6,9 +6,9 @@ Two representations of the same accounts coexist:
   finished :class:`~repro.simulator.engine.SimResult` carries.
 * :class:`RankArrays` / :class:`RankStatsView` — the engine core's
   *array-backed* storage.  During a simulation every per-rank clock and
-  counter lives in one numpy array indexed by rank, so the macro
-  collective executors (:mod:`repro.simulator.macro`) and barrier
-  releases update thousands of ranks with a handful of vectorized
+  counter lives in one numpy array indexed by rank, so the heap's
+  batched charges, compiled replay (:mod:`repro.simulator.charging`)
+  and barrier releases update thousands of ranks with a handful of vectorized
   operations; the ``__slots__`` view gives the scalar request loop a
   per-rank handle over the same storage.  ``snapshot()`` materializes
   the public records when the run completes.
@@ -49,8 +49,8 @@ class RankStats:
 class RankArrays:
     """All per-rank accounts of one run, one numpy array per field.
 
-    Scalar code paths touch single elements (``arr.clock[r]``); the
-    macro collective executors and barrier releases update whole groups
+    Scalar code paths touch single elements (``arr.clock[r]``); batched
+    charges, compiled replay and barrier releases update whole groups
     with fancy indexing.  Element dtype is ``float64``/``int64``, so
     single-element arithmetic is bit-identical to the plain-Python
     accounting the reference scheduler used.

@@ -109,6 +109,33 @@ def test_heappush_inside_schedule_helper_is_sanctioned():
     ) == []
 
 
+def test_heappush_outside_schedule_fires_in_the_engine():
+    assert ids(
+        """
+        from heapq import heappush
+
+        def _run_heap(self, when, rank):
+            heappush(self._event_heap, (when, 0, 0, rank))
+        """,
+        "src/repro/simulator/engine.py",
+        select=["ENG007"],
+    ) == ["ENG007"]
+
+
+def test_heappush_inside_the_engine_schedule_is_sanctioned():
+    assert ids(
+        """
+        from heapq import heappush
+
+        def _schedule(self, when, priority, rank):
+            self._event_seq = seq = self._event_seq + 1
+            heappush(self._event_heap, (when, priority, seq, rank))
+        """,
+        "src/repro/simulator/engine.py",
+        select=["ENG007"],
+    ) == []
+
+
 @pytest.mark.parametrize("call", ["heapq.heapreplace(h, e)", "heapq.heappushpop(h, e)"])
 def test_heap_replace_variants_fire(call):
     assert ids(

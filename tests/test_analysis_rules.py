@@ -506,27 +506,6 @@ def test_eng006_allows_guarded_trace_event(guard):
     assert "ENG006" not in rule_ids(code, path=SIM_PATH)
 
 
-def test_eng006_flags_heappush_outside_schedule():
-    code = """\
-    from heapq import heappush
-
-    def _run_heap(self, when, rank):
-        heappush(self._event_heap, (when, 0, 0, rank))
-    """
-    assert "ENG006" in rule_ids(code, path=SIM_PATH)
-
-
-def test_eng006_allows_heappush_inside_schedule():
-    code = """\
-    from heapq import heappush
-
-    def _schedule(self, when, priority, rank):
-        self._event_seq = seq = self._event_seq + 1
-        heappush(self._event_heap, (when, priority, seq, rank))
-    """
-    assert "ENG006" not in rule_ids(code, path=SIM_PATH)
-
-
 def test_eng006_scoped_to_engine():
     # the trace layer itself and non-engine modules are out of scope
     code = "event = TraceEvent(0, 0.0, 1.0, 'compute')"

@@ -25,7 +25,7 @@ def scenario(**overrides) -> Scenario:
 class TestRows:
     def test_rows_cover_every_feasible_point_with_full_fields(self):
         s = scenario(algorithms=("cannon", "gk"), n_values=(8, 16), p_values=(4, 8, 16))
-        rows = simulate_rows(s, "ready")
+        rows = simulate_rows(s, "compiled")
         assert [(r["algorithm"], r["n"], r["p"]) for r in rows] == list(s.points())
         for r in rows:
             assert r["outcome"] == "ok"
@@ -45,8 +45,8 @@ class TestRows:
         assert a["status"] == "ok"
 
     def test_fully_connected_topology_moves_fewer_or_equal_hops(self):
-        base = simulate_rows(scenario(), "ready")
-        flat = simulate_rows(scenario(topology="fully-connected"), "ready")
+        base = simulate_rows(scenario(), "compiled")
+        flat = simulate_rows(scenario(topology="fully-connected"), "compiled")
         assert [r["outcome"] for r in flat] == ["ok", "ok"]
         # same traffic either way; only timing may differ
         assert [r["messages"] for r in flat] == [r["messages"] for r in base]
@@ -90,6 +90,11 @@ class TestSchedulers:
         assert alt_scheduler_for(scenario(scheduler="rescan")) == "heap"
         assert alt_scheduler_for(
             scenario(scheduler="compiled", verify=False)) == "heap"
+        # a fault plan stops compilation: the run takes heap, so its
+        # pair is the reference
+        drops = FaultPlan(seed=5, drop_rate=0.1, timeout=500.0)
+        assert alt_scheduler_for(scenario(fault_plan=drops)) == "rescan"
+        assert alt_scheduler_for(scenario(fault_plan=FaultPlan())) == "heap"
 
     @pytest.mark.parametrize("plan", [
         FaultPlan(),

@@ -21,7 +21,7 @@ def scenario(**overrides) -> Scenario:
 
 def row(**overrides) -> dict:
     base = {
-        "algorithm": "cannon", "n": 16, "p": 4, "scheduler": "ready",
+        "algorithm": "cannon", "n": 16, "p": 4, "scheduler": "heap",
         "outcome": "ok", "error": None,
         "T_sim": 1000.0, "T_model": 990.0,
         "efficiency_sim": 0.8, "efficiency_model": 0.81, "overhead_sim": 100.0,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.campaign.schema import SCHEMA_VERSION, Scenario, scenario_from_dict, scenarios_from_json
+from repro.simulator.engine import DEFAULT_SCHEDULER
 from repro.core.machine import PRESETS, MachineParams
 from repro.simulator.faults import FaultPlan
 
@@ -41,6 +42,8 @@ class TestValidation:
             ({"p_values": (True, 4)}, "ints >= 1"),
             ({"topology": "torus"}, "unknown topology"),
             ({"scheduler": "fifo"}, "unknown scheduler"),
+            ({"scheduler": "ready"},
+             r"unknown scheduler 'ready'; use one of \('rescan', 'heap', 'compiled'\)"),
             ({"seed": -1}, "must be an int >= 0"),
             ({"seed": 1.5}, "must be an int >= 0"),
             ({"name": 7}, "must be a string"),
@@ -124,6 +127,8 @@ class TestRoundTrip:
         "mutate, fragment",
         [
             (lambda d: d.update(schema=99), "schema version 99"),
+            # version 1 defaulted to the deleted "ready" scheduler
+            (lambda d: d.update(schema=1), "schema version 1 .* regenerate"),
             (lambda d: d.update(bogus=1), "unknown scenario field"),
             (lambda d: d.pop("machine"), "missing required field"),
             (lambda d: d["machine"].update(warp=9), "does not match MachineParams"),
@@ -160,3 +165,9 @@ class TestBatteryFile:
 
     def test_schema_version_exported(self):
         assert scenario().to_dict()["schema"] == SCHEMA_VERSION
+
+    def test_scheduler_defaults_to_the_engine_default(self):
+        assert scenario().scheduler == DEFAULT_SCHEDULER
+        doc = scenario().to_dict()
+        del doc["scheduler"]
+        assert scenario_from_dict(doc).scheduler == DEFAULT_SCHEDULER

@@ -231,7 +231,9 @@ class TestSchedulerChoices:
         assert re.search(r"numerically correct\s*:?\s*True", out)
         assert "heap (fallback: " in out
 
-    def test_run_rejects_unknown_scheduler(self):
+    @pytest.mark.parametrize("name", ["warp", "ready"])
+    def test_run_rejects_unknown_scheduler(self, name, capsys):
         with pytest.raises(SystemExit):
             main(["run", "cannon", "-n", "16", "-p", "16",
-                  "--scheduler", "warp"])
+                  "--scheduler", name])
+        assert "'rescan', 'heap', 'compiled'" in capsys.readouterr().err

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.machine import MachineParams
 from repro.simulator.engine import Engine, run_spmd
-from repro.simulator.errors import DeadlockError
-from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
+from repro.simulator.errors import DeadlockError, ProgramError
+from repro.simulator.request import Barrier, CollectiveOp, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube
 
 M = MachineParams(ts=10.0, tw=2.0)
@@ -167,9 +167,10 @@ class TestReturnsAndStats:
 
 
 class TestSchedulerSelection:
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(FullyConnected(2), M, scheduler="optimistic")
+    @pytest.mark.parametrize("name", ["optimistic", "ready"])
+    def test_unknown_scheduler_rejected(self, name):
+        with pytest.raises(ValueError, match=r"known: \('rescan', 'heap', 'compiled'\)"):
+            Engine(FullyConnected(2), M, scheduler=name)
 
     def test_run_spmd_scheduler_passthrough(self):
         def prog(info):
@@ -180,20 +181,46 @@ class TestSchedulerSelection:
                 assert got == "x"
             yield Barrier()
 
-        r1 = run_spmd(FullyConnected(2), M, prog, scheduler="ready")
+        r1 = run_spmd(FullyConnected(2), M, prog, scheduler="heap")
         r2 = run_spmd(FullyConnected(2), M, prog, scheduler="rescan")
         assert r1.parallel_time == r2.parallel_time
         assert r1.stats == r2.stats
 
-    def test_link_contention_uses_rescan(self):
-        # reservation order is part of the contention contract; the
-        # engine must fall back to the reference scheduler silently
+    def test_link_contention_takes_heap_unless_rescan_is_named(self, monkeypatch):
+        # reservation order is part of the contention contract: heap order
+        # for a default run (compiled falls back before probing), the
+        # reference order when rescan is named
         def prog(info):
             if info.rank == 0:
                 yield Send(dst=1, data=None, nwords=4)
             else:
                 yield Recv(src=0)
 
-        eng = Engine(FullyConnected(2), M, link_contention=True, scheduler="ready")
-        res = eng.run([prog, prog])
+        ran = []
+        for loop in ("_run_heap", "_run_rescan"):
+            real = getattr(Engine, loop)
+
+            def spy(self, states, real=real, loop=loop):
+                ran.append(loop)
+                return real(self, states)
+
+            monkeypatch.setattr(Engine, loop, spy)
+        res = Engine(FullyConnected(2), M, link_contention=True).run([prog, prog])
+        assert ran == ["_run_heap"]
+        assert res.compile_fallback  # the default, compiled, said why not
         assert res.total_messages == 1
+        ran.clear()
+        res = Engine(FullyConnected(2), M, link_contention=True,
+                     scheduler="rescan").run([prog, prog])
+        assert ran == ["_run_rescan"]
+        assert res.total_messages == 1
+
+    @pytest.mark.parametrize("scheduler", ["heap", "rescan"])
+    def test_collective_op_is_rejected_on_generator_loops(self, scheduler):
+        # only the trace compiler reads CollectiveOp; the collective
+        # helpers never post one outside a probe
+        def prog(info):
+            yield CollectiveOp(kind="bcast", group=[0, 1], data=None)
+
+        with pytest.raises(ProgramError, match="only the trace compiler reads"):
+            Engine(FullyConnected(2), M, scheduler=scheduler).run(prog)

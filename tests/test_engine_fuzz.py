@@ -4,12 +4,10 @@ Generates random-but-matched communication schedules (every send has a
 corresponding receive) and checks the engine's global invariants:
 no deadlock, clock monotonicity, exact payload delivery, conservation
 of messages/words, and determinism.  The same schedules also drive the
-scheduler-equivalence property: the event-driven ``ready`` scheduler
-and the event-heap ``heap`` scheduler must produce bit-identical
-clocks, stats, and return values to the reference ``rescan`` scheduler
-on every program — including the configurations ``ready`` never
-covered (tracing on, link contention, and active ``FaultPlan``s, which
-silently fall back to rescan unless ``heap`` is selected).
+scheduler-equivalence property: the event-heap ``heap`` scheduler must
+produce bit-identical clocks, stats, and return values to the reference
+``rescan`` scheduler on every program — tracing on, link contention and
+active ``FaultPlan``s included.
 """
 
 import numpy as np
@@ -130,12 +128,11 @@ def test_fuzz_determinism(seed, nops):
     routing=st.sampled_from(["sf", "ct"]),
     barriers=st.booleans(),
     topo=st.sampled_from(["full", "hypercube"]),
-    scheduler=st.sampled_from(["ready", "heap"]),
 )
-def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, scheduler):
-    """The fast schedulers are clock-identical to the seed rescan scheduler.
+def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo):
+    """The heap scheduler is clock-identical to the seed rescan scheduler.
 
-    Not approximately equal — bit-identical: all paths must perform the
+    Not approximately equal — bit-identical: both paths must perform the
     same float operations in the same order per rank, so parallel_time,
     every per-rank stats field, and the programs' return values match
     exactly on arbitrary matched schedules with and without barriers.
@@ -146,7 +143,7 @@ def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, sc
     make_topo = (lambda: FullyConnected(p)) if topo == "full" else (
         lambda: Hypercube(int(np.log2(p)))
     )
-    r_fast = Engine(make_topo(), machine, scheduler=scheduler).run(_factory_for(ops))
+    r_fast = Engine(make_topo(), machine, scheduler="heap").run(_factory_for(ops))
     r_rescan = Engine(make_topo(), machine, scheduler="rescan").run(_factory_for(ops))
     assert r_fast.parallel_time == r_rescan.parallel_time
     assert r_fast.stats == r_rescan.stats
@@ -156,21 +153,17 @@ def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, sc
 
 
 @settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    scheduler=st.sampled_from(["ready", "heap"]),
-)
-def test_schedulers_identical_traces(seed, scheduler):
-    """With tracing on, all schedulers emit the same per-rank events.
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_schedulers_identical_traces(seed):
+    """With tracing on, heap and rescan emit the same per-rank events.
 
-    Tracing forces ``ready`` onto the rescan path, but ``heap`` keeps
-    its own loop — so this pins the heap's traced runs (timings, kinds,
-    labels, tags) against the reference event for event.
+    This pins the heap's traced runs (timings, kinds, labels, tags)
+    against the reference event for event.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, 4, 30, barriers=True)
     machine = MachineParams(ts=3.0, tw=2.0)
-    r1 = Engine(FullyConnected(4), machine, trace=True, scheduler=scheduler).run(_factory_for(ops))
+    r1 = Engine(FullyConnected(4), machine, trace=True, scheduler="heap").run(_factory_for(ops))
     r2 = Engine(FullyConnected(4), machine, trace=True, scheduler="rescan").run(_factory_for(ops))
     for rank in range(4):
         e1, e2 = r1.trace.for_rank(rank), r2.trace.for_rank(rank)
@@ -217,12 +210,10 @@ def _fault_fingerprint(res):
 def test_heap_matches_rescan_under_faults(seed, p, nops, shape, traced):
     """Fault-active runs: heap is bit-identical to rescan, fault field by field.
 
-    ``ready`` silently falls back to rescan whenever a FaultPlan is set,
-    so these configurations are exactly the ones the heap scheduler
-    newly covers — the recovery timeline (crashes, stragglers,
-    drops/retransmits, checkpoints) must come out identical because the
-    heap's exact regime charges every request through the same reference
-    helpers, just in heap order.
+    The recovery timeline (crashes, stragglers, drops/retransmits,
+    checkpoints) must come out identical because the heap's exact
+    regime charges every request through the same reference helpers,
+    just in heap order.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops, barriers=True)
@@ -280,7 +271,7 @@ def test_heap_matches_rescan_under_contention(seed, p, nops):
     routing=st.sampled_from(["sf", "ct"]),
 )
 def test_sendall_exchange_bit_identical(seed, p, k, all_port, routing):
-    """Neighbor exchanges through SendAll: heap == ready == rescan.
+    """Neighbor exchanges through SendAll: heap == rescan.
 
     ``p = 32`` with ``k = 4`` destinations pushes the heap scheduler's
     batched SendAll charging onto its vectorized path; the smaller
@@ -310,13 +301,12 @@ def test_sendall_exchange_bit_identical(seed, p, k, all_port, routing):
         s: Engine(FullyConnected(p), machine, scheduler=s).run(
             [prog for _ in range(p)]
         )
-        for s in ("heap", "ready", "rescan")
+        for s in ("heap", "rescan")
     }
     ref = results["rescan"]
-    for s in ("heap", "ready"):
-        assert results[s].parallel_time == ref.parallel_time
-        assert results[s].stats == ref.stats
-        assert results[s].returns == ref.returns
+    assert results["heap"].parallel_time == ref.parallel_time
+    assert results["heap"].stats == ref.stats
+    assert results["heap"].returns == ref.returns
 
 
 @settings(max_examples=15, deadline=None)

@@ -4,9 +4,9 @@ The load-bearing property is at the top: a zero-rate :class:`FaultPlan`
 is *exactly* free.  Every engine hook returns its input unchanged when
 nothing fires, so ``fault_plan=FaultPlan()`` must be bit-identical —
 clocks, per-rank stats, return values — to running with no plan at all,
-on arbitrary fuzzed schedules, under both schedulers, and through the
-macro collective fast path (which a plan bypasses in favor of the
-reference scheduler).  The rest pins the fault semantics themselves:
+on arbitrary fuzzed schedules, under both generator schedulers, and
+against the compiled paper drivers (which a plan sends to the heap
+scheduler).  The rest pins the fault semantics themselves:
 crash/rollback accounting, drop/retransmit charging, checkpoint cadence,
 and same-seed replay.
 """
@@ -147,13 +147,14 @@ def _result_fingerprint(res):
     nops=st.integers(min_value=1, max_value=50),
     ts=st.floats(min_value=0.0, max_value=100.0),
     barriers=st.booleans(),
-    scheduler=st.sampled_from(["ready", "rescan"]),
+    scheduler=st.sampled_from(["heap", "rescan"]),
 )
 def test_null_plan_is_bit_identical_fuzz(seed, p, nops, ts, barriers, scheduler):
     """fault_plan=FaultPlan() must not move a single bit of any clock.
 
-    The null plan forces the reference (rescan) scheduler, so this also
-    re-proves scheduler equivalence through the fault-hook call sites.
+    On heap the null plan takes the exact (reference-helper) regime, so
+    this also re-proves its equivalence with the batched fast loop
+    through the fault-hook call sites.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops, barriers=barriers)
@@ -165,9 +166,9 @@ def test_null_plan_is_bit_identical_fuzz(seed, p, nops, ts, barriers, scheduler)
     assert _result_fingerprint(plain) == _result_fingerprint(faulted)
 
 
-def test_null_plan_matches_macro_fast_path_on_cm5_configs():
-    """The Fig 4/5 CM-5 drivers run the macro collective fast path; with a
-    null plan they fall back to the message path and must agree exactly."""
+def test_null_plan_matches_the_compiled_run_on_cm5_configs():
+    """The Fig 4/5 CM-5 drivers compile; with a null plan they run on heap
+    and must agree exactly."""
     from repro.algorithms.cannon import run_cannon
     from repro.algorithms.gk import run_gk_cm5
 
@@ -177,6 +178,7 @@ def test_null_plan_matches_macro_fast_path_on_cm5_configs():
     for run in (run_cannon, run_gk_cm5):
         plain = run(A, B, p, CM5)
         faulted = run(A, B, p, CM5, fault_plan=FaultPlan())
+        assert plain.sim.compiled and not faulted.sim.compiled
         assert plain.parallel_time == faulted.parallel_time
         assert plain.sim.stats == faulted.sim.stats
         np.testing.assert_array_equal(plain.C, faulted.C)

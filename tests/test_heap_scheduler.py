@@ -18,8 +18,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.core.machine import MachineParams
 from repro.simulator.engine import PRI_RESUME, PRI_WAKE, Engine
 from repro.simulator.request import Barrier, Compute, Recv, Send
@@ -200,13 +198,12 @@ def test_event_order_independent_of_hash_seed():
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
-def test_simultaneous_wake_and_resume(scheduler):
+def test_simultaneous_wake_and_resume():
     """A rank woken at exactly another rank's resume time: stable order.
 
     Rank 0 computes for exactly the message flight time, so its resume
-    and rank 1's wake land in the same heap batch; both schedulers must
-    agree with the reference on the resulting clocks.
+    and rank 1's wake land in the same heap batch; the heap must agree
+    with the reference on the resulting clocks.
     """
     flight = M.ts + 4 * M.tw
 
@@ -221,7 +218,7 @@ def test_simultaneous_wake_and_resume(scheduler):
         b = yield Recv(src=0)
         return (a, b)
 
-    fast = Engine(FullyConnected(2), M, scheduler=scheduler).run([p0, p1])
+    fast = Engine(FullyConnected(2), M, scheduler="heap").run([p0, p1])
     ref = Engine(FullyConnected(2), M, scheduler="rescan").run([p0, p1])
     assert fast.parallel_time == ref.parallel_time
     assert fast.stats == ref.stats

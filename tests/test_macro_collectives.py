@@ -1,37 +1,30 @@
-"""Fast-path-vs-reference equivalence for the macro collectives.
+"""Heap-vs-reference equivalence for the collective helpers.
 
-The macro fast path (:mod:`repro.simulator.macro`) simulates a whole
-collective as one closed-form, vectorized clock/stats update.  Its
-contract is *bit-identity* with the message-level reference: same
-``T_p``, same per-rank accounts, same message/word totals, and the same
-payload objects (including aliasing relationships) delivered to every
-rank.  This file pins that contract three ways:
+On the generator schedulers every collective runs as the point-to-point
+messages of :mod:`repro.simulator.collectives`.  The heap scheduler
+charges them in batches, the rescan reference one request at a time;
+the contract is *bit-identity*: same ``T_p``, same per-rank accounts,
+same message/word totals, and the same payload objects delivered to
+every rank.  This file pins that contract three ways:
 
 * a deterministic sweep of all seven collectives across machine models
   (store-and-forward vs cut-through, hop costs, all-port) and
   topologies;
 * a property-based fuzz over random group shapes, member permutations,
   payload shapes, staggered entry times, and collective sequences;
-* payload-aliasing tests for the zero-copy ndarray handoff — where the
-  reference shares one object the fast path must share it too, and
-  where the reference copies (reduce-scatter) no two ranks may end up
-  with memory-sharing views.
-
-``MACRO_GROUP_MIN`` is pinned to 2 throughout so small (fast-to-run)
-groups exercise the macro executors that production only uses for
-``g >= 64``.
+* payload-aliasing tests for the zero-copy ndarray handoff — which
+  objects the helpers share between ranks, and where they copy
+  (reduce-scatter) so that no two ranks end up with memory-sharing
+  views.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulator.collectives as coll
 from repro.core.machine import CM5, NCUBE2_LIKE, MachineParams
 from repro.simulator.collectives import (
     allgather_recursive_doubling,
@@ -44,17 +37,6 @@ from repro.simulator.collectives import (
 )
 from repro.simulator.engine import run_spmd
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
-
-
-@contextmanager
-def macro_group_min(value: int):
-    """Temporarily lower the macro cutoff so tiny groups take the fast path."""
-    prev = coll.MACRO_GROUP_MIN
-    coll.MACRO_GROUP_MIN = value
-    try:
-        yield
-    finally:
-        coll.MACRO_GROUP_MIN = prev
 
 
 def deep_eq(a, b) -> bool:
@@ -89,13 +71,11 @@ def assert_identical(res_a, res_b, label: str):
         assert deep_eq(v_a, v_b), f"{label}: rank {r} return value diverges"
 
 
-def run_three_ways(p, topo, machine, factory):
-    """(macro+ready, message+ready, message+rescan) runs of one program."""
-    with macro_group_min(2):
-        macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
-    msg = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=False)
-    rescan = run_spmd(topo, machine, factory, scheduler="rescan", macro_collectives=False)
-    return macro, msg, rescan
+def run_both(topo, machine, factory):
+    """(heap, rescan) runs of one program."""
+    heap = run_spmd(topo, machine, factory, scheduler="heap")
+    rescan = run_spmd(topo, machine, factory, scheduler="rescan")
+    return heap, rescan
 
 
 # -- deterministic sweep: all collectives x machine models x topologies ------------
@@ -147,9 +127,8 @@ def test_all_collectives_bit_identical(machine, make_topo):
     def factory(info):
         return _all_collectives_body(info, group)
 
-    macro, msg, rescan = run_three_ways(p, topo, machine, factory)
-    assert_identical(macro, msg, "macro vs message-ready")
-    assert_identical(macro, rescan, "macro vs rescan reference")
+    heap, rescan = run_both(topo, machine, factory)
+    assert_identical(heap, rescan, "heap vs rescan reference")
 
 
 def test_subgroup_and_permuted_group_bit_identical():
@@ -176,9 +155,8 @@ def test_subgroup_and_permuted_group_bit_identical():
 
         return body()
 
-    macro, msg, rescan = run_three_ways(p, topo, NCUBE2_LIKE, factory)
-    assert_identical(macro, msg, "subgroups macro vs message-ready")
-    assert_identical(macro, rescan, "subgroups macro vs rescan")
+    heap, rescan = run_both(topo, NCUBE2_LIKE, factory)
+    assert_identical(heap, rescan, "subgroups heap vs rescan")
 
 
 def test_mesh_topology_distances_bit_identical():
@@ -193,9 +171,8 @@ def test_mesh_topology_distances_bit_identical():
 
         return body()
 
-    macro, msg, rescan = run_three_ways(p, topo, MachineParams(ts=5.0, tw=1.5, th=2.0), factory)
-    assert_identical(macro, msg, "mesh macro vs message-ready")
-    assert_identical(macro, rescan, "mesh macro vs rescan")
+    heap, rescan = run_both(topo, MachineParams(ts=5.0, tw=1.5, th=2.0), factory)
+    assert_identical(heap, rescan, "mesh heap vs rescan")
 
 
 # -- property-based fuzz -----------------------------------------------------------
@@ -292,36 +269,29 @@ def _fuzz_factory(schedule, seed: int):
     machine=st.sampled_from(MACHINES),
     fully_connected=st.booleans(),
 )
-def test_fuzz_macro_matches_reference(seed, p, rounds, machine, fully_connected):
+def test_fuzz_heap_matches_reference(seed, p, rounds, machine, fully_connected):
     topo = FullyConnected(p) if fully_connected else Hypercube.of_size(p)
     schedule = _build_schedule(seed, p, rounds)
     factory = _fuzz_factory(schedule, seed)
-    macro, msg, rescan = run_three_ways(p, topo, machine, factory)
-    assert_identical(macro, msg, f"seed={seed} macro vs message-ready")
-    assert_identical(macro, rescan, f"seed={seed} macro vs rescan reference")
+    heap, rescan = run_both(topo, machine, factory)
+    assert_identical(heap, rescan, f"seed={seed} heap vs rescan reference")
 
 
 # -- payload aliasing: the zero-copy contract --------------------------------------
 
 
-def _run_macro(p, factory, machine=NCUBE2_LIKE):
-    with macro_group_min(2):
-        return run_spmd(
-            Hypercube.of_size(p), machine, factory,
-            scheduler="ready", macro_collectives=True,
-        )
+def _run_heap(p, factory, machine=NCUBE2_LIKE):
+    return run_spmd(Hypercube.of_size(p), machine, factory, scheduler="heap")
 
 
 def _run_reference(p, factory, machine=NCUBE2_LIKE):
-    return run_spmd(
-        Hypercube.of_size(p), machine, factory,
-        scheduler="ready", macro_collectives=False,
-    )
+    return run_spmd(Hypercube.of_size(p), machine, factory, scheduler="rescan")
 
 
 class TestPayloadAliasing:
-    """Where the reference shares objects the fast path shares them; where
-    the reference copies, in-place mutation must stay private to a rank."""
+    """Broadcasts, all-gathers and shifts hand over the objects the ranks
+    passed in; a reduce-scatter copies, so in-place mutation stays
+    private to a rank."""
 
     def test_bcast_delivers_the_root_object_zero_copy(self):
         p = 8
@@ -337,7 +307,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             for r in range(p):
                 assert res.returns[r] is payload
@@ -356,7 +326,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             for r in range(p):
                 # fresh list per rank...
@@ -377,7 +347,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             for r in range(p):
                 assert res.returns[r] is payloads[(r - 3) % p]
@@ -398,7 +368,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             pieces = [res.returns[r][0] for r in range(p)]
             for r in range(p):
@@ -417,7 +387,7 @@ class TestPayloadAliasing:
         def make_inputs():
             return [np.full((4, 4), float(r + 1)) for r in range(p)]
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             inputs = make_inputs()
 
             def factory(info):
@@ -454,7 +424,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             assert res.returns == [False] * p
 
@@ -471,7 +441,7 @@ class TestPayloadAliasing:
 
             return body()
 
-        for runner in (_run_macro, _run_reference):
+        for runner in (_run_heap, _run_reference):
             res = runner(p, factory)
             for r in range(p):
                 if r == 3:

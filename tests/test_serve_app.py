@@ -136,12 +136,17 @@ class TestHttp:
                  {"machine": "cm5", "log2_p_max": 99}, 413),
                 ("POST", "/jobs",
                  {"machine": "cm5", "algorithm": "cannon", "n": 4096, "p": 4}, 400),
+                ("POST", "/jobs",
+                 {"machine": "cm5", "algorithm": "cannon", "n": 16, "p": 4,
+                  "scheduler": "ready"}, 400),
                 ("POST", "/crossover", {"machine": "cm5", "a": "x", "b": "gk"}, 400),
             ]
             for method, path, body, want in cases:
                 status, payload = await _http(reader, writer, method, path, body)
                 assert status == want, (path, status, payload)
                 assert "error" in payload
+                if body and "scheduler" in body:
+                    assert "rescan, heap, compiled" in payload["error"]
             writer.close()
 
         _serve(scenario)
