@@ -4,7 +4,10 @@ Ten workloads are timed, each against a faithful replica of the
 implementation it replaced:
 
 * ``engine`` — one representative grid of simulations under the seed
-  ``rescan`` scheduler vs the event-heap ``heap`` scheduler.
+  ``rescan`` scheduler vs the event-heap ``heap`` scheduler.  Heap
+  charges every request through the same reference helpers as rescan,
+  so the ratio is the scheduling alone: O(log p) pops against O(p)
+  rescans.
 * ``engine_heap`` — the event-heap scheduler on a message-path-heavy
   relay-ring workload at ``p = 4096`` and ``p = 16384``.  Tokens travel
   toward decreasing ranks, so every rescan pass (which steps ranks in
@@ -221,7 +224,7 @@ def bench_engine_heap(fast: bool, repeats: int) -> dict:
     Two configurations per machine size:
 
     * *plain* — no faults, no tracing; the ratio shows the scheduling
-      asymptotics.
+      asymptotics (both schedulers charge through the same helpers).
     * *fault_active* — an active ``FaultPlan`` (link degradation), which
       heap charges through the reference helpers.  The pre-heap engine
       had no fast path at all in this configuration, so this ratio is

@@ -33,17 +33,12 @@ from repro.analysis.core import (
     load_baseline,
     register,
     write_baseline,
+    _load_rule_modules,
 )
 from repro.analysis.program import Program
 from repro.analysis.sarif import to_sarif
-from repro.analysis import (  # noqa: F401  (registers rules)
-    rules_contracts,
-    rules_dataflow,
-    rules_determinism,
-    rules_dimensions,
-    rules_engine,
-    rules_models,
-)
+
+_load_rule_modules()  # registers the whole catalogue in RULES
 
 __all__ = [
     "AnalysisReport",

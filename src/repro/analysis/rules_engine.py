@@ -263,9 +263,10 @@ class HeapDisciplineRule(Rule):
     """ENG006: the engine's inner loops build no trace objects when tracing is off.
 
     A ``TraceEvent`` (and the f-string label built at its call site)
-    costs more than the whole charge for a small message; constructing
-    one per event with tracing disabled silently erases most of the heap
-    scheduler's win, and it is easy to regress one call site at a time.
+    costs more than the whole charge for a small message.  Heap and
+    rescan charge every request through the same helpers, so one
+    unguarded construction there taxes every untraced generator run,
+    and it is easy to regress one call site at a time.
     Every ``TraceEvent(...)`` in ``engine.py`` must therefore sit inside
     an ``if`` guarded by the tracing flag (``self.trace.enabled`` or a
     hoisted ``tracing`` local).  The heap's other discipline, one

@@ -19,7 +19,11 @@ battery is a real finding, not generator noise):
   a legitimate :class:`~repro.simulator.errors.UnrecoverableFaultError`
   (13 consecutive drops) below ``0.2**13 ≈ 8e-10`` per message;
 * crash ranks are drawn below the smallest ``p`` in the scenario, so a
-  planned crash always lands on a live rank.
+  planned crash always lands on a live rank;
+* ``compiled`` scenarios carry no fault plan, since an active plan
+  stops compilation: they replay compiled schedules, which the
+  divergence oracle checks against heap, and the heap and rescan
+  scenarios carry the fault coverage.
 """
 
 from __future__ import annotations
@@ -166,6 +170,11 @@ def generate_scenario(
         )
         scheduler = str(_pick(rng, profile.schedulers))
         plan = _fault_plan(rng, str(_pick(rng, profile.fault_kinds)), profile, min(p_values))
+        if scheduler == "compiled":
+            # an active plan stops compilation, so a compiled draw runs
+            # fault-free; its plan is drawn all the same, so the slot's
+            # later fields keep their values
+            plan = FaultPlan()
         try:
             return Scenario(
                 machine=machine,

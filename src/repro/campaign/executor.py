@@ -52,8 +52,9 @@ def alt_scheduler_for(scenario: Scenario) -> str:
     checked against the reference (``rescan``), ``rescan`` scenarios
     against ``heap``, and ``compiled`` replays against the ``heap``
     schedule they were compiled from.  A fault plan stops compilation,
-    so a ``compiled`` scenario with one runs on heap and is checked
-    against ``rescan``, keeping the pair across two cores.
+    so a hand-written ``compiled`` scenario with one runs on heap and is
+    checked against ``rescan``, keeping the pair across two cores (the
+    autopilot draws ``compiled`` scenarios fault-free).
     """
     if scenario.scheduler == "heap" or (
         scenario.scheduler == "compiled" and not scenario.fault_plan.is_null
@@ -100,6 +101,8 @@ def _simulate_point(
         "faults_injected": 0,
         "checkpoint_time": 0.0,
         "recovery_time": 0.0,
+        "compiled": False,
+        "compile_fallback": None,
     }
     try:
         res = entry.run(
@@ -125,6 +128,8 @@ def _simulate_point(
     row["faults_injected"] = res.sim.faults_injected
     row["checkpoint_time"] = res.sim.checkpoint_time
     row["recovery_time"] = res.sim.recovery_time
+    row["compiled"] = res.sim.compiled
+    row["compile_fallback"] = res.sim.compile_fallback
     if C_ref is not None and not np.allclose(res.C, C_ref):
         row["outcome"] = "numerical-mismatch"
         row["error"] = f"max abs deviation {float(np.max(np.abs(res.C - C_ref))):.3e}"

@@ -1,11 +1,11 @@
-"""Shared vectorized charging helpers for the simulator cost model.
+"""Vectorized charging helpers for compiled replay.
 
-Every code path that charges message costs against whole rank vectors —
-the event-heap scheduler's batched branches (:mod:`repro.simulator.engine`)
-and the record→replay trace compiler (:mod:`repro.simulator.compile`),
-compiled collectives included — goes through the two helpers in this
-module so the arithmetic cannot drift
-from the scalar reference in :meth:`repro.core.machine.MachineParams`:
+The record→replay trace compiler (:mod:`repro.simulator.compile`),
+compiled collectives included, charges message costs against whole
+rank vectors only through the two helpers in this module, so the
+arithmetic cannot drift from the scalar reference in
+:meth:`repro.core.machine.MachineParams`, which the generator loops
+(:mod:`repro.simulator.engine`) call per request:
 
 * sender busy time: ``ts + tw*m``
 * cut-through duration: ``ts + tw*m + th*hops``
@@ -14,8 +14,8 @@ from the scalar reference in :meth:`repro.core.machine.MachineParams`:
   receiver's clock advances to ``max(clock, arrival)``.
 
 The expressions are written exactly as the scalar helpers write them (no
-re-association), which is what makes the vectorized schedulers
-bit-identical to ``rescan``.  The static-analysis rule ENG008 enforces
+re-association), which is what makes compiled replay bit-identical to
+``heap`` and ``rescan``.  The static-analysis rule ENG008 enforces
 that the compiled scheduler never touches ``machine.ts``/``tw``/``th``
 directly — all cost arithmetic must flow through this module.
 

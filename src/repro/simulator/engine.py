@@ -45,12 +45,10 @@ that freedom differently:
 * ``"heap"`` — the central min-heap event core, the one production
   generator loop.  All pending work lives in one ``heapq`` queue of
   ``(timestamp, priority, seq, rank)`` tuples, so every scheduling
-  decision is O(log p); same-timestamp event batches are popped
-  together and their Compute/Send/SendAll arithmetic is charged
-  vectorized against the run's :class:`RankArrays`.  Fault-active and
-  contention runs take the same heap queue but charge per request
-  through the reference helpers, so they keep the reference arithmetic
-  while escaping the rescan scheduler's O(p)-per-pass scans.
+  decision is O(log p).  A popped rank runs until it blocks, and each
+  of its requests is charged through the same helpers as ``"rescan"``,
+  so plain, traced, fault-plan and contention runs all keep the
+  reference arithmetic while escaping its O(p)-per-pass scans.
 * ``"rescan"`` — the original round-robin "run until blocked" loop,
   which rescans every pending rank each pass (O(p) per pass even when
   only one rank can move).  It is retained verbatim as the reference
@@ -103,10 +101,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Mapping
 
-import numpy as np
-
 from repro.core.machine import MachineParams
-from repro.simulator.charging import message_times
 from repro.simulator.compile import (
     CompileFallback,
     SymmetrySpec,
@@ -126,7 +121,7 @@ from repro.simulator.request import (
     Send,
     SendAll,
 )
-from repro.simulator.topology import PairHopCache, Topology
+from repro.simulator.topology import Topology
 from repro.simulator.trace import RankArrays, RankStats, Trace, TraceEvent
 
 __all__ = [
@@ -154,12 +149,6 @@ SCHEDULERS: tuple[str, ...] = ("rescan", "heap", "compiled")
 #: break by event class before insertion order.
 PRI_RESUME: int = 0
 PRI_WAKE: int = 1
-
-#: Below this many same-kind requests in a heap batch, the scalar
-#: charge path is used — numpy setup costs more than it saves.  Both
-#: paths evaluate the identical expressions, so the threshold never
-#: affects results.
-_VEC_MIN: int = 8
 
 #: Process-wide default used when ``Engine(scheduler=None)``: trace
 #: compilation, which falls back to ``"heap"`` (recording why) for a
@@ -322,34 +311,22 @@ def _unsupported(r: int, req: Any) -> ProgramError:
 
 
 class _RankState:
-    """Per-rank scheduling state; clocks and accounts live in :class:`RankArrays`.
+    """Per-rank scheduling state: the rank's clock and its running accounts.
 
-    ``clock`` and ``stats`` are views into the run's shared arrays, so
-    scalar code paths (the reference scheduler, SendAll) keep their
-    original shape while the heap's batched charges and barrier releases
-    update whole rank sets vectorized.
+    Both are plain Python numbers; :meth:`Engine.run` copies them into
+    the run's :class:`RankArrays` once, when the run ends.
     """
 
-    __slots__ = ("gen", "rank", "_arr", "stats", "blocked_on", "done", "retval", "barrier_epoch", "send_value")
+    __slots__ = ("gen", "clock", "stats", "blocked_on", "done", "retval", "send_value")
 
-    def __init__(self, gen: Program, rank: int, arr: RankArrays) -> None:
+    def __init__(self, gen: Program, rank: int) -> None:
         self.gen = gen
-        self.rank = rank
-        self._arr = arr
-        self.stats = arr.view(rank)
+        self.clock = 0.0
+        self.stats = RankStats(rank)
         self.blocked_on: Recv | Barrier | None = None
         self.done = False
         self.retval: Any = None
-        self.barrier_epoch = 0
         self.send_value: Any = None
-
-    @property
-    def clock(self) -> float:
-        return self._arr.clock[self.rank]
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self._arr.clock[self.rank] = value
 
 
 class Engine:
@@ -396,7 +373,6 @@ class Engine:
         self._waiting: dict[tuple[int, int, int], int] = {}
         # mailboxes[(src, dst, tag)] -> FIFO of (arrival_time, payload, nwords)
         self._mail: dict[tuple[int, int, int], deque[tuple[float, Any, int]]] = {}
-        self._arr: RankArrays | None = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -448,7 +424,6 @@ class Engine:
                 scheduler = "heap"
             else:
                 arr = RankArrays(p)
-                self._arr = arr
                 schedule.replay(arr, self.machine)
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
@@ -460,8 +435,6 @@ class Engine:
                     payloads=schedule.dataflow.evaluate,
                 )
 
-        arr = RankArrays(p)
-        self._arr = arr
         inputs = self.symmetry.inputs if self.symmetry is not None else {}
         states = [
             _RankState(
@@ -475,7 +448,6 @@ class Engine:
                     )
                 ),
                 r,
-                arr,
             )
             for r, f in enumerate(factories)
         ]
@@ -490,6 +462,9 @@ class Engine:
         else:
             self._run_rescan(states)
 
+        for s in states:
+            s.stats.finish_time = s.clock
+        arr = RankArrays.from_stats([s.stats for s in states])
         t_p = float(arr.clock.max()) if p else 0.0
         result = SimResult(
             parallel_time=t_p,
@@ -568,438 +543,22 @@ class Engine:
     def _run_heap(self, states: list[_RankState]) -> None:
         """Central min-heap event core: O(log p) scheduling decisions.
 
-        Plain runs take the batched fast loop; fault-active and
-        link-contention runs keep heap scheduling but charge each
-        request through the reference helpers so the fault timeline
-        stays bit-identical to the rescan scheduler.
+        Each popped rank runs until it blocks, charging every request
+        through the same helpers as the rescan scheduler
+        (``_dispatch``/``_do_send``/``_do_send_all``/``_complete_recv``/
+        ``_try_release_barrier``), so clocks, accounts, trace events and
+        the fault timeline — crash windows, degraded links,
+        drop/retransmit streams — are bit-identical to the reference
+        while scheduling stays O(log p) instead of O(p) per pass.  Only
+        the global interleaving of ``trace.events`` follows heap order.
+        Link-reservation grants follow heap event order too, which
+        matches the reference whenever routes do not conflict
+        (single-hop traffic; see the module docstring).
         """
+        heap = self._event_heap
+        waiting = self._waiting
         for r in range(len(states)):
             self._schedule(0.0, PRI_RESUME, r)
-        if self._faults is not None or self.links is not None:
-            self._run_heap_exact(states)
-        else:
-            self._run_heap_fast(states)
-
-    def _run_heap_fast(self, states: list[_RankState]) -> None:
-        """Heap scheduling with batched charging (no faults/contention).
-
-        Same-timestamp events are popped as one batch; each rank's
-        generator is resumed once (receives whose message is already in
-        the mailbox complete inline), and the batch's Compute/Send/
-        SendAll requests are charged against the :class:`RankArrays` in
-        one vectorized shot per request kind.  Every expression matches
-        the reference scheduler's scalar arithmetic — numpy float64
-        elementwise ops round exactly like the equivalent Python float
-        ops — so clocks stay bit-identical (the fuzz suite pins this).
-        """
-        machine = self.machine
-        ts, tw, th = machine.ts, machine.tw, machine.th
-        cut_through = machine.routing == "ct"
-        all_port = machine.all_port
-        topo = self.topology
-        size = topo.size
-        hop_cache = PairHopCache.shared(topo)
-        hop = hop_cache.hop
-        mail = self._mail
-        tracing = self.trace.enabled
-        record = self.trace.record
-
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        clk_arr = arr.clock
-        comp_arr = arr.compute_time
-        sendt_arr = arr.send_time
-        rwait_arr = arr.recv_wait_time
-        msgs_arr = arr.messages_sent
-        words_arr = arr.words_sent
-
-        heap = self._event_heap
-        schedule = self._schedule
-        waiting = self._waiting
-        barrier_blocked = 0
-        active = len(states)
-
-        while active:
-            while heap:
-                now = heap[0][0]
-                batch: list[tuple[float, int, int, int]] = []
-                # equal-timestamp detection by ordering comparison: the
-                # root can only be <= the minimum just popped if it ties
-                while heap and heap[0][0] <= now:
-                    batch.append(heappop(heap))
-                comp_items: list[tuple[int, float, Compute]] = []
-                send_items: list[tuple[int, float, Send]] = []
-                sendall_items: list[tuple[int, float, SendAll]] = []
-                for _t, _pri, _seq, r in batch:
-                    st = states[r]
-                    clock = clk_arr.item(r)
-                    value = None
-                    blocked = st.blocked_on
-                    if blocked is not None:
-                        # woken by a deposit on this channel: complete the Recv
-                        arrival, value, nwords = mail[(blocked.src, r, blocked.tag)].popleft()
-                        if tracing:
-                            end = arrival if arrival > clock else clock
-                            record(TraceEvent(r, clock, end, "recv",
-                                              f"<-{blocked.src} {nwords}w", tag=blocked.tag))
-                        if arrival > clock:
-                            rwait_arr[r] += arrival - clock
-                            clock = arrival
-                        st.blocked_on = None
-                    gen_send = st.gen.send
-                    while True:
-                        try:
-                            req = gen_send(value)
-                        except StopIteration as stop:
-                            st.done = True
-                            st.retval = stop.value
-                            active -= 1
-                            clk_arr[r] = clock
-                            break
-                        value = None
-                        cls = req.__class__
-                        if cls is Recv:
-                            key = (req.src, r, req.tag)
-                            q = mail.get(key)
-                            if q:
-                                arrival, value, nwords = q.popleft()
-                                if tracing:
-                                    end = arrival if arrival > clock else clock
-                                    record(TraceEvent(r, clock, end, "recv",
-                                                      f"<-{req.src} {nwords}w", tag=req.tag))
-                                if arrival > clock:
-                                    rwait_arr[r] += arrival - clock
-                                    clock = arrival
-                                continue
-                            st.blocked_on = req
-                            waiting[key] = r
-                            clk_arr[r] = clock
-                            break
-                        if cls is Send:
-                            if not 0 <= req.dst < size:
-                                raise ProgramError(
-                                    f"rank {r} sent to invalid rank {req.dst}"
-                                )
-                            send_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is SendAll:
-                            if not req.messages:
-                                continue
-                            for m in req.messages:
-                                if not 0 <= m.dst < size:
-                                    raise ProgramError(
-                                        f"rank {r} sent to invalid rank {m.dst}"
-                                    )
-                            sendall_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is Compute:
-                            comp_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is Barrier:
-                            st.blocked_on = req
-                            barrier_blocked += 1
-                            clk_arr[r] = clock
-                            break
-                        if cls is Checkpoint:
-                            # free without a fault plan (this loop never
-                            # runs with one)
-                            continue
-                        raise _unsupported(r, req)
-
-                # ---- batched charging (one vectorized shot per kind) ----
-                if comp_items:
-                    if len(comp_items) < _VEC_MIN:
-                        for r, clock, creq in comp_items:
-                            cost = creq.cost
-                            if tracing:
-                                record(TraceEvent(r, clock, clock + cost,
-                                                  "compute", creq.label))
-                            comp_arr[r] += cost
-                            end = clock + cost
-                            clk_arr[r] = end
-                            schedule(end, PRI_RESUME, r)
-                    else:
-                        n = len(comp_items)
-                        idx = np.fromiter((it[0] for it in comp_items),
-                                          dtype=np.intp, count=n)
-                        starts = np.fromiter((it[1] for it in comp_items),
-                                             dtype=np.float64, count=n)
-                        costs = np.fromiter((it[2].cost for it in comp_items),
-                                            dtype=np.float64, count=n)
-                        ends = starts + costs
-                        comp_arr[idx] += costs
-                        clk_arr[idx] = ends
-                        end_list = ends.tolist()
-                        for i, (r, clock, creq) in enumerate(comp_items):
-                            if tracing:
-                                record(TraceEvent(r, clock, end_list[i],
-                                                  "compute", creq.label))
-                            schedule(end_list[i], PRI_RESUME, r)
-                if send_items:
-                    if len(send_items) < _VEC_MIN:
-                        for r, clock, sreq in send_items:
-                            dst = sreq.dst
-                            hops = hop(r, dst)
-                            nwords = sreq.nwords
-                            # same expressions as MachineParams.transfer_time
-                            # / sender_busy_time, hoisted out of the calls
-                            if cut_through:
-                                duration = ts + tw * nwords + th * hops
-                            else:
-                                duration = ts + (tw * nwords + th) * hops
-                            busy = ts + tw * nwords
-                            arrival = clock + duration
-                            key = (r, dst, sreq.tag)
-                            q = mail.get(key)
-                            if q is None:
-                                q = mail[key] = deque()
-                            q.append((arrival, sreq.data, nwords))
-                            msgs_arr[r] += 1
-                            words_arr[r] += nwords
-                            sendt_arr[r] += busy
-                            end = clock + busy
-                            if tracing:
-                                record(TraceEvent(r, clock, end, "send",
-                                                  f"->{dst} {nwords}w", tag=sreq.tag))
-                            clk_arr[r] = end
-                            schedule(end, PRI_RESUME, r)
-                            if waiting:
-                                woken = waiting.pop(key, None)
-                                if woken is not None:
-                                    c2 = clk_arr.item(woken)
-                                    schedule(arrival if arrival > c2 else c2,
-                                             PRI_WAKE, woken)
-                    else:
-                        n = len(send_items)
-                        idx = np.fromiter((it[0] for it in send_items),
-                                          dtype=np.intp, count=n)
-                        starts = np.fromiter((it[1] for it in send_items),
-                                             dtype=np.float64, count=n)
-                        dsts = np.fromiter((it[2].dst for it in send_items),
-                                           dtype=np.int64, count=n)
-                        nws = np.fromiter((it[2].nwords for it in send_items),
-                                          dtype=np.int64, count=n)
-                        hops_a = hop_cache.bulk(idx.astype(np.int64), dsts)
-                        nws_f = nws.astype(np.float64)
-                        busys, arrivals = message_times(
-                            self.machine, starts, nws_f, hops_a
-                        )
-                        ends = starts + busys
-                        msgs_arr[idx] += 1
-                        words_arr[idx] += nws
-                        sendt_arr[idx] += busys
-                        clk_arr[idx] = ends
-                        arrival_list = arrivals.tolist()
-                        end_list = ends.tolist()
-                        for i, (r, clock, sreq) in enumerate(send_items):
-                            arrival = arrival_list[i]
-                            key = (r, sreq.dst, sreq.tag)
-                            q = mail.get(key)
-                            if q is None:
-                                q = mail[key] = deque()
-                            q.append((arrival, sreq.data, sreq.nwords))
-                            if tracing:
-                                record(TraceEvent(r, clock, end_list[i], "send",
-                                                  f"->{sreq.dst} {sreq.nwords}w",
-                                                  tag=sreq.tag))
-                            schedule(end_list[i], PRI_RESUME, r)
-                            if waiting:
-                                woken = waiting.pop(key, None)
-                                if woken is not None:
-                                    c2 = clk_arr.item(woken)
-                                    schedule(arrival if arrival > c2 else c2,
-                                             PRI_WAKE, woken)
-                if sendall_items:
-                    k = len(sendall_items[0][2].messages)
-                    if (
-                        all_port
-                        and len(sendall_items) * k >= _VEC_MIN
-                        and all(len(it[2].messages) == k for it in sendall_items)
-                    ):
-                        self._charge_sendall_batch(sendall_items, k, hop_cache)
-                    else:
-                        for r, clock, areq in sendall_items:
-                            if all_port:
-                                # all ports drive simultaneously; sender busy
-                                # for the slowest port
-                                start = clock
-                                busy = 0.0
-                                for m in areq.messages:
-                                    dst = m.dst
-                                    hops = hop(r, dst)
-                                    nwords = m.nwords
-                                    if cut_through:
-                                        duration = ts + tw * nwords + th * hops
-                                    else:
-                                        duration = ts + (tw * nwords + th) * hops
-                                    b = ts + tw * nwords
-                                    if b > busy:
-                                        busy = b
-                                    arrival = start + duration
-                                    key = (r, dst, m.tag)
-                                    q = mail.get(key)
-                                    if q is None:
-                                        q = mail[key] = deque()
-                                    q.append((arrival, m.data, nwords))
-                                    msgs_arr[r] += 1
-                                    words_arr[r] += nwords
-                                    if waiting:
-                                        woken = waiting.pop(key, None)
-                                        if woken is not None:
-                                            c2 = clk_arr.item(woken)
-                                            schedule(
-                                                arrival if arrival > c2 else c2,
-                                                PRI_WAKE, woken,
-                                            )
-                                sendt_arr[r] += busy
-                                end = start + busy
-                                clk_arr[r] = end
-                                if tracing:
-                                    record(TraceEvent(r, start, end, "send",
-                                                      f"all-port x{len(areq.messages)}"))
-                                schedule(end, PRI_RESUME, r)
-                            else:
-                                # one-port: injections serialize in order
-                                for m in areq.messages:
-                                    dst = m.dst
-                                    hops = hop(r, dst)
-                                    nwords = m.nwords
-                                    if cut_through:
-                                        duration = ts + tw * nwords + th * hops
-                                    else:
-                                        duration = ts + (tw * nwords + th) * hops
-                                    busy = ts + tw * nwords
-                                    arrival = clock + duration
-                                    key = (r, dst, m.tag)
-                                    q = mail.get(key)
-                                    if q is None:
-                                        q = mail[key] = deque()
-                                    q.append((arrival, m.data, nwords))
-                                    msgs_arr[r] += 1
-                                    words_arr[r] += nwords
-                                    sendt_arr[r] += busy
-                                    end = clock + busy
-                                    if tracing:
-                                        record(TraceEvent(r, clock, end, "send",
-                                                          f"->{dst} {nwords}w",
-                                                          tag=m.tag))
-                                    clock = end
-                                    if waiting:
-                                        woken = waiting.pop(key, None)
-                                        if woken is not None:
-                                            c2 = clk_arr.item(woken)
-                                            schedule(
-                                                arrival if arrival > c2 else c2,
-                                                PRI_WAKE, woken,
-                                            )
-                                clk_arr[r] = clock
-                                schedule(clock, PRI_RESUME, r)
-            if not active:
-                return
-            if barrier_blocked == active:
-                self._release_barrier_fast(states)
-                barrier_blocked = 0
-                for r, s in enumerate(states):
-                    if not s.done:
-                        schedule(clk_arr.item(r), PRI_RESUME, r)
-            else:
-                raise DeadlockError(
-                    {
-                        r: repr(states[r].blocked_on)
-                        for r in range(len(states))
-                        if not states[r].done and states[r].blocked_on is not None
-                    }
-                )
-
-    def _charge_sendall_batch(
-        self,
-        sendall_items: list[tuple[int, float, SendAll]],
-        k: int,
-        hop_cache: PairHopCache,
-    ) -> None:
-        """Vectorized all-port SendAll charge for a uniform heap batch.
-
-        Every rank in the batch fans out *k* messages on an all-port
-        machine, so per-message durations and arrivals flatten to one
-        ``(batch, k)`` array computation; the per-rank busy time is the
-        row maximum (exact — no float re-association) and deposits/
-        wakeups walk the messages in the same order as the scalar path.
-        """
-        machine = self.machine
-        mail = self._mail
-        waiting = self._waiting
-        tracing = self.trace.enabled
-        record = self.trace.record
-        schedule = self._schedule
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        clk_arr = arr.clock
-
-        nb = len(sendall_items)
-        idx = np.fromiter((it[0] for it in sendall_items), dtype=np.intp, count=nb)
-        starts = np.fromiter((it[1] for it in sendall_items), dtype=np.float64, count=nb)
-        flat_dst = np.fromiter(
-            (m.dst for it in sendall_items for m in it[2].messages),
-            dtype=np.int64, count=nb * k,
-        )
-        flat_nw = np.fromiter(
-            (m.nwords for it in sendall_items for m in it[2].messages),
-            dtype=np.int64, count=nb * k,
-        )
-        flat_src = np.repeat(idx.astype(np.int64), k)
-        hops_a = hop_cache.bulk(flat_src, flat_dst)
-        nws_f = flat_nw.astype(np.float64)
-        busy_m, arrivals = message_times(
-            machine, np.repeat(starts, k), nws_f, hops_a
-        )
-        busy_rank = busy_m.reshape(nb, k).max(axis=1)
-        ends = starts + busy_rank
-        arr.messages_sent[idx] += k
-        arr.words_sent[idx] += flat_nw.reshape(nb, k).sum(axis=1)
-        arr.send_time[idx] += busy_rank
-        clk_arr[idx] = ends
-        arrival_list = arrivals.tolist()
-        end_list = ends.tolist()
-        i = 0
-        for b, (r, start, areq) in enumerate(sendall_items):
-            for m in areq.messages:
-                arrival = arrival_list[i]
-                i += 1
-                key = (r, m.dst, m.tag)
-                q = mail.get(key)
-                if q is None:
-                    q = mail[key] = deque()
-                q.append((arrival, m.data, m.nwords))
-                if waiting:
-                    woken = waiting.pop(key, None)
-                    if woken is not None:
-                        c2 = clk_arr.item(woken)
-                        schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
-            if tracing:
-                record(TraceEvent(r, start, end_list[b], "send", f"all-port x{k}"))
-            schedule(end_list[b], PRI_RESUME, r)
-
-    def _run_heap_exact(self, states: list[_RankState]) -> None:
-        """Heap scheduling with reference charging (faults/contention).
-
-        Each popped rank runs until it blocks, charging every request
-        through the same scalar helpers as the rescan scheduler
-        (``_dispatch``/``_do_send``/``_complete_recv``), so the fault
-        timeline — crash windows, degraded links, drop/retransmit
-        streams — is bit-identical to the reference while scheduling
-        stays O(log p) instead of O(p) per pass.  Link-reservation
-        grants follow heap event order, which matches the reference
-        whenever routes do not conflict (single-hop traffic; see the
-        module docstring).
-        """
-        assert self._arr is not None  # set by run() before any scheduler body
-        clk_arr = self._arr.clock
-        heap = self._event_heap
-        schedule = self._schedule
-        waiting = self._waiting
         barrier_blocked = 0
         active = len(states)
         while active:
@@ -1009,7 +568,7 @@ class Engine:
                 value = None
                 blocked = st.blocked_on
                 if blocked is not None:
-                    # only Recv parks with a scheduled wake in this regime
+                    # only Recv parks with a scheduled wake
                     value = self._complete_recv(st, blocked, r)
                     st.blocked_on = None
                 gen_send = st.gen.send
@@ -1027,10 +586,10 @@ class Engine:
                     if blocked is None:
                         cls = req.__class__
                         if cls is Send:
-                            self._maybe_wake(r, req.dst, req.tag)
+                            self._maybe_wake(states, r, req.dst, req.tag)
                         elif cls is SendAll:
                             for m in req.messages:
-                                self._maybe_wake(r, m.dst, m.tag)
+                                self._maybe_wake(states, r, m.dst, m.tag)
                         continue
                     if blocked.__class__ is Barrier:
                         barrier_blocked += 1
@@ -1047,7 +606,7 @@ class Engine:
                 barrier_blocked = 0
                 for r2, s in enumerate(states):
                     if not s.done:
-                        schedule(clk_arr.item(r2), PRI_RESUME, r2)
+                        self._schedule(s.clock, PRI_RESUME, r2)
             else:
                 raise DeadlockError(
                     {
@@ -1060,35 +619,14 @@ class Engine:
                     ),
                 )
 
-    def _maybe_wake(self, src: int, dst: int, tag: int) -> None:
+    def _maybe_wake(self, states: list[_RankState], src: int, dst: int, tag: int) -> None:
         """Schedule a wake for a rank parked on the just-fed channel."""
         key = (src, dst, tag)
         woken = self._waiting.pop(key, None)
         if woken is not None:
             arrival = self._mail[key][0][0]
-            c2 = self._arr.clock.item(woken)
+            c2 = states[woken].clock
             self._schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
-
-    def _release_barrier_fast(self, states: list[_RankState]) -> None:
-        """Vectorized barrier release for the heap's fast loop (tracing falls
-        back to the reference release, which records per-rank events)."""
-        if self.trace.enabled:
-            self._try_release_barrier(states)
-            return
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        alive = np.fromiter((not s.done for s in states), dtype=bool, count=len(states))
-        if not alive.any():
-            return
-        clk = arr.clock
-        t = clk[alive].max()
-        gap = t - clk[alive]
-        arr.barrier_wait_time[alive] += np.where(gap > 0.0, gap, 0.0)
-        clk[alive] = t
-        for r in np.flatnonzero(alive):
-            s = states[r]
-            s.blocked_on = None
-            s.send_value = None
 
     def _step_until_blocked(self, states: list[_RankState], r: int) -> bool:
         """Advance rank *r* until it finishes or blocks; return True on any progress."""

@@ -46,7 +46,7 @@ def gantt_chart(
         glyph = GLYPHS.get(ev.kind, "?")
         c0 = min(int(ev.start / end * width), width - 1)
         c1 = min(int(ev.end / end * width), width - 1)
-        for c in range(c0, max(c1, c0 + (1 if ev.end > ev.start else 0)) + 1):
+        for c in range(c0, c1 + 1):
             rows[ev.rank][c] = glyph
 
     legend = "  ".join(f"{g} {k}" for k, g in GLYPHS.items())

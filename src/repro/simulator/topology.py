@@ -226,20 +226,21 @@ class FullyConnected(Topology):
 
 
 class PairHopCache:
-    """Precomputed hop tables for the event-heap scheduler's batches.
+    """Precomputed hop tables for the trace compiler's bulk lookups.
 
-    The heap scheduler charges a whole batch of same-timestamp messages
-    in one shot, so it needs routed hop counts for arrays of
-    ``(src, dst)`` pairs, clamped to at least one link exactly like the
-    scalar message path (``max(distance(src, dst), 1)``).
+    The trace compiler charges every rank's share of a phase in one
+    shot, so it needs routed hop counts for arrays of ``(src, dst)``
+    pairs, clamped to at least one link exactly like the scalar message
+    path (``max(distance(src, dst), 1)`` in
+    :meth:`~repro.core.machine.MachineParams.transfer_time`).
 
     The three concrete topologies answer :meth:`Topology.distances` in
     closed-form array arithmetic, so for them :meth:`bulk` is a single
     vectorized call.  A topology that only defines the scalar metric
     would fall into the base class's Python-loop fallback on every
-    batch; for those the cache memoizes per-pair results instead
-    (repeated pairs dominate the lockstep exchange patterns the heap
-    scheduler targets).
+    lookup; for those the cache memoizes per-pair results instead
+    (repeated pairs dominate the lockstep exchange patterns that
+    compile).
 
     A cache holds its topology weakly, so the caller must keep the
     topology alive while it uses the cache.  A strong reference would
@@ -268,14 +269,6 @@ class PairHopCache:
             out[i] = hops
         return out
 
-    def hop(self, a: int, b: int) -> int:
-        """Scalar routed hop count (``>= 1``), memoized per pair."""
-        pairs = self._pairs
-        hops = pairs.get((a, b))
-        if hops is None:
-            hops = pairs[(a, b)] = max(self._topology.distance(a, b), 1)
-        return hops
-
     _shared: ClassVar["weakref.WeakKeyDictionary[Topology, PairHopCache]"] = (
         weakref.WeakKeyDictionary()
     )
@@ -284,10 +277,10 @@ class PairHopCache:
     def shared(cls, topology: "Topology") -> "PairHopCache":
         """The process-wide cache for *topology* (one per topology instance).
 
-        Engines and the trace compiler route their hop lookups through
-        this accessor so memoized scalar-topology tables survive across
-        Engine instances instead of being rebuilt per run.  Entries are
-        weakly keyed: dropping the topology drops its cache.
+        The trace compiler routes its hop lookups through this accessor
+        so memoized scalar-topology tables survive across compilations
+        instead of being rebuilt per run.  Entries are weakly keyed:
+        dropping the topology drops its cache.
         """
         cache = cls._shared.get(topology)
         if cache is None:

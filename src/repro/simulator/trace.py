@@ -3,15 +3,15 @@
 Two representations of the same accounts coexist:
 
 * :class:`RankStats` — the public, self-contained per-rank record a
-  finished :class:`~repro.simulator.engine.SimResult` carries.
-* :class:`RankArrays` / :class:`RankStatsView` — the engine core's
-  *array-backed* storage.  During a simulation every per-rank clock and
-  counter lives in one numpy array indexed by rank, so the heap's
-  batched charges, compiled replay (:mod:`repro.simulator.charging`)
-  and barrier releases update thousands of ranks with a handful of vectorized
-  operations; the ``__slots__`` view gives the scalar request loop a
-  per-rank handle over the same storage.  ``snapshot()`` materializes
-  the public records when the run completes.
+  finished :class:`~repro.simulator.engine.SimResult` carries.  The
+  generator loops keep each rank's running accounts in one, as plain
+  Python numbers.
+* :class:`RankArrays` — the columnar form: one numpy array per field,
+  indexed by rank.  Compiled replay (:mod:`repro.simulator.charging`)
+  charges thousands of ranks in it with a handful of vectorized
+  operations; a generator run fills one from its records once, when it
+  ends.  Either way it backs the run's totals, and ``snapshot()``
+  materializes the public records.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RankStats", "RankArrays", "RankStatsView", "TraceEvent", "Trace"]
+__all__ = ["RankStats", "RankArrays", "TraceEvent", "Trace"]
 
 
 @dataclass
@@ -49,11 +49,11 @@ class RankStats:
 class RankArrays:
     """All per-rank accounts of one run, one numpy array per field.
 
-    Scalar code paths touch single elements (``arr.clock[r]``); batched
-    charges, compiled replay and barrier releases update whole groups
-    with fancy indexing.  Element dtype is ``float64``/``int64``, so
-    single-element arithmetic is bit-identical to the plain-Python
-    accounting the reference scheduler used.
+    Compiled replay's storage: its phases update whole rank groups with
+    fancy indexing.  A generator run fills one with :meth:`from_stats`
+    when it ends.  Element dtype is ``float64``/``int64``, so elementwise
+    arithmetic is bit-identical to the plain-Python accounting of the
+    generator loops.
     """
 
     __slots__ = (
@@ -77,8 +77,18 @@ class RankArrays:
         self.messages_sent = np.zeros(nprocs, dtype=np.int64)
         self.words_sent = np.zeros(nprocs, dtype=np.int64)
 
-    def view(self, rank: int) -> "RankStatsView":
-        return RankStatsView(self, rank)
+    @classmethod
+    def from_stats(cls, stats: list[RankStats]) -> "RankArrays":
+        """The columns of finished per-rank records (clock = finish time)."""
+        arr = cls(len(stats))
+        arr.clock[:] = [s.finish_time for s in stats]
+        arr.compute_time[:] = [s.compute_time for s in stats]
+        arr.send_time[:] = [s.send_time for s in stats]
+        arr.recv_wait_time[:] = [s.recv_wait_time for s in stats]
+        arr.barrier_wait_time[:] = [s.barrier_wait_time for s in stats]
+        arr.messages_sent[:] = [s.messages_sent for s in stats]
+        arr.words_sent[:] = [s.words_sent for s in stats]
+        return arr
 
     def snapshot(self) -> list[RankStats]:
         """Materialize the public per-rank records (finish = final clock)."""
@@ -96,70 +106,6 @@ class RankArrays:
                 self.clock.tolist(),
             )
         )
-
-
-class RankStatsView:
-    """A one-rank read/write window over :class:`RankArrays`.
-
-    Presents the same attribute surface as :class:`RankStats`, so the
-    scalar request loop (and the reference scheduler, unchanged) can
-    keep writing ``st.stats.send_time += busy`` while the storage stays
-    vectorizable.
-    """
-
-    __slots__ = ("_arr", "rank")
-
-    def __init__(self, arr: RankArrays, rank: int):
-        self._arr = arr
-        self.rank = rank
-
-    @property
-    def compute_time(self) -> float:
-        return self._arr.compute_time[self.rank]
-
-    @compute_time.setter
-    def compute_time(self, value: float) -> None:
-        self._arr.compute_time[self.rank] = value
-
-    @property
-    def send_time(self) -> float:
-        return self._arr.send_time[self.rank]
-
-    @send_time.setter
-    def send_time(self, value: float) -> None:
-        self._arr.send_time[self.rank] = value
-
-    @property
-    def recv_wait_time(self) -> float:
-        return self._arr.recv_wait_time[self.rank]
-
-    @recv_wait_time.setter
-    def recv_wait_time(self, value: float) -> None:
-        self._arr.recv_wait_time[self.rank] = value
-
-    @property
-    def barrier_wait_time(self) -> float:
-        return self._arr.barrier_wait_time[self.rank]
-
-    @barrier_wait_time.setter
-    def barrier_wait_time(self, value: float) -> None:
-        self._arr.barrier_wait_time[self.rank] = value
-
-    @property
-    def messages_sent(self) -> int:
-        return self._arr.messages_sent[self.rank]
-
-    @messages_sent.setter
-    def messages_sent(self, value: int) -> None:
-        self._arr.messages_sent[self.rank] = value
-
-    @property
-    def words_sent(self) -> int:
-        return self._arr.words_sent[self.rank]
-
-    @words_sent.setter
-    def words_sent(self, value: int) -> None:
-        self._arr.words_sent[self.rank] = value
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,16 @@ class TestGeneration:
         assert {s.scheduler for s in battery} == {"compiled", "rescan", "heap"}
         assert {s.topology for s in battery} == {"hypercube", "fully-connected"}
 
+    def test_compiled_scenarios_carry_no_fault_plan(self):
+        """An active plan stops compilation, so every compiled draw of the
+        seed-2024 smoke battery runs fault-free and replays a compiled
+        schedule; the heap draws keep the fault coverage."""
+        battery = generate_battery(2024, 40, PROFILES["smoke"])
+        compiled = [s for s in battery if s.scheduler == "compiled"]
+        assert compiled
+        assert all(s.fault_plan.is_null for s in compiled)
+        assert any(not s.fault_plan.is_null for s in battery if s.scheduler == "heap")
+
     def test_crash_scenarios_are_survivable_by_construction(self):
         for s in generate_battery(11, 150, PROFILES["default"]):
             if s.fault_plan.crash_times:

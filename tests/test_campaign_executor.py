@@ -112,3 +112,14 @@ class TestSchedulers:
         assert rec["status"] == "ok"
         assert all(r["T_sim"] > 0.0 for r in rec["rows"])
         assert all(r["outcome"] == "ok" for r in rec["rows"])
+
+    def test_rows_record_the_path_taken(self):
+        """A fault-free compiled Cannon scenario's rows say they compiled;
+        a plan stops compilation, and the rows say why."""
+        rows = execute_scenario(scenario(scheduler="compiled"), OracleConfig())["rows"]
+        assert [(r["compiled"], r["compile_fallback"]) for r in rows] == [(True, None)] * 2
+        drops = FaultPlan(seed=5, drop_rate=0.1, timeout=500.0)
+        rows = simulate_rows(scenario(scheduler="compiled", fault_plan=drops), "compiled")
+        assert [(r["compiled"], r["compile_fallback"]) for r in rows] == [
+            (False, "active fault plan")
+        ] * 2

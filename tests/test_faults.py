@@ -152,9 +152,9 @@ def _result_fingerprint(res):
 def test_null_plan_is_bit_identical_fuzz(seed, p, nops, ts, barriers, scheduler):
     """fault_plan=FaultPlan() must not move a single bit of any clock.
 
-    On heap the null plan takes the exact (reference-helper) regime, so
-    this also re-proves its equivalence with the batched fast loop
-    through the fault-hook call sites.
+    Heap and rescan charge every request through the same helpers, with
+    or without a plan, so this pins that the fault-hook call sites in
+    those helpers are inert under a plan whose rates are all zero.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops, barriers=barriers)

@@ -57,3 +57,14 @@ class TestGantt:
         text = gantt_chart(tr, width=33)
         row = text.splitlines()[1].split("|", 1)[1]
         assert len(row) == 33
+
+    def test_events_paint_only_their_own_cells(self):
+        """An event starting in the last column stays in the row, and a
+        short event paints no cell past its end."""
+        tr = Trace(enabled=True)
+        tr.record(TraceEvent(0, 0.0, 99.5, "send"))
+        tr.record(TraceEvent(0, 99.5, 100.0, "compute"))
+        tr.record(TraceEvent(1, 10.2, 10.6, "compute"))
+        lines = gantt_chart(tr, width=100).splitlines()
+        assert lines[1].split("|", 1)[1] == ">" * 99 + "#"
+        assert lines[2].split("|", 1)[1] == " " * 10 + "#" + " " * 89

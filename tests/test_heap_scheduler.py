@@ -9,7 +9,7 @@ iteration — so a heap run must replay identically within a process and
 across processes with different hash seeds.
 
 These tests pin that contract where it is easiest to regress:
-adversarial same-timestamp batches (zero-cost operations collapse the
+adversarial same-timestamp ties (zero-cost operations collapse the
 whole run onto ``t = 0``), the key stream produced by ``_schedule``
 itself, and ``PYTHONHASHSEED`` independence checked across subprocesses.
 """
@@ -202,7 +202,7 @@ def test_simultaneous_wake_and_resume():
     """A rank woken at exactly another rank's resume time: stable order.
 
     Rank 0 computes for exactly the message flight time, so its resume
-    and rank 1's wake land in the same heap batch; the heap must agree
+    and rank 1's wake tie at one heap timestamp; the heap must agree
     with the reference on the resulting clocks.
     """
     flight = M.ts + 4 * M.tw

@@ -1,12 +1,12 @@
 """PairHopCache edge cases: clamping, sharing, and hash-seed independence.
 
-The hop tables feed both the heap scheduler's batch charging and the
-trace compiler's replay, so three properties are load-bearing: the
-``max(hops, 1)`` clamp must match the scalar message path exactly (a
-self-message still pays one link), the per-topology cache must be shared
-across Engine instances (:meth:`PairHopCache.shared`), and the tables
-must not depend on ``PYTHONHASHSEED`` (a hash-ordered table would make
-batch charging nondeterministic across processes).
+The hop tables feed the trace compiler's replay, so three properties
+are load-bearing: the ``max(hops, 1)`` clamp must match the scalar
+message path exactly (a self-message still pays one link), the
+per-topology cache must be shared across compilations
+(:meth:`PairHopCache.shared`), and the tables must not depend on
+``PYTHONHASHSEED`` (a hash-ordered table would make replay charging
+nondeterministic across processes).
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import sys
 
 import numpy as np
 
-from repro.simulator.engine import Engine
-from repro.simulator.request import Compute
+from repro.core.machine import NCUBE2_LIKE
+from repro.simulator.engine import Engine, SymmetrySpec
+from repro.simulator.request import Recv, Send
 from repro.simulator.topology import (
     FullyConnected,
     Hypercube,
@@ -49,9 +50,10 @@ def test_single_rank_topology():
     """p=1: the only pair is (0, 0) and it still clamps to one hop."""
     for topo in (FullyConnected(1), Hypercube(0), _ScalarOnlyLine(1)):
         cache = PairHopCache(topo)
-        assert cache.hop(0, 0) == 1
         out = cache.bulk(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64))
         assert out.tolist() == [1, 1, 1]
+    # the scalar-only line memoized its one pair, clamped
+    assert cache._pairs == {(0, 0): 1}
 
 
 def test_clamp_matches_scalar_path_on_all_topologies():
@@ -73,26 +75,42 @@ def test_clamp_matches_scalar_path_on_all_topologies():
 
 
 def test_shared_cache_survives_across_engines():
-    """Two engines on one topology instance reuse one cache object, and
-    the memoized scalar table carries over (no re-deriving per run)."""
-    topo = _ScalarOnlyLine(8)
+    """Two trace compilations on one topology instance reuse one cache
+    object, and the memoized scalar table carries over: the second
+    compilation asks the topology for no distance at all."""
+
+    class CountingLine(_ScalarOnlyLine):
+        lookups = 0
+
+        def distance(self, a: int, b: int) -> int:
+            self.lookups += 1
+            return super().distance(a, b)
+
+    topo = CountingLine(8)
     c1 = PairHopCache.shared(topo)
     c2 = PairHopCache.shared(topo)
     assert c1 is c2
-    c1.hop(2, 5)
+    c1.bulk(np.array([2], dtype=np.int64), np.array([5], dtype=np.int64))
     assert (2, 5) in c1._pairs
 
     def make(rank):
         def body(info):
-            yield Compute(1.0)
+            yield Send(dst=(rank + 1) % 8, data=None, nwords=4, tag=1)
+            yield Recv(src=(rank - 1) % 8, tag=1)
             return None
 
         return body
 
-    from repro.core.machine import NCUBE2_LIKE
-
+    spec = SymmetrySpec(partitions={"ring": np.arange(8, dtype=np.int64)[None, :]})
+    lookups = []
     for _ in range(2):
-        Engine(topo, NCUBE2_LIKE, scheduler="heap").run([make(r) for r in range(8)])
+        res = Engine(topo, NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(
+            [make(r) for r in range(8)]
+        )
+        assert res.compiled, res.compile_fallback
+        lookups.append(topo.lookups)
+    assert (7, 0) in c1._pairs
+    assert lookups[0] > 1 and lookups[1] == lookups[0]
     assert PairHopCache.shared(topo) is c1
     # a different instance gets its own cache
     assert PairHopCache.shared(_ScalarOnlyLine(8)) is not c1
@@ -106,7 +124,8 @@ def test_shared_cache_is_weakly_keyed():
     topo = _ScalarOnlyLine(4)
     cache = PairHopCache.shared(topo)
     assert PairHopCache._shared.get(topo) is cache
-    assert cache.hop(0, 3) == 3
+    pair = np.array([0], dtype=np.int64), np.array([3], dtype=np.int64)
+    assert cache.bulk(*pair).tolist() == [3]
     n_before = len(PairHopCache._shared)
     topo_ref = weakref.ref(topo)
     del topo, cache

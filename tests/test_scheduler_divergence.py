@@ -11,12 +11,14 @@ stats account, message/word conservation, and the computed product.
 The heap runs collectives as messages, exactly as rescan does; the
 compiled runs charge them as whole-machine rounds.
 
-The heap's other regimes take the same workloads: a traced run (the
-fast loop recording every event), a null fault plan (the exact regime,
-charging each request through the reference helpers) and an active
-plan (crashes with checkpoint rollback, stragglers, degraded links and
-dropped messages).  Each must match rescan run under the same options,
-event for event and fault counter for fault counter.
+The heap loop charges every request through the same helpers as
+rescan, so heap-vs-rescan checks scheduling order and confluence; the
+arithmetic itself is checked against compiled replay, which charges
+separately.  The runs that cannot compile take the same workloads on
+heap: a traced run (recording every event), a null fault plan and an
+active plan (crashes with checkpoint rollback, stragglers, degraded
+links and dropped messages).  Each must match rescan run under the same
+options, event for event and fault counter for fault counter.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def test_heap_regimes_and_rescan_identical_on_cm5_configs(
         events = _events_by_rank(heap.sim.trace)
         assert events and events == _events_by_rank(rescan.sim.trace)
     if regime == "faulted":
-        # the plan fired, so the exact regime's fault hooks were exercised
+        # the plan fired, so the helpers' fault hooks were exercised
         assert heap.sim.faults_injected > 0
         assert heap.parallel_time > fault_free
 
