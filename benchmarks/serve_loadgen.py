@@ -15,12 +15,16 @@ Three checks back the serving section of ``perf_guard``:
   the default preload artifacts, the memory tier is dropped (the fresh-
   process state), and a new server preloads from it.  The fresh-compute
   odometers (``region_compute_count`` / ``crossover_compute_count``)
-  must not move during preload or the first region request: a restarted
-  server serves its region maps without re-evaluating a single model.
+  must not move during preload or the first region request, and that
+  request must be a memory-tier hit: a restarted server serves its
+  region maps without re-evaluating a single model.
 * **smoke** (``--smoke``) — a real HTTP server on an ephemeral port
   takes a 500-query mixed load (single/multi point predictions, region
   maps, crossover curves, simulator jobs) over keep-alive connections;
-  zero errors and non-zero coalescing counters are asserted.
+  zero errors and non-zero coalescing counters are asserted.  Then one
+  keep-alive socket sends the same ``POST /regions/stream`` twice: the
+  first must stream progress lines before its one ``result`` line, the
+  repeat must say ``cached: true``.
 
 Run it directly::
 
@@ -169,7 +173,7 @@ def bench_throughput(fast: bool, repeats: int = 3, queries: int = 1000) -> dict:
                 "max_batch_seen",
                 "mean_batch",
                 "full_flushes",
-                "timer_flushes",
+                "turn_flushes",
             )
         },
     }
@@ -197,17 +201,18 @@ def warm_start_check(fast: bool) -> dict:
             before = regions.region_compute_count() + crossover.crossover_compute_count()
             disk_before = disk_cache().stats()["hits"]
 
-            async def go() -> tuple[dict[str, Any], dict[str, Any]]:
+            async def go() -> tuple[dict[str, Any], int]:
                 server = ReproServer(ServeConfig(preload=True))
                 server.preload_summary = await asyncio.to_thread(server.tier.preload)
+                hits = result_cache().stats()["hits"]
                 status, _payload = await server.dispatch(
                     "POST", "/regions", {"machine": DEFAULT_PRELOAD_MACHINES[0]}
                 )
                 if status != 200:
                     raise AssertionError(f"warm region request: HTTP {status}")
-                return server.preload_summary, server.tier.stats()
+                return server.preload_summary, result_cache().stats()["hits"] - hits
 
-            summary, tier_stats = asyncio.run(go())
+            summary, memory_hits = asyncio.run(go())
             fresh = (
                 regions.region_compute_count()
                 + crossover.crossover_compute_count()
@@ -220,11 +225,11 @@ def warm_start_check(fast: bool) -> dict:
         "preload": summary,
         "fresh_computes": fresh,
         "disk_hits": disk_hits,
-        "serve_lru_hits": tier_stats["lru"]["hits"],
+        "memory_hits": memory_hits,
         "zero_reevaluations": fresh == 0
         and summary["computed_fresh"] == 0
         and disk_hits > 0
-        and tier_stats["lru"]["hits"] > 0,
+        and memory_hits > 0,
     }
 
 
@@ -277,6 +282,32 @@ class _HttpClient:
         raw = await self.reader.readexactly(length)
         return status, json.loads(raw)
 
+    async def stream(self, path: str, body: dict[str, Any]) -> list[dict[str, Any]]:
+        """POST *body* and read a chunked NDJSON reply: one event per line."""
+        assert self.reader is not None and self.writer is not None
+        data = json.dumps(body).encode()
+        self.writer.write(
+            (
+                f"POST {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            ).encode("latin-1")
+            + data
+        )
+        await self.writer.drain()
+        status_line = await self.reader.readline()
+        chunked = False
+        while (line := await self.reader.readline()) not in (b"\r\n", b"\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "transfer-encoding":
+                chunked = value.strip().lower() == "chunked"
+        if not chunked:
+            raise AssertionError(f"{path}: not a chunked stream: {status_line!r}")
+        text = b""
+        while size := int(await self.reader.readline(), 16):
+            text += (await self.reader.readexactly(size + 2))[:-2]
+        await self.reader.readexactly(2)  # the CRLF ending the chunked body
+        return [json.loads(line) for line in text.splitlines()]
+
     async def close(self) -> None:
         if self.writer is not None:
             self.writer.close()
@@ -320,6 +351,10 @@ def _smoke_workload(queries: int) -> list[tuple[str, str, dict[str, Any] | None]
         work.append(("GET", "/stats", None))
     order = rng.permutation(len(work))
     return [work[int(i)] for i in order]
+
+
+#: The streamed map: one no other smoke request computes.
+_STREAM_BODY = {"machine": "future-mimd", "log2_p_max": 20, "log2_n_max": 12}
 
 
 def run_smoke(queries: int = 500, connections: int = 16) -> dict:
@@ -366,6 +401,11 @@ def run_smoke(queries: int = 500, connections: int = 16) -> dict:
                             break
                         await asyncio.sleep(0.01)
                     assert payload["job"]["status"] == "done", payload
+                # the refinement stream, fresh then repeated, on one
+                # keep-alive socket
+                fresh, repeat = [
+                    await client.stream("/regions/stream", _STREAM_BODY) for _ in range(2)
+                ]
                 _, stats = await client.request("GET", "/stats")
             finally:
                 await client.close()
@@ -377,6 +417,13 @@ def run_smoke(queries: int = 500, connections: int = 16) -> dict:
             raise AssertionError(f"server recorded {server.errors} errors")
         if not (batcher["batches"] > 0 and batcher["batched_points"] > 0):
             raise AssertionError(f"no coalescing happened: {batcher}")
+        events = [e["event"] for e in fresh]
+        if len(events) < 2 or set(events[:-1]) != {"progress"} or events[-1] != "result":
+            raise AssertionError(f"fresh stream is not progress lines, then one result: {events}")
+        if [e["event"] for e in repeat] != ["result"] or repeat[0]["cached"] is not True:
+            raise AssertionError(f"repeated stream is not one cached result: {repeat}")
+        if repeat[0]["rows"] != fresh[-1]["rows"]:
+            raise AssertionError("repeated stream returned a different map")
         return {
             "requests": len(statuses),
             "connections": connections,
@@ -386,6 +433,7 @@ def run_smoke(queries: int = 500, connections: int = 16) -> dict:
                 k: batcher[k]
                 for k in ("batches", "batched_points", "max_batch_seen", "mean_batch")
             },
+            "stream_progress_lines": len(events) - 1,
         }
 
     return asyncio.run(go())
@@ -411,7 +459,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"serve-smoke: {summary['requests']} requests over "
               f"{summary['connections']} connections, {summary['errors']} errors, "
               f"{summary['jobs_completed']} jobs, "
-              f"coalescing {summary['coalescing']}")
+              f"coalescing {summary['coalescing']}, "
+              f"stream {summary['stream_progress_lines']} progress lines then a "
+              "result, repeat cached")
         return 0
 
     section = gate_section(args.fast, repeats=args.repeats)
@@ -426,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
           f"speedup {thr['speedup']:.1f}x  identical {thr['identical_to_unbatched']}")
     print(f"coalescing: {thr['coalescing']}")
     print(f"warm_start: preload {warm['preload']}  fresh computes {warm['fresh_computes']}  "
-          f"disk hits {warm['disk_hits']}  zero_reevaluations {warm['zero_reevaluations']}")
+          f"disk hits {warm['disk_hits']}  memory hits {warm['memory_hits']}  "
+          f"zero_reevaluations {warm['zero_reevaluations']}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(section, fh, indent=2)

@@ -29,7 +29,7 @@ _BANNED_ORIGINS: dict[str, str] = {
     "repro.core.selector.select": "predict_points (ranking comes from the scan)",
     "repro.core.selector.select_and_run": "the job queue (simulated_prediction)",
     "repro.core.prediction.predict": "predict_points",
-    "repro.core.crossover.equal_overhead_n": "ServeTier.curve (cached crossover_curve)",
+    "repro.core.crossover.equal_overhead_n": "crossover_curve (memoized in both cache tiers)",
 }
 
 #: AlgorithmModel evaluation methods: calling any of these on a model
@@ -76,7 +76,8 @@ class ServeBatchedEvaluationRule(Rule):
     Inside ``repro/serve/`` the only legitimate routes to a model number
     are the batched scan (:func:`repro.core.prediction.predict_points`
     via the micro-batcher), the cached artifact builders
-    (``region_map`` / ``crossover_curve`` via the serve tier), and the
+    (``region_map`` / ``crossover_curve``, memoized in the process
+    memory tier and the disk tier), and the
     job queue (:func:`repro.core.prediction.simulated_prediction`).
     Calling a scalar entry point (``predict``, ``best_algorithm``,
     ``select``) or an ``AlgorithmModel`` evaluation method per request
@@ -98,9 +99,10 @@ class ServeBatchedEvaluationRule(Rule):
     fix = (
         "Route point predictions through MicroBatcher.predict_one/_many "
         "(one vectorized predict_points per coalesced batch), region "
-        "maps and crossover curves through ServeTier (cached region_map "
-        "/ crossover_curve), and simulator runs through the JobQueue "
-        "(simulated_prediction).  If a handler needs a quantity none of "
+        "maps and crossover curves through region_map / crossover_curve "
+        "(memoized in the memory and disk tiers), and simulator runs "
+        "through the JobQueue (simulated_prediction).  If a handler "
+        "needs a quantity none of "
         "those expose, extend the batched entry point in repro.core "
         "rather than computing scalars in the handler."
     )
@@ -134,5 +136,6 @@ class ServeBatchedEvaluationRule(Rule):
                         node,
                         f"model evaluation {receiver}.{func.attr}(...) in serve "
                         "code; per-request scalar calls bypass the micro-batcher "
-                        "— go through predict_points / ServeTier / JobQueue",
+                        "— go through predict_points / region_map / "
+                        "crossover_curve / JobQueue",
                     )

@@ -28,9 +28,9 @@ Commands
     re-render its anomaly report, or let the autopilot hunt anomalies
     with a seeded random battery (see :mod:`repro.campaign`).
 ``serve``
-    Run the always-on prediction service: an asyncio HTTP/WebSocket
-    server with micro-batched point predictions, a warm-preloaded
-    serving cache, and an async job queue (see :mod:`repro.serve`).
+    Run the always-on prediction service: an asyncio HTTP server with
+    micro-batched point predictions, a bounded, warm-preloaded memory
+    cache, and an async job queue (see :mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -178,16 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listening port (0 picks an ephemeral one)")
     p_srv.add_argument("--max-batch", type=int, default=256,
                        help="flush a pending batch at this many points")
-    p_srv.add_argument("--max-wait-us", type=float, default=500.0,
-                       help="micro-batching window in microseconds")
     p_srv.add_argument("--no-batching", action="store_true",
                        help="evaluate each request on arrival (baseline/debug mode)")
     p_srv.add_argument("--no-preload", action="store_true",
-                       help="skip warming the serving cache at startup")
+                       help="skip warming the memory cache at startup")
     p_srv.add_argument("--workers", type=int, default=2,
                        help="worker threads for simulator-backed jobs")
     p_srv.add_argument("--cache-entries", type=int, default=512,
-                       help="bound on the serving-tier LRU")
+                       help="bound on the process memory cache (region maps, "
+                       "crossover curves, job results)")
     p_srv.add_argument("--max-seconds", type=float, default=None,
                        help="stop after this many seconds (smoke tests)")
     _add_cache_args(p_srv)
@@ -205,7 +204,6 @@ def _cmd_serve(args) -> str:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
         batching=not args.no_batching,
         cache_entries=args.cache_entries,
         workers=args.workers,

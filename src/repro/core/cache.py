@@ -89,20 +89,26 @@ class ResultCache:
 
     ``maxsize=None`` (the default) means unbounded — right for one-shot
     CLI runs, where the working set is the run itself and eviction could
-    only hurt.  Long-lived processes (the :mod:`repro.serve` tier) pass
-    an explicit bound so memory cannot grow without limit; evictions are
-    counted and surfaced through :func:`cache_stats`.
+    only hurt.  A long-lived process (``repro serve``) bounds the
+    process-wide tier with :meth:`resize` so memory cannot grow without
+    limit; evictions are counted and surfaced through :func:`cache_stats`.
     """
 
     def __init__(self, maxsize: int | None = None):
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError("maxsize must be positive (or None for unbounded)")
-        self.maxsize = maxsize
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.resize(maxsize)
+
+    def resize(self, maxsize: int | None) -> None:
+        """Re-bound the cache (``None`` = unbounded), evicting LRU entries past it."""
+        if maxsize is not None and maxsize <= 0:
+            raise ValueError("maxsize must be positive (or None for unbounded)")
+        with self._lock:
+            self.maxsize = maxsize
+            self._evict()
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value for *key* (refreshing its LRU slot)."""
@@ -121,10 +127,14 @@ class ResultCache:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            if self.maxsize is not None:
-                while len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
-                    self.evictions += 1
+            self._evict()
+
+    def _evict(self) -> None:
+        # the caller holds the lock
+        if self.maxsize is not None:
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:

@@ -227,8 +227,8 @@ def refine_winner_grid(
     ``{"depth", "cells", "evaluated"}`` — the level number, the number
     of live cells about to be examined, and the running count of
     exactly-evaluated grid points.  It is a pure observer (the serving
-    layer streams it over WebSocket); refinement output is identical
-    with or without it.
+    layer streams it as NDJSON lines from ``POST /regions/stream``);
+    refinement output is identical with or without it.
     """
     if tol < 0:
         raise ValueError(f"tol must be non-negative, got {tol}")

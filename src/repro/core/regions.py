@@ -16,7 +16,7 @@ Figures 1-3 are these maps for the machines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "best_algorithm",
     "RegionMap",
     "region_map",
-    "region_map_from_grid",
     "region_compute_count",
     "winner_grid",
 ]
@@ -167,27 +166,6 @@ def _cells_from_winners(
     return tuple(tuple(labels[w] for w in row) for row in winners)
 
 
-def region_map_from_grid(
-    machine: MachineParams,
-    n_values: Sequence[float],
-    p_values: Sequence[float],
-    winners: np.ndarray,
-    model_keys: tuple[str, ...] = COMPARISON_MODELS,
-) -> RegionMap:
-    """Wrap an already-computed winner grid as a :class:`RegionMap`.
-
-    For callers that drive :func:`winner_grid` or the adaptive
-    refinement themselves (the serving layer streams refinement progress
-    while computing) and only need the labelling/packaging step.
-    """
-    return RegionMap(
-        machine=machine,
-        p_values=tuple(float(p) for p in p_values),
-        n_values=tuple(float(n) for n in n_values),
-        cells=_cells_from_winners(np.asarray(winners, dtype=np.intp), model_keys),
-    )
-
-
 def region_map(
     machine: MachineParams,
     *,
@@ -200,6 +178,7 @@ def region_map(
     refine: bool = False,
     max_depth: int | None = None,
     tol: float | None = None,
+    progress: Callable[[dict[str, int]], None] | None = None,
 ) -> RegionMap:
     """Compute a region map over a log-spaced ``(p, n)`` grid.
 
@@ -219,6 +198,11 @@ def region_map(
     (:func:`repro.core.cache.disk_cache`), so a second process
     rebuilding the same map reloads it instead of recomputing.
     ``cache=False`` bypasses both tiers.
+
+    *progress* observes a refinement that runs (see
+    :func:`~repro.core.refine.refine_winner_grid`); it is not part of
+    the cache key, so an observed map and an unobserved one share one
+    entry, and a map answered by either tier reports no progress.
     """
     # local import: refine builds on the models layer and is only needed here
     from repro.core.refine import DEFAULT_TOL
@@ -270,7 +254,13 @@ def region_map(
             from repro.core.refine import refine_winner_grid
 
             winners = refine_winner_grid(
-                machine, n_values, p_values, model_keys, max_depth=max_depth, tol=eff_tol
+                machine,
+                n_values,
+                p_values,
+                model_keys,
+                max_depth=max_depth,
+                tol=eff_tol,
+                progress=progress,
             ).winners
         else:
             winners = winner_grid(machine, n_values, p_values, model_keys)

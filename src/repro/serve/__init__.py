@@ -1,14 +1,16 @@
 """`repro.serve` — the always-on algorithm-selection service (ROADMAP item 1).
 
-A stdlib-only asyncio HTTP/WebSocket server answering "best algorithm,
+A stdlib-only asyncio HTTP server answering "best algorithm,
 predicted time/efficiency/overhead split, and crossover neighborhood
 for (n, p, machine)" at serving throughput.  The hot path is the
-:class:`~repro.serve.batcher.MicroBatcher`: concurrent point requests
-coalesce per machine fingerprint into single vectorized
-:func:`~repro.core.prediction.predict_points` scans.  Region maps and
-crossover curves come from a bounded serving LRU
-(:class:`~repro.serve.cache.ServeTier`) warmed from the persistent disk
-tier at startup; simulator-backed predictions run through a bounded
+:class:`~repro.serve.batcher.MicroBatcher`: point requests parsed in
+one turn of the event loop coalesce per machine fingerprint into single
+vectorized :func:`~repro.core.prediction.predict_points` scans on the
+next.  Region maps and crossover curves come from the memoized
+:func:`~repro.core.regions.region_map` and
+:func:`~repro.core.crossover.crossover_curve`, whose process memory
+tier a running server bounds and :class:`~repro.serve.cache.ServeTier`
+warms from the persistent disk tier at startup; simulator-backed predictions run through a bounded
 async :class:`~repro.serve.jobs.JobQueue`.
 
 Start it with ``python -m repro serve``; see ``docs/serving.md`` for

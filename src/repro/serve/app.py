@@ -1,45 +1,47 @@
-"""The asyncio HTTP/WebSocket application — stdlib only, no frameworks.
+"""The asyncio HTTP application — stdlib only, no frameworks.
 
-``ReproServer`` owns the four serving components (micro-batcher, serve
-tier, job queue, and the listening socket) and routes requests through
-one transport-independent :meth:`~ReproServer.dispatch` method, which
-is also the load generator's in-process transport — a benchmark through
-``dispatch()`` measures the real handler/validation/batching stack,
-minus only the kernel socket.
+``ReproServer`` owns the serving components (micro-batcher, warm-start
+preloader, job queue, and the listening socket) and routes requests
+through one transport-independent :meth:`~ReproServer.dispatch` method,
+which is also the load generator's in-process transport — a benchmark
+through ``dispatch()`` measures the real handler/validation/batching
+stack, minus only the kernel socket.
 
 Routes::
 
     GET  /healthz           liveness
     GET  /stats             batcher/cache/job/eval counters
     POST /predict           {machine, n, p} or {machine, points: [...]}
-    POST /regions           {machine, log2_p_max?, log2_n_max?, ...}
+    POST /regions           {machine, log2_p_max?, log2_n_max?, refine?, ...}
+    POST /regions/stream    {machine, ..., model_keys?}; NDJSON progress, then the map
     POST /crossover         {machine, a, b, p_values?}
     POST /jobs              {algorithm, n, p, machine, seed?, scheduler?}
     GET  /jobs/<id>         job status / result
-    WS   /ws/regions        streamed refinement progress, then the map
 
 The HTTP layer speaks enough HTTP/1.1 for real clients (keep-alive,
-content-length bodies, JSON in and out); the WebSocket layer implements
-the RFC 6455 server side for text frames.  Model evaluation never
-happens in a handler: point predictions go through the batcher, region
-maps and curves through the serve tier, simulator runs through the job
-queue — the SRV001 lint rule holds every file in this package to that.
+content-length request bodies, JSON in and out, chunked NDJSON for the
+one stream) and answers bad framing with a status before closing: an
+over-long request line 400, an over-long header line or more than
+:data:`MAX_HEADERS` headers 431, headers and body slower than
+:data:`READ_DEADLINE_S` 408.  Model evaluation never happens in a
+handler: point predictions go through the batcher, region maps and
+curves through the memoized ``region_map`` / ``crossover_curve``,
+simulator runs through the job queue — the SRV001 lint rule holds
+every file in this package to that.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import struct
 from dataclasses import dataclass
 from typing import Any, NoReturn
 
-from repro.core import regions
-from repro.core.cache import cache_stats
+from repro.core import crossover, regions
+from repro.core.cache import cache_stats, result_cache
 from repro.core.machine import MachineParams
-from repro.core.models import COMPARISON_MODELS, MODELS
+from repro.core.models import MODELS
 from repro.core.prediction import prediction_counts, simulated_prediction
-from repro.core.refine import refine_winner_grid
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import DEFAULT_CURVE_P, ServeTier
 from repro.serve.jobs import JobQueue
@@ -53,7 +55,6 @@ from repro.serve.protocol import (
     model_keys_from_payload,
     parse_points,
     region_payload,
-    ws_accept_key,
 )
 
 __all__ = ["ServeConfig", "ReproServer", "run_server"]
@@ -65,6 +66,19 @@ MAX_LOG2_P, MAX_LOG2_N = 40, 24
 #: Ceilings on job-backed simulator runs (matrix order / rank count).
 MAX_JOB_N, MAX_JOB_P = 1024, 65536
 
+#: Most header lines one request may carry; more is answered 431.
+MAX_HEADERS = 100
+
+#: Seconds a client has, after its request line, to send the headers and
+#: the body; a slower request is answered 408 and its connection closed.
+READ_DEADLINE_S = 10.0
+
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    408: "Request Timeout", 413: "Payload Too Large",
+    431: "Request Header Fields Too Large", 503: "Service Unavailable",
+}
+
 
 def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not a JSON number; send finite numbers only")
@@ -75,11 +89,13 @@ def _reject_constant(name: str) -> NoReturn:
 _JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _parse_object(data: bytes | str) -> dict[str, Any]:
+def _parse_object(data: bytes) -> dict[str, Any]:
     """Decode one JSON request object; ``ValueError`` says what is wrong."""
-    if isinstance(data, bytes):
-        data = data.decode(json.detect_encoding(data), "surrogatepass")
-    parsed = _JSON.decode(data)
+    text = data.decode(json.detect_encoding(data), "surrogatepass")
+    try:
+        parsed = _JSON.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(parsed, dict):
         raise ValueError(f"expected a JSON object, got {type(parsed).__name__}")
     return parsed
@@ -92,7 +108,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port lands in ReproServer.port)
     max_batch: int = 256
-    max_wait_us: float = 500.0
     batching: bool = True
     cache_entries: int = 512
     workers: int = 2
@@ -106,11 +121,9 @@ class ReproServer:
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.batcher = MicroBatcher(
-            max_batch=self.config.max_batch,
-            max_wait_us=self.config.max_wait_us,
-            enabled=self.config.batching,
+            max_batch=self.config.max_batch, enabled=self.config.batching
         )
-        self.tier = ServeTier(max_entries=self.config.cache_entries)
+        self.tier = ServeTier()
         self.jobs = JobQueue(
             workers=self.config.workers, max_pending=self.config.max_pending_jobs
         )
@@ -123,6 +136,10 @@ class ReproServer:
     # -- lifecycle --------------------------------------------------------------
 
     async def start(self) -> None:
+        # a long-lived process must not grow without limit: the server
+        # bounds the one process-wide memory tier its artifacts and job
+        # results live in (the CLI leaves it unbounded)
+        result_cache().resize(self.config.cache_entries)
         await self.jobs.start()
         if self.config.preload:
             # preloading may compute on a cold cache: keep the loop free
@@ -133,7 +150,6 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        await self.batcher.flush()
         await self.jobs.stop()
         if self._server is not None:
             self._server.close()
@@ -178,7 +194,7 @@ class ReproServer:
     def _stats_payload(self) -> dict[str, Any]:
         return {
             "batcher": self.batcher.stats(),
-            "serve_cache": self.tier.stats(),
+            "artifacts": self.tier.stats(),
             "jobs": self.jobs.stats(),
             "core_cache": cache_stats(),
             "predictions": prediction_counts(),
@@ -200,7 +216,9 @@ class ReproServer:
             "predictions": records,
         }
 
-    def _region_spec(self, body: dict[str, Any]) -> dict[str, Any]:
+    def _region_args(self, body: dict[str, Any]) -> tuple[MachineParams, dict[str, Any]]:
+        """The machine and the ``region_map`` grid arguments of a region request."""
+        machine = machine_from_payload(body.get("machine"))
         spec = {
             "log2_p_max": body.get("log2_p_max", 30),
             "log2_n_max": body.get("log2_n_max", 16),
@@ -216,14 +234,13 @@ class ReproServer:
                 f"log2_n_max <= {MAX_LOG2_N}); use the CLI for bigger maps",
                 status=413,
             )
-        return spec
+        return machine, spec
 
     async def _regions(self, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
-        machine = machine_from_payload(body.get("machine"))
-        spec = self._region_spec(body)
+        machine, spec = self._region_args(body)
         refine = bool(body.get("refine", False))
         rmap = await asyncio.to_thread(
-            self.tier.region, machine, refine=refine, **spec
+            regions.region_map, machine, refine=refine, **spec
         )
         return 200, region_payload(rmap)
 
@@ -231,7 +248,7 @@ class ReproServer:
         machine = machine_from_payload(body.get("machine"))
         a, b = body.get("a"), body.get("b")
         for label, key in (("a", a), ("b", b)):
-            if key not in MODELS:
+            if not isinstance(key, str) or key not in MODELS:
                 raise ProtocolError(
                     f"{label!r} must name a model; known: {sorted(MODELS)}"
                 )
@@ -244,7 +261,9 @@ class ReproServer:
             p_values = tuple(finite_float(v, "each of 'p_values'") for v in raw_p)
             if min(p_values) < 1:
                 raise ProtocolError("'p_values' must all be >= 1")
-        curve = await asyncio.to_thread(self.tier.curve, a, b, machine, p_values)
+        curve = await asyncio.to_thread(
+            crossover.crossover_curve, a, b, machine, p_values
+        )
         return 200, {
             "machine": machine_payload(machine),
             "a": a,
@@ -259,7 +278,7 @@ class ReproServer:
         algorithm = body.get("algorithm")
         from repro.algorithms import registry
 
-        if algorithm not in registry.REGISTRY:
+        if not isinstance(algorithm, str) or algorithm not in registry.REGISTRY:
             raise ProtocolError(
                 f"'algorithm' must be one of {sorted(registry.REGISTRY)}"
             )
@@ -308,7 +327,11 @@ class ReproServer:
         self.connections += 1
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # longer than the reader's 64 KiB limit
+                    await self._write_http(writer, 400, {"error": "request line too long"})
+                    break
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
                 try:
@@ -316,23 +339,28 @@ class ReproServer:
                 except ValueError:
                     await self._write_http(writer, 400, {"error": "malformed request line"})
                     break
-                headers = await self._read_headers(reader)
-                if headers is None:
+                try:
+                    message = await asyncio.wait_for(_read_message(reader), READ_DEADLINE_S)
+                except asyncio.TimeoutError:
+                    await self._write_http(
+                        writer, 408,
+                        {"error": f"headers and body took over {READ_DEADLINE_S:g} s"},
+                    )
                     break
-                if headers.get("upgrade", "").lower() == "websocket":
-                    await self._websocket(reader, writer, target, headers)
-                    return
-                status, payload, keep_alive = await self._handle_http(
-                    reader, method, target, headers
-                )
-                await self._write_http(writer, status, payload, keep_alive=keep_alive)
+                except ProtocolError as exc:
+                    await self._write_http(writer, exc.status, {"error": str(exc)})
+                    break
+                if message is None:
+                    break
+                headers, raw = message
+                keep_alive = headers.get("connection", "").lower() != "close"
+                await self._respond(writer, method, target.split("?", 1)[0], raw, keep_alive)
                 if not keep_alive:
                     break
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            asyncio.LimitOverrunError,
         ):
             pass
         except asyncio.CancelledError:
@@ -347,50 +375,33 @@ class ReproServer:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _read_headers(
-        self, reader: asyncio.StreamReader
-    ) -> dict[str, str] | None:
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                return None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-    async def _handle_http(
+    async def _respond(
         self,
-        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
         method: str,
-        target: str,
-        headers: dict[str, str],
-    ) -> tuple[int, dict[str, Any], bool]:
-        keep_alive = headers.get("connection", "").lower() != "close"
-        path = target.split("?", 1)[0]
+        path: str,
+        raw: bytes,
+        keep_alive: bool,
+    ) -> None:
+        """Answer one request: a JSON response, or the refinement stream."""
         try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            return 400, {"error": "bad content-length"}, False
-        if length > MAX_BODY_BYTES:
-            return 413, {"error": f"body too large (> {MAX_BODY_BYTES} bytes)"}, False
-        body: dict[str, Any] | None = None
-        if length:
-            raw = await reader.readexactly(length)
-            try:
-                body = _parse_object(raw)
-            except ValueError as exc:
-                return 400, {"error": f"bad JSON body: {exc}"}, keep_alive
-        status, payload = await self.dispatch(method, path, body)
-        return status, payload, keep_alive
-
-    _REASONS = {
-        200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-        413: "Payload Too Large", 503: "Service Unavailable",
-    }
+            body = _parse_object(raw) if raw else None
+        except ValueError as exc:
+            status, payload = 400, {"error": f"bad JSON body: {exc}"}
+        else:
+            if method == "POST" and path == "/regions/stream":
+                try:
+                    machine, spec = self._region_args(body or {})
+                    spec["model_keys"] = model_keys_from_payload(body or {})
+                except ProtocolError as exc:
+                    self.errors += 1
+                    status, payload = exc.status, {"error": str(exc)}
+                else:
+                    await self._stream_regions(writer, machine, spec, keep_alive)
+                    return
+            else:
+                status, payload = await self.dispatch(method, path, body)
+        await self._write_http(writer, status, payload, keep_alive=keep_alive)
 
     async def _write_http(
         self,
@@ -401,169 +412,90 @@ class ReproServer:
         keep_alive: bool = False,
     ) -> None:
         data = json_bytes(payload)
-        head = (
-            f"HTTP/1.1 {status} {self._REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
+        framing = f"Content-Length: {len(data)}"
+        writer.write(_head(status, "application/json", framing, keep_alive) + data)
         await writer.drain()
 
-    # -- WebSocket transport -----------------------------------------------------
-
-    async def _websocket(
+    async def _stream_regions(
         self,
-        reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        target: str,
-        headers: dict[str, str],
+        machine: MachineParams,
+        spec: dict[str, Any],
+        keep_alive: bool,
     ) -> None:
-        path = target.split("?", 1)[0]
-        key = headers.get("sec-websocket-key")
-        if path != "/ws/regions" or not key:
-            await self._write_http(writer, 404, {"error": f"no websocket at {path}"})
-            return
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {ws_accept_key(key)}\r\n"
-                "\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-        try:
-            text = await _ws_read_text(reader, writer)
-            if text is None:
-                return
-            try:
-                body = _parse_object(text)
-            except ValueError as exc:
-                await _ws_send_text(
-                    writer, json_bytes({"event": "error", "error": f"bad JSON request: {exc}"})
-                )
-                return
-            await self._stream_region(writer, body)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            return
-        finally:
-            try:
-                await _ws_send_close(writer)
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
+        """Send a refined region map as NDJSON: progress lines, then the map.
 
-    async def _stream_region(
-        self, writer: asyncio.StreamWriter, body: dict[str, Any]
-    ) -> None:
-        """Serve a region map, streaming refinement progress while it builds."""
-        try:
-            machine = machine_from_payload(body.get("machine"))
-            spec = self._region_spec(body)
-            model_keys = model_keys_from_payload(body)
-        except ProtocolError as exc:
-            self.errors += 1
-            await _ws_send_text(writer, json_bytes({"event": "error", "error": str(exc)}))
-            return
-        tier_spec = {**spec, "refine": True, "model_keys": list(model_keys)}
-        cached = self.tier.region_get(machine, tier_spec)
-        if cached is not None:
-            await _ws_send_text(
-                writer,
-                json_bytes({"event": "result", "cached": True, **region_payload(cached)}),
-            )
-            return
+        The map comes from ``region_map`` with a progress observer, so it
+        shares its cache entry with ``/regions`` under ``refine: true``;
+        a map either cache tier answers streams no progress and its
+        ``result`` line says ``cached: true``.
+        """
+        writer.write(
+            _head(200, "application/x-ndjson", "Transfer-Encoding: chunked", keep_alive)
+        )
         loop = asyncio.get_running_loop()
-        events: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
+        events: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue()
 
         def progress(info: dict[str, int]) -> None:
             loop.call_soon_threadsafe(events.put_nowait, {"event": "progress", **info})
 
-        n_values = tuple(
-            float(2**k) for k in range(0, spec["log2_n_max"] + 1, spec["n_step"])
+        task = asyncio.ensure_future(
+            asyncio.to_thread(regions.region_map, machine, refine=True, progress=progress, **spec)
         )
-        p_values = tuple(
-            float(2**k) for k in range(0, spec["log2_p_max"] + 1, spec["p_step"])
-        )
-
-        def compute() -> regions.RegionMap:
-            refined = refine_winner_grid(
-                machine, n_values, p_values, model_keys, progress=progress
-            )
-            return regions.region_map_from_grid(
-                machine, n_values, p_values, refined.winners, model_keys
-            )
-
-        task = asyncio.ensure_future(asyncio.to_thread(compute))
-        while not task.done() or not events.empty():
-            try:
-                event = await asyncio.wait_for(events.get(), timeout=0.02)
-            except asyncio.TimeoutError:
-                continue
-            await _ws_send_text(writer, json_bytes(event))
-        rmap = task.result()
-        self.tier.region_put(machine, tier_spec, rmap)
-        await _ws_send_text(
-            writer,
-            json_bytes({"event": "result", "cached": False, **region_payload(rmap)}),
-        )
+        # queued after every progress event: the worker thread hands
+        # those to the loop before it hands over its result
+        task.add_done_callback(lambda _: events.put_nowait(None))
+        cached = True
+        while (event := await events.get()) is not None:
+            cached = False
+            await _write_chunk(writer, json_bytes(event) + b"\n")
+        result = {"event": "result", "cached": cached, **region_payload(task.result())}
+        await _write_chunk(writer, json_bytes(result) + b"\n")
+        writer.write(b"0\r\n\r\n")
+        await writer.drain()
 
 
-# -- minimal RFC 6455 framing (server side, text frames) -------------------------
-
-
-async def _ws_read_text(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> str | None:
-    """Read one text message; answers pings, returns None on close."""
-    buffer = b""
-    while True:
-        b1, b2 = await reader.readexactly(2)
-        opcode = b1 & 0x0F
-        fin = b1 & 0x80
-        masked = b2 & 0x80
-        length = b2 & 0x7F
-        if length == 126:
-            (length,) = struct.unpack(">H", await reader.readexactly(2))
-        elif length == 127:
-            (length,) = struct.unpack(">Q", await reader.readexactly(8))
-        mask = await reader.readexactly(4) if masked else b""
-        payload = await reader.readexactly(length) if length else b""
-        if mask:
-            payload = bytes(c ^ mask[i % 4] for i, c in enumerate(payload))
-        if opcode == 0x8:  # close
+async def _read_message(
+    reader: asyncio.StreamReader,
+) -> tuple[dict[str, str], bytes] | None:
+    """The headers and body after a request line; ``None`` at end of stream."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the reader's 64 KiB limit
+            raise ProtocolError("header line too long", status=431) from None
+        if not line:
             return None
-        if opcode == 0x9:  # ping -> pong
-            writer.write(b"\x8a" + bytes([len(payload)]) + payload)
-            await writer.drain()
-            continue
-        if opcode in (0x1, 0x0):  # text / continuation
-            buffer += payload
-            if fin:
-                return buffer.decode("utf-8", errors="replace")
-
-
-async def _ws_send_text(writer: asyncio.StreamWriter, data: bytes) -> None:
-    """Send one unmasked (server->client) text frame."""
-    length = len(data)
-    if length < 126:
-        head = bytes([0x81, length])
-    elif length < 1 << 16:
-        head = b"\x81\x7e" + struct.pack(">H", length)
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
     else:
-        head = b"\x81\x7f" + struct.pack(">Q", length)
-    writer.write(head + data)
-    await writer.drain()
+        raise ProtocolError(f"more than {MAX_HEADERS} header lines", status=431)
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ProtocolError("bad content-length")
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"body too large (> {MAX_BODY_BYTES} bytes)", status=413)
+    return headers, await reader.readexactly(length)
 
 
-async def _ws_send_close(writer: asyncio.StreamWriter) -> None:
-    writer.write(b"\x88\x00")
+def _head(status: int, content_type: str, framing: str, keep_alive: bool) -> bytes:
+    return (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"{framing}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+
+
+async def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
+    writer.write(b"%x\r\n%s\r\n" % (len(data), data))
     await writer.drain()
 
 

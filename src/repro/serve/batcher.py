@@ -11,8 +11,10 @@ for barely more than one.  The :class:`MicroBatcher` exploits that:
   fingerprint (requests for *different* machines never share a scan —
   the models are machine-parameterized, so mixing would be wrong, and
   the grouping key makes it structurally impossible);
-* the first request of a group arms a flush timer (``max_wait_us``);
-  a group reaching ``max_batch`` flushes immediately;
+* the first request of a group schedules its flush for the next turn
+  of the event loop (``loop.call_soon``), so a batch is exactly the
+  requests already parsed and a lone request waits for nothing; a group
+  reaching ``max_batch`` flushes at once;
 * a flush runs **one** vectorized ``predict_points`` over the group's
   points and scatters per-point records back to the waiting futures.
 
@@ -49,7 +51,6 @@ class _PendingGroup:
     ns: list[float] = field(default_factory=list)
     ps: list[float] = field(default_factory=list)
     futures: list[asyncio.Future] = field(default_factory=list)
-    timer: asyncio.TimerHandle | None = None
 
 
 class MicroBatcher:
@@ -59,16 +60,12 @@ class MicroBatcher:
         self,
         *,
         max_batch: int = 256,
-        max_wait_us: float = 500.0,
         enabled: bool = True,
         model_keys: tuple[str, ...] = COMPARISON_MODELS,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
         self.enabled = enabled
         self.model_keys = model_keys
         self._groups: dict[str, _PendingGroup] = {}
@@ -78,7 +75,7 @@ class MicroBatcher:
         self.batches = 0
         self.batched_points = 0
         self.full_flushes = 0
-        self.timer_flushes = 0
+        self.turn_flushes = 0
         self.max_batch_seen = 0
 
     # -- public API -------------------------------------------------------------
@@ -91,7 +88,7 @@ class MicroBatcher:
         if not self.enabled:
             self.unbatched += 1
             return predict_points(machine, [n], [p], self.model_keys).point(0)
-        return await self._enqueue(machine, n, p)
+        return await self._enqueue_future(machine, n, p)
 
     async def predict_many(
         self, machine: MachineParams, points: list[tuple[float, float]]
@@ -111,23 +108,17 @@ class MicroBatcher:
         futures = [self._enqueue_future(machine, n, p) for n, p in points]
         return list(await asyncio.gather(*futures))
 
-    async def flush(self) -> None:
-        """Flush every pending group now (shutdown path)."""
-        for key in list(self._groups):
-            self._flush_key(key, cause="timer")
-
     def stats(self) -> dict[str, Any]:
         """Coalescing counters for /stats and the perf gate."""
         return {
             "enabled": self.enabled,
             "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
             "requests": self.requests,
             "unbatched": self.unbatched,
             "batches": self.batches,
             "batched_points": self.batched_points,
             "full_flushes": self.full_flushes,
-            "timer_flushes": self.timer_flushes,
+            "turn_flushes": self.turn_flushes,
             "max_batch_seen": self.max_batch_seen,
             "mean_batch": (self.batched_points / self.batches) if self.batches else 0.0,
             "pending_groups": len(self._groups),
@@ -144,9 +135,7 @@ class MicroBatcher:
         if group is None:
             group = _PendingGroup(machine=machine, model_keys=self.model_keys)
             self._groups[key] = group
-            group.timer = loop.call_later(
-                self.max_wait_us / 1e6, self._flush_key, key, "timer"
-            )
+            loop.call_soon(self._flush, key, group, False)
         elif group.machine != machine:
             # a fingerprint must mean one machine; refusing is the only
             # safe answer to a (cryptographically impossible) collision
@@ -159,18 +148,13 @@ class MicroBatcher:
         group.ps.append(p)
         group.futures.append(fut)
         if len(group.futures) >= self.max_batch:
-            self._flush_key(key, cause="full")
+            self._flush(key, group, True)
         return fut
 
-    async def _enqueue(self, machine: MachineParams, n: float, p: float) -> dict[str, Any]:
-        return await self._enqueue_future(machine, n, p)
-
-    def _flush_key(self, key: str, cause: str) -> None:
-        group = self._groups.pop(key, None)
-        if group is None:  # timer raced a full flush
+    def _flush(self, key: str, group: _PendingGroup, full: bool) -> None:
+        if self._groups.get(key) is not group:  # already flushed full
             return
-        if group.timer is not None:
-            group.timer.cancel()
+        del self._groups[key]
         try:
             batch = predict_points(group.machine, group.ns, group.ps, group.model_keys)
         except Exception as exc:  # pragma: no cover - defensive scatter
@@ -181,10 +165,10 @@ class MicroBatcher:
         self.batches += 1
         self.batched_points += len(group.futures)
         self.max_batch_seen = max(self.max_batch_seen, len(group.futures))
-        if cause == "full":
+        if full:
             self.full_flushes += 1
         else:
-            self.timer_flushes += 1
+            self.turn_flushes += 1
         for i, fut in enumerate(group.futures):
             if not fut.done():
                 fut.set_result(batch.point(i))

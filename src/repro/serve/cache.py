@@ -1,15 +1,11 @@
-"""Serving-tier cache: bounded LRU over the two-tier PR 5 cache.
+"""Warm start for the serving layer, and its default request specs.
 
 Region maps and crossover curves are the service's expensive artifacts.
-This tier keeps finished, response-shaped results in a *bounded*
-:class:`~repro.core.cache.ResultCache` (a long-lived server must not
-grow without limit — the CLI's unbounded default is wrong here), keyed
-with the same :func:`~repro.core.cache.canonical_fingerprint` primitive
-as the disk shards, and falls through to
-:func:`~repro.core.regions.region_map` /
-:func:`~repro.core.crossover.crossover_curve` on a miss — which
-themselves consult the process-wide memory tier and the persistent disk
-tier before computing.
+Handlers call :func:`~repro.core.regions.region_map` and
+:func:`~repro.core.crossover.crossover_curve` directly; both memoize in
+the process-wide memory tier (:func:`~repro.core.cache.result_cache`,
+which a running server bounds to ``ServeConfig.cache_entries``) and in
+the persistent disk tier, so there is no serving cache of its own.
 
 Warm start: :meth:`ServeTier.preload` walks the paper's preset machines
 and the default request specs at startup, pulling any persisted shards
@@ -25,14 +21,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import crossover, regions
-from repro.core.cache import ResultCache, canonical_fingerprint, disk_cache
-from repro.core.machine import PRESETS, MachineParams
-from repro.core.models import COMPARISON_MODELS
+from repro.core.cache import disk_cache
+from repro.core.machine import PRESETS
 
 __all__ = ["ServeTier", "DEFAULT_REGION_SPEC", "DEFAULT_CURVE_PAIRS", "DEFAULT_CURVE_P"]
-
-#: Salt namespacing serve-tier LRU keys.
-SERVE_SALT = "repro-serve-tier"
 
 #: The region grid served (and preloaded) by default — the paper's
 #: Figures 1-3 ranges at full resolution.
@@ -65,89 +57,11 @@ DEFAULT_PRELOAD_MACHINES: tuple[str, ...] = (
 
 
 class ServeTier:
-    """Bounded in-memory LRU of response-shaped artifacts."""
+    """Warm-start bookkeeping: what the server preloaded at startup."""
 
-    def __init__(self, *, max_entries: int = 512):
-        self._lru = ResultCache(maxsize=max_entries)
+    def __init__(self) -> None:
         self.preloaded = 0
         self.preload_computes = 0
-
-    # -- keys -------------------------------------------------------------------
-
-    @staticmethod
-    def _key(kind: str, machine: MachineParams, spec: dict[str, Any]) -> str:
-        return canonical_fingerprint(
-            {"kind": kind, "machine": machine, **spec}, salt=SERVE_SALT
-        )
-
-    # -- artifacts --------------------------------------------------------------
-
-    def region(
-        self,
-        machine: MachineParams,
-        *,
-        log2_p_max: int = 30,
-        log2_n_max: int = 16,
-        p_step: int = 1,
-        n_step: int = 1,
-        refine: bool = False,
-        model_keys: tuple[str, ...] = COMPARISON_MODELS,
-    ) -> regions.RegionMap:
-        """The region map for *machine*, via LRU → memory/disk → compute."""
-        spec = {
-            "log2_p_max": log2_p_max,
-            "log2_n_max": log2_n_max,
-            "p_step": p_step,
-            "n_step": n_step,
-            "refine": refine,
-            "model_keys": list(model_keys),
-        }
-        key = self._key("region", machine, spec)
-        hit = self._lru.get(key)
-        if hit is not None:
-            return hit
-        rmap = regions.region_map(
-            machine,
-            log2_p_max=log2_p_max,
-            log2_n_max=log2_n_max,
-            p_step=p_step,
-            n_step=n_step,
-            refine=refine,
-            model_keys=model_keys,
-        )
-        self._lru.put(key, rmap)
-        return rmap
-
-    def region_put(
-        self, machine: MachineParams, spec: dict[str, Any], rmap: regions.RegionMap
-    ) -> None:
-        """Insert an externally computed map (the WebSocket refine path)."""
-        self._lru.put(self._key("region", machine, spec), rmap)
-
-    def region_get(
-        self, machine: MachineParams, spec: dict[str, Any]
-    ) -> regions.RegionMap | None:
-        """LRU-only probe (no fallthrough), for the WebSocket fast path."""
-        return self._lru.get(self._key("region", machine, spec))
-
-    def curve(
-        self,
-        a: str,
-        b: str,
-        machine: MachineParams,
-        p_values: tuple[float, ...] = DEFAULT_CURVE_P,
-    ) -> list[tuple[float, float | None]]:
-        """The ``n_EqualTo(p)`` crossover curve, via the same tiers."""
-        spec = {"a": a, "b": b, "p_values": list(p_values)}
-        key = self._key("curve", machine, spec)
-        hit = self._lru.get(key)
-        if hit is not None:
-            return hit
-        curve = crossover.crossover_curve(a, b, machine, p_values)
-        self._lru.put(key, curve)
-        return curve
-
-    # -- warm start -------------------------------------------------------------
 
     def preload(
         self,
@@ -155,7 +69,7 @@ class ServeTier:
         *,
         curves: bool = True,
     ) -> dict[str, Any]:
-        """Pull the default artifacts for *machines* into the LRU.
+        """Pull the default artifacts for *machines* into the memory tier.
 
         Persisted shards load; anything missing (cold directory,
         ``REPRO_NO_DISK_CACHE``) is computed once, now, instead of on
@@ -164,11 +78,11 @@ class ServeTier:
         before = regions.region_compute_count() + crossover.crossover_compute_count()
         for name in machines:
             machine = PRESETS[name]
-            self.region(machine, **DEFAULT_REGION_SPEC)
+            regions.region_map(machine, **DEFAULT_REGION_SPEC)
             self.preloaded += 1
             if curves:
                 for a, b in DEFAULT_CURVE_PAIRS:
-                    self.curve(a, b, machine)
+                    crossover.crossover_curve(a, b, machine, DEFAULT_CURVE_P)
                     self.preloaded += 1
         self.preload_computes = (
             regions.region_compute_count() + crossover.crossover_compute_count() - before
@@ -180,9 +94,8 @@ class ServeTier:
         }
 
     def stats(self) -> dict[str, Any]:
-        """LRU counters plus the fresh-compute odometers of the core layer."""
+        """Preload counters plus the fresh-compute odometers of the core layer."""
         return {
-            "lru": self._lru.stats(),
             "preloaded": self.preloaded,
             "preload_computes": self.preload_computes,
             "region_computes": regions.region_compute_count(),

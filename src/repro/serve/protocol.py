@@ -1,20 +1,18 @@
 """Wire protocol for :mod:`repro.serve` — parsing, validation, shaping.
 
-Everything the transport layer (HTTP or WebSocket) exchanges with
-clients is defined here, independent of any socket: request payloads
-are plain JSON objects, machines arrive as preset names or parameter
-objects, and responses are JSON-safe dicts (no ``inf``/``nan`` — the
-prediction layer already maps them to ``null``).  Keeping this pure
-makes the in-process ``dispatch()`` transport of the load generator
-exercise the identical code path as a real socket, minus the kernel.
+Everything the HTTP transport exchanges with clients is defined here,
+independent of any socket: request payloads are plain JSON objects,
+machines arrive as preset names or parameter objects, and responses
+are JSON-safe dicts (no ``inf``/``nan`` — the prediction layer
+already maps them to ``null``).  Keeping this pure makes the
+in-process ``dispatch()`` transport of the load generator exercise the
+identical code path as a real socket, minus the kernel.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 from typing import Any
@@ -36,7 +34,6 @@ __all__ = [
     "parse_points",
     "region_payload",
     "json_bytes",
-    "ws_accept_key",
 ]
 
 #: Request bodies larger than this are rejected with 413 before parsing.
@@ -176,12 +173,12 @@ def model_keys_from_payload(body: dict[str, Any]) -> tuple[str, ...]:
         return COMPARISON_MODELS
     from repro.core.models import MODELS
 
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list) or not raw or not all(isinstance(k, str) for k in raw):
         raise ProtocolError("'model_keys' must be a non-empty list of model names")
     unknown = sorted(set(raw) - set(MODELS))
     if unknown:
         raise ProtocolError(f"unknown model keys {unknown}; known: {sorted(MODELS)}")
-    return tuple(str(k) for k in raw)
+    return tuple(raw)
 
 
 def region_payload(rmap: RegionMap) -> dict[str, Any]:
@@ -217,13 +214,3 @@ def machine_payload(machine: MachineParams) -> dict[str, Any]:
 def json_bytes(payload: Any) -> bytes:
     """Compact JSON encoding; refuses non-finite floats by construction."""
     return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
-
-
-#: RFC 6455 handshake GUID.
-_WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-
-def ws_accept_key(client_key: str) -> str:
-    """``Sec-WebSocket-Accept`` for a client's ``Sec-WebSocket-Key``."""
-    digest = hashlib.sha1((client_key + _WS_MAGIC).encode()).digest()
-    return base64.b64encode(digest).decode()

@@ -581,7 +581,7 @@ class Engine:
                         active -= 1
                         break
                     value = None
-                    self._dispatch(states, st, r, req)
+                    self._dispatch(st, r, req)
                     blocked = st.blocked_on
                     if blocked is None:
                         cls = req.__class__
@@ -653,13 +653,13 @@ class Engine:
                 return True
             st.send_value = None
             progressed = True
-            self._dispatch(states, st, r, req)
+            self._dispatch(st, r, req)
             if st.blocked_on is not None and (
                 isinstance(st.blocked_on, Barrier) or not self._recv_ready(st.blocked_on, r)
             ):
                 return progressed
 
-    def _dispatch(self, states: list[_RankState], st: _RankState, r: int, req: Request) -> None:
+    def _dispatch(self, st: _RankState, r: int, req: Request) -> None:
         f = self._faults
         if isinstance(req, Compute):
             start = st.clock

@@ -17,7 +17,9 @@ def _sandbox_caches(tmp_path, monkeypatch):
     tests would read shards left by earlier runs (or by the user) and
     leak their own.  Each test gets a fresh temp directory and an empty
     memory tier, and ``$REPRO_CACHE_DIR`` is pointed there too so
-    subprocess-spawning tests stay sandboxed.
+    subprocess-spawning tests stay sandboxed.  A started server bounds
+    the memory tier; the bound is lifted again afterwards, so it cannot
+    leak into later tests.
     """
     cache_dir = tmp_path / "repro-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
@@ -25,6 +27,7 @@ def _sandbox_caches(tmp_path, monkeypatch):
     cache_mod.result_cache().clear()
     yield
     cache_mod.configure_disk_cache(None)
+    cache_mod.result_cache().resize(None)
     cache_mod.result_cache().clear()
 
 

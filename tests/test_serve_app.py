@@ -1,4 +1,4 @@
-"""End-to-end tests for the repro.serve HTTP/WebSocket application.
+"""End-to-end tests for the repro.serve HTTP application.
 
 A real server runs on an ephemeral port; clients are hand-rolled on
 asyncio streams (the repo has no HTTP client dependency, and speaking
@@ -7,12 +7,11 @@ transport layer, not just ``dispatch``).
 """
 
 import asyncio
-import base64
 import json
-import struct
 
 import pytest
 
+from repro.core.cache import result_cache
 from repro.serve import ReproServer, ServeConfig
 
 
@@ -66,7 +65,7 @@ class TestHttp:
             assert status == 200 and payload["ok"]
             status, stats = await _http(reader, writer, "GET", "/stats")
             assert status == 200
-            assert {"batcher", "serve_cache", "jobs", "predictions"} <= set(stats)
+            assert {"batcher", "artifacts", "jobs", "predictions"} <= set(stats)
             writer.close()
 
         _serve(scenario)
@@ -237,6 +236,24 @@ class TestHttp:
 
         _serve(scenario)
 
+    def test_cache_entries_bound_covers_maps_and_curves(self):
+        async def scenario(server, host, port):
+            for k in range(6):
+                status, _ = await server.dispatch(
+                    "POST", "/regions",
+                    {"machine": "cm5", "log2_p_max": 4 + k, "log2_n_max": 4},
+                )
+                assert status == 200
+                status, _ = await server.dispatch(
+                    "POST", "/crossover",
+                    {"machine": "cm5", "a": "cannon", "b": "gk", "p_values": [4**k]},
+                )
+                assert status == 200
+
+        _serve(scenario, cache_entries=2)
+        # 12 distinct artifacts went through the one bounded memory tier
+        assert len(result_cache()) == 2
+
     def test_job_lifecycle_and_cached_resubmit(self):
         async def scenario(server, host, port):
             reader, writer = await asyncio.open_connection(host, port)
@@ -263,86 +280,169 @@ class TestHttp:
         _serve(scenario)
 
 
-class TestWebSocket:
-    @staticmethod
-    async def _ws_scenario(server, host, port, request):
-        reader, writer = await asyncio.open_connection(host, port)
-        key = base64.b64encode(bytes(range(16))).decode()
-        writer.write(
-            (
-                f"GET /ws/regions HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
-                f"Connection: Upgrade\r\nSec-WebSocket-Key: {key}\r\n"
-                f"Sec-WebSocket-Version: 13\r\n\r\n"
-            ).encode()
-        )
-        await writer.drain()
-        assert b"101" in await reader.readline()
-        while (await reader.readline()) not in (b"\r\n", b"\n"):
-            pass
-        msg = json.dumps(request).encode()
-        mask = b"\x01\x02\x03\x04"
-        masked = bytes(c ^ mask[i % 4] for i, c in enumerate(msg))
-        head = bytes([0x81]) + (
-            bytes([0x80 | len(msg)]) if len(msg) < 126
-            else bytes([0x80 | 126]) + struct.pack(">H", len(msg))
-        )
-        writer.write(head + mask + masked)
-        await writer.drain()
-        events = []
-        while True:
-            b1, b2 = await reader.readexactly(2)
-            opcode = b1 & 0x0F
-            length = b2 & 0x7F
-            if length == 126:
-                (length,) = struct.unpack(">H", await reader.readexactly(2))
-            elif length == 127:
-                (length,) = struct.unpack(">Q", await reader.readexactly(8))
-            payload = await reader.readexactly(length) if length else b""
-            if opcode == 0x8:  # close
-                break
-            events.append(json.loads(payload))
-        writer.close()
-        return events
+async def _stream(reader, writer, body):
+    """``POST /regions/stream``: ``(status, events)``, or a JSON error's payload."""
+    data = json.dumps(body).encode()
+    writer.write(
+        (
+            f"POST /regions/stream HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        ).encode() + data
+    )
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    headers = {}
+    while (line := await reader.readline()) not in (b"\r\n", b"\n"):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding") != "chunked":
+        length = int(headers["content-length"])
+        return status, json.loads(await reader.readexactly(length))
+    assert headers["content-type"] == "application/x-ndjson"
+    text = b""
+    while size := int(await reader.readline(), 16):
+        text += await reader.readexactly(size)
+        assert await reader.readexactly(2) == b"\r\n"
+    assert await reader.readexactly(2) == b"\r\n"  # end of the chunked body
+    return status, [json.loads(line) for line in text.splitlines()]
 
+
+class TestStream:
     def test_streams_progress_then_result_then_cached(self):
         request = {"machine": "ncube2-like", "log2_p_max": 20, "log2_n_max": 12}
 
         async def scenario(server, host, port):
-            first = await self._ws_scenario(server, host, port, request)
+            reader, writer = await asyncio.open_connection(host, port)
+            status, first = await _stream(reader, writer, request)
+            assert status == 200
             assert any(e["event"] == "progress" for e in first)
             depths = [e["depth"] for e in first if e["event"] == "progress"]
             assert depths == sorted(depths)
+            assert [e["event"] for e in first].count("result") == 1
             result = first[-1]
             assert result["event"] == "result" and result["cached"] is False
             assert len(result["rows"]) == 13
-            # the second identical request must come straight from the
-            # serve tier: a single cached result event, no progress
-            second = await self._ws_scenario(server, host, port, request)
+            # the repeat, on the same keep-alive socket, comes straight
+            # from the memory tier: one cached result line, no progress
+            status, second = await _stream(reader, writer, request)
             assert [e["event"] for e in second] == ["result"]
             assert second[0]["cached"] is True
             assert second[0]["rows"] == result["rows"]
+            status, payload = await _http(reader, writer, "GET", "/healthz")
+            assert status == 200 and payload["ok"]
+            writer.close()
 
         _serve(scenario)
 
-    def test_bad_request_yields_error_event(self):
+    def test_result_equals_refined_regions_and_shares_its_entry(self):
         async def scenario(server, host, port):
-            events = await self._ws_scenario(
-                server, host, port, {"machine": "nope"}
+            reader, writer = await asyncio.open_connection(host, port)
+            body = {"machine": "future-mimd", "log2_p_max": 18, "log2_n_max": 10}
+            _, events = await _stream(reader, writer, body)
+            status, plain = await _http(
+                reader, writer, "POST", "/regions", {**body, "refine": True}
             )
-            assert events and events[0]["event"] == "error"
+            assert status == 200
+            result = events[-1]
+            assert result["cached"] is False
+            assert {k: v for k, v in result.items() if k not in ("event", "cached")} == plain
+            # a map the plain endpoint refined first streams as cached
+            body = {"machine": "cm5", "log2_p_max": 16, "log2_n_max": 9}
+            _, plain = await _http(reader, writer, "POST", "/regions", {**body, "refine": True})
+            _, events = await _stream(reader, writer, body)
+            assert [e["event"] for e in events] == ["result"]
+            assert events[0]["cached"] is True
+            assert events[0]["rows"] == plain["rows"]
+            writer.close()
 
         _serve(scenario)
 
-    def test_non_finite_json_constant_yields_error_event(self):
+    def test_bad_request_is_a_4xx_response(self):
         async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            status, payload = await _stream(reader, writer, {"machine": "nope"})
+            assert status == 400 and "unknown machine preset" in payload["error"]
+            status, payload = await _stream(
+                reader, writer, {"machine": "cm5", "log2_p_max": 99}
+            )
+            assert status == 413 and "error" in payload
+            # keep-alive survives the rejections
+            status, _ = await _http(reader, writer, "GET", "/healthz")
+            assert status == 200
+            writer.close()
+
+        _serve(scenario)
+
+    def test_non_finite_json_constant_is_400(self):
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
             # json.dumps writes the float as the bare constant NaN
-            events = await self._ws_scenario(
-                server, host, port, {"machine": {"ts": float("nan"), "tw": 3.0}}
+            status, payload = await _stream(
+                reader, writer, {"machine": {"ts": float("nan"), "tw": 3.0}}
             )
-            assert [e["event"] for e in events] == ["error"]
-            assert "NaN" in events[0]["error"]
+            assert status == 400 and "NaN" in payload["error"]
+            writer.close()
 
         _serve(scenario)
+
+
+class TestFraming:
+    """Bad framing gets a status, then a close; never an unhandled exception."""
+
+    @staticmethod
+    def _probe(data, *, half_close=True):
+        """Send raw *data*; the status line (``b""`` on a close) and loop errors."""
+
+        async def scenario(server, host, port):
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(data)
+                await writer.drain()
+                if half_close:
+                    writer.write_eof()
+                line = await reader.readline()
+                await reader.read()  # the server closes after answering
+            except ConnectionResetError:  # closed with our bytes unread
+                line = b""
+            writer.close()
+            await asyncio.sleep(0.05)  # let the connection handler finish
+            return line, errors
+
+        return _serve(scenario)
+
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"400"),
+            (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n", b"431"),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 20_000 + b"\r\n", b"431"),
+        ],
+        ids=["long-request-line", "long-header-line", "20k-headers"],
+    )
+    def test_oversized_framing(self, data, want):
+        line, errors = self._probe(data)
+        assert line == b"" or line.split()[1] == want, line
+        assert errors == []
+
+    def test_header_cap_is_inclusive(self):
+        from repro.serve.app import MAX_HEADERS
+
+        data = b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * MAX_HEADERS + b"\r\n"
+        line, errors = self._probe(data)
+        assert line.split()[1] == b"200"
+        assert errors == []
+
+    def test_slow_headers_get_408(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.app.READ_DEADLINE_S", 0.2)
+        line, errors = self._probe(
+            b"POST /predict HTTP/1.1\r\nHost: t\r\n", half_close=False
+        )
+        assert line.split()[1] == b"408"
+        assert errors == []
 
 
 class TestDispatch:

@@ -1,4 +1,4 @@
-"""MicroBatcher: coalescing, flush causes, grouping, and bit-identity.
+"""MicroBatcher: coalescing, the next-turn flush, grouping, and bit-identity.
 
 No pytest-asyncio here: every test drives its own event loop through
 ``asyncio.run`` — the batcher only needs a running loop while requests
@@ -29,7 +29,7 @@ def _points(count, seed=0):
 
 class TestCoalescing:
     def test_concurrent_requests_share_one_scan(self):
-        batcher = MicroBatcher(max_batch=256, max_wait_us=2000.0)
+        batcher = MicroBatcher(max_batch=256)
         pts = _points(50)
 
         async def go():
@@ -46,11 +46,11 @@ class TestCoalescing:
         assert stats["batches"] == 1
         assert stats["batched_points"] == 50
         assert stats["max_batch_seen"] == 50
-        assert stats["timer_flushes"] == 1
+        assert stats["turn_flushes"] == 1
         assert stats["pending_groups"] == 0
 
     def test_full_batch_flushes_immediately(self):
-        batcher = MicroBatcher(max_batch=8, max_wait_us=10_000_000.0)
+        batcher = MicroBatcher(max_batch=8)
         pts = _points(20, seed=1)
 
         async def go():
@@ -60,15 +60,16 @@ class TestCoalescing:
             ]
             await asyncio.sleep(0)
             # 20 requests with max_batch=8: two groups flushed on fill,
-            # without waiting for the (deliberately huge) timer
+            # before the loop's next turn flushes the 4-point remainder
             assert batcher.stats()["full_flushes"] == 2
-            await batcher.flush()  # drain the 4-point remainder
+            assert batcher.stats()["turn_flushes"] == 0
             return await asyncio.gather(*futures)
 
         records = asyncio.run(go())
         assert len(records) == 20
         stats = batcher.stats()
         assert stats["full_flushes"] == 2
+        assert stats["turn_flushes"] == 1
         assert stats["batched_points"] == 20
         assert stats["max_batch_seen"] == 8
 
@@ -85,7 +86,7 @@ class TestCoalescing:
         assert stats["batches"] == 0
 
     def test_predict_many_joins_one_group(self):
-        batcher = MicroBatcher(max_batch=256, max_wait_us=1000.0)
+        batcher = MicroBatcher(max_batch=256)
         pts = _points(12, seed=2)
 
         async def go():
@@ -96,7 +97,7 @@ class TestCoalescing:
         assert batcher.stats()["batches"] == 1
 
     def test_mixed_machines_use_separate_batches(self):
-        batcher = MicroBatcher(max_batch=256, max_wait_us=1000.0)
+        batcher = MicroBatcher(max_batch=256)
         pts = _points(10, seed=3)
 
         async def go():
@@ -110,7 +111,7 @@ class TestCoalescing:
         assert stats["batched_points"] == 20
 
     def test_fingerprint_collision_is_refused(self, monkeypatch):
-        batcher = MicroBatcher(max_batch=256, max_wait_us=1000.0)
+        batcher = MicroBatcher(max_batch=256)
         monkeypatch.setattr(
             "repro.serve.batcher.machine_fingerprint", lambda machine: "same"
         )
@@ -128,22 +129,21 @@ class TestCoalescing:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             MicroBatcher(max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(max_wait_us=-1.0)
 
-    def test_flush_drains_pending_groups(self):
-        batcher = MicroBatcher(max_batch=256, max_wait_us=10_000_000.0)
+    def test_lone_request_flushes_on_the_next_turn(self):
+        batcher = MicroBatcher(max_batch=256)
 
         async def go():
             fut = asyncio.ensure_future(batcher.predict_one(NCUBE, 16.0, 4.0))
-            await asyncio.sleep(0)
+            await asyncio.sleep(0)  # the request is parsed and enqueued
             assert batcher.stats()["pending_groups"] == 1
-            await batcher.flush()
+            await asyncio.sleep(0)  # one more turn: flushed, nothing waited for
+            assert batcher.stats()["pending_groups"] == 0
+            assert batcher.stats()["turn_flushes"] == 1
             return await fut
 
         rec = asyncio.run(go())
         assert rec["algorithm"] is not None
-        assert batcher.stats()["pending_groups"] == 0
 
 
 class TestBitIdentity:
@@ -156,7 +156,7 @@ class TestBitIdentity:
         included — it lives inside the shared winner scan).
         """
         pts = _points(40, seed=seed)
-        batcher = MicroBatcher(max_batch=64, max_wait_us=500.0)
+        batcher = MicroBatcher(max_batch=64)
 
         async def go():
             return await asyncio.gather(
@@ -169,7 +169,7 @@ class TestBitIdentity:
             assert rec == direct  # exact equality, not approx
 
     def test_duplicate_points_in_one_batch(self):
-        batcher = MicroBatcher(max_batch=64, max_wait_us=500.0)
+        batcher = MicroBatcher(max_batch=64)
 
         async def go():
             return await asyncio.gather(

@@ -1,13 +1,14 @@
-"""ServeTier (bounded serving LRU + warm preloading) and JobQueue."""
+"""The process memory tier behind the server, warm preloading, and JobQueue."""
 
 import asyncio
 
 import pytest
 
 from repro.core import crossover, regions
-from repro.core.cache import configure_disk_cache, result_cache
+from repro.core.cache import configure_disk_cache, disk_cache, result_cache
 from repro.core.machine import PRESETS
 from repro.core.prediction import simulated_prediction
+from repro.serve import ReproServer, ServeConfig
 from repro.serve.cache import (
     DEFAULT_CURVE_P,
     DEFAULT_CURVE_PAIRS,
@@ -20,42 +21,87 @@ from repro.serve.jobs import JobQueue
 NCUBE = PRESETS["ncube2-like"]
 
 
-class TestServeTier:
-    def test_region_lru_hit(self):
-        tier = ServeTier(max_entries=8)
-        a = tier.region(NCUBE, log2_p_max=10, log2_n_max=8)
-        b = tier.region(NCUBE, log2_p_max=10, log2_n_max=8)
-        assert a is b  # second call came from the serving LRU
-        stats = tier.stats()
-        assert stats["lru"]["hits"] == 1
-        assert stats["lru"]["maxsize"] == 8
+def _serve(scenario, **config_kw):
+    """Run *scenario(server)* against a started server (no preload)."""
+
+    async def go():
+        server = ReproServer(ServeConfig(preload=False, **config_kw))
+        await server.start()
+        try:
+            return await scenario(server)
+        finally:
+            await server.stop()
+
+    return asyncio.run(go())
+
+
+def _region(k, n=8):
+    return {"machine": "ncube2-like", "log2_p_max": k, "log2_n_max": n}
+
+
+class TestMemoryTier:
+    """Served maps and curves live in the one process memory tier."""
+
+    def test_repeated_map_is_a_memory_hit(self):
+        async def scenario(server):
+            first = await server.dispatch("POST", "/regions", _region(10))
+            hits = result_cache().stats()["hits"]
+            second = await server.dispatch("POST", "/regions", _region(10))
+            return first, second, result_cache().stats()["hits"] - hits
+
+        first, second, hits = _serve(scenario, cache_entries=8)
+        assert first == second
+        assert hits == 1  # the second map came from the memory tier
+        assert result_cache().stats()["maxsize"] == 8  # the server's bound
 
     def test_distinct_specs_are_distinct_entries(self):
-        tier = ServeTier(max_entries=8)
-        a = tier.region(NCUBE, log2_p_max=10, log2_n_max=8)
-        b = tier.region(NCUBE, log2_p_max=12, log2_n_max=8)
-        assert a is not b
-        assert len(a.cells[0]) != len(b.cells[0])  # different p extents
+        async def scenario(server):
+            a = await server.dispatch("POST", "/regions", _region(10))
+            b = await server.dispatch("POST", "/regions", _region(12))
+            return a[1], b[1]
+
+        a, b = _serve(scenario, cache_entries=8)
+        assert len(result_cache()) == 2
+        assert len(a["rows"][0]) != len(b["rows"][0])  # different p extents
 
     def test_bounded_eviction(self):
-        tier = ServeTier(max_entries=2)
-        for k in (8, 9, 10):
-            tier.region(NCUBE, log2_p_max=k, log2_n_max=6)
-        stats = tier.stats()["lru"]
-        assert stats["size"] == 2
-        assert stats["evictions"] == 1
-        # the evicted (oldest) entry recomputes; the newest still hits
-        tier.region(NCUBE, log2_p_max=10, log2_n_max=6)
-        assert tier.stats()["lru"]["hits"] == 1
+        async def scenario(server):
+            for k in (8, 9, 10):
+                await server.dispatch("POST", "/regions", _region(k, n=6))
+            full = result_cache().stats()
+            # the newest map still hits; the evicted (oldest) one reloads
+            # its disk shard, with no model re-evaluated
+            computes = regions.region_compute_count()
+            await server.dispatch("POST", "/regions", _region(10, n=6))
+            after_newest = result_cache().stats()
+            disk_hits = disk_cache().stats()["hits"]
+            await server.dispatch("POST", "/regions", _region(8, n=6))
+            return full, after_newest, disk_cache().stats()["hits"] - disk_hits, computes
 
-    def test_curve_cached(self):
-        tier = ServeTier()
-        p_values = (16.0, 256.0, 4096.0)
-        a = tier.curve("cannon", "gk", NCUBE, p_values)
-        b = tier.curve("cannon", "gk", NCUBE, p_values)
-        assert a is b
-        assert len(a) == 3
+        full, after_newest, disk_hits, computes = _serve(scenario, cache_entries=2)
+        assert full["size"] == 2
+        assert full["evictions"] == 1
+        assert after_newest["hits"] == full["hits"] + 1
+        assert disk_hits == 1
+        assert regions.region_compute_count() == computes
 
+    def test_repeated_curve_is_a_hit(self):
+        body = {"machine": "ncube2-like", "a": "cannon", "b": "gk",
+                "p_values": [16, 256, 4096]}
+
+        async def scenario(server):
+            first = await server.dispatch("POST", "/crossover", body)
+            hits = result_cache().stats()["hits"]
+            second = await server.dispatch("POST", "/crossover", body)
+            return first, second, result_cache().stats()["hits"] - hits
+
+        first, second, hits = _serve(scenario)
+        assert first == second
+        assert len(first[1]["curve"]) == 3
+        assert hits == 1
+
+
+class TestServeTier:
     def test_preload_warm_from_disk_is_free(self):
         # populate the disk tier the way a previous server run would,
         # then drop the memory tier: the restart-shaped state
@@ -75,9 +121,10 @@ class TestServeTier:
             1 + len(DEFAULT_CURVE_PAIRS)
         )
         assert summary["disk_tier"] == "enabled"
-        # the preloaded artifacts now serve straight from the LRU
-        tier.region(PRESETS[DEFAULT_PRELOAD_MACHINES[0]], **DEFAULT_REGION_SPEC)
-        assert tier.stats()["lru"]["hits"] == 1
+        # the preloaded artifacts now serve straight from the memory tier
+        hits = result_cache().stats()["hits"]
+        regions.region_map(PRESETS[DEFAULT_PRELOAD_MACHINES[0]], **DEFAULT_REGION_SPEC)
+        assert result_cache().stats()["hits"] == hits + 1
 
     def test_preload_cold_computes_once_and_still_warms(self, monkeypatch):
         # REPRO_NO_DISK_CACHE: nothing persisted — preload pays the
@@ -88,9 +135,10 @@ class TestServeTier:
         assert summary["disk_tier"] == "disabled"
         assert summary["computed_fresh"] == 1
         before = regions.region_compute_count()
-        tier.region(PRESETS["cm5"], **DEFAULT_REGION_SPEC)
-        assert regions.region_compute_count() == before  # served from LRU
-        assert tier.stats()["lru"]["hits"] == 1
+        hits = result_cache().stats()["hits"]
+        regions.region_map(PRESETS["cm5"], **DEFAULT_REGION_SPEC)
+        assert regions.region_compute_count() == before  # served from memory
+        assert result_cache().stats()["hits"] == hits + 1
 
 
 class TestJobQueue:
