@@ -6,6 +6,8 @@ point of a refined grid is bit-identical to the dense
 *whole* refined grid (filled cells included) reproduces the dense one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,43 @@ PAPER_N = tuple(float(2**k) for k in range(0, 17))
 PAPER_P = tuple(float(2**k) for k in range(0, 31))
 
 
+#: The spans perfbench's ``model-maps`` refines, at 2048².
+FINE_N = np.geomspace(1.0, 2.0**16, 2048)
+FINE_P = np.geomspace(1.0, 2.0**30, 2048)
+
+#: Per Figure 1-3 machine, what a 2048² refinement evaluates: the point
+#: count and every ``(depth, cells, evaluated)`` progress event.  Any
+#: change to which points are evaluated, or to what the stream reports
+#: while they are, shows up here.
+FINE_RECORD = {
+    NCUBE2_LIKE.name: (110_610, [
+        (0, 4, 0), (1, 16, 9), (2, 52, 25), (3, 148, 73), (4, 408, 209),
+        (5, 1064, 575), (6, 2760, 1503), (7, 6744, 3893), (8, 15060, 9627),
+        (9, 32900, 22542), (10, 71360, 50476),
+    ]),
+    FUTURE_MIMD.name: (111_092, [
+        (0, 4, 0), (1, 16, 9), (2, 52, 25), (3, 172, 73), (4, 520, 222),
+        (5, 1380, 664), (6, 3344, 1870), (7, 7448, 4858), (8, 15584, 11469),
+        (9, 31664, 25371), (10, 62916, 54037),
+    ]),
+    SIMD_CM2_LIKE.name: (93_261, [
+        (0, 4, 0), (1, 16, 9), (2, 52, 25), (3, 172, 73), (4, 472, 222),
+        (5, 1176, 642), (6, 2764, 1691), (7, 6120, 4197), (8, 12684, 9676),
+        (9, 26392, 21023), (10, 53398, 44688),
+    ]),
+}
+
+
 def dense(machine, n_values, p_values):
     return winner_grid(machine, n_values, p_values, COMPARISON_MODELS)
+
+
+@pytest.fixture(scope="module", params=FIGURE_MACHINES, ids=lambda m: m.name)
+def fine(request):
+    """A 2048² refinement of one Figure 1-3 machine, with its progress events."""
+    events = []
+    ref = refine_winner_grid(request.param, FINE_N, FINE_P, progress=events.append)
+    return request.param, ref, events
 
 
 class TestWinnerAtPoints:
@@ -92,6 +129,70 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             ref.winners, dense(NCUBE2_LIKE, PAPER_N[:9], PAPER_P[:9])
         )
+
+
+class TestFineGrid:
+    """The resolution perfbench measures, pinned against the dense grid."""
+
+    def test_winners_equal_dense(self, fine):
+        machine, ref, _ = fine
+        assert ref.winners.dtype == np.intp
+        np.testing.assert_array_equal(ref.winners, dense(machine, FINE_N, FINE_P))
+
+    def test_evaluated_points_and_progress_are_pinned(self, fine):
+        machine, ref, events = fine
+        points, levels = FINE_RECORD[machine.name]
+        assert ref.points_evaluated == points
+        assert all(set(e) == {"depth", "cells", "evaluated"} for e in events)
+        assert [(e["depth"], e["cells"], e["evaluated"]) for e in events] == levels
+
+    def test_peak_memory_is_within_twice_the_result(self, fine):
+        machine, _, _ = fine
+        tracemalloc.start()
+        try:
+            ref = refine_winner_grid(machine, FINE_N, FINE_P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (ref.winners.nbytes + ref.evaluated.nbytes)
+
+
+class TestEdgeShapes:
+    """Degenerate and ragged lattices: full cover, exact evaluated cells."""
+
+    @pytest.mark.parametrize(
+        "n_count, p_count, max_depth",
+        [
+            (1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
+            (1, 97, None), (97, 1, None), (1, 97, 1), (97, 1, 0),
+            (3, 1000, None), (1000, 3, None), (33, 17, None), (100, 37, 2),
+            (65, 129, 0), (65, 129, 1), (129, 65, 1), (200, 301, None),
+        ],
+    )
+    @pytest.mark.parametrize("machine", FIGURE_MACHINES, ids=lambda m: m.name)
+    def test_covered_and_exact(self, machine, n_count, p_count, max_depth):
+        n_values = np.geomspace(4.0, 2.0**16, n_count)
+        p_values = np.geomspace(1.0, 2.0**30, p_count)
+        ref = refine_winner_grid(machine, n_values, p_values, max_depth=max_depth)
+        d = dense(machine, n_values, p_values)
+        assert ref.winners.shape == ref.evaluated.shape == (n_count, p_count)
+        assert ref.winners.dtype == np.intp
+        assert ((ref.winners >= 0) & (ref.winners <= len(COMPARISON_MODELS))).all()
+        np.testing.assert_array_equal(ref.winners[ref.evaluated], d[ref.evaluated])
+        # every grid corner is on the starting lattice
+        assert ref.evaluated[0, 0] and ref.evaluated[-1, -1]
+        if max_depth == 0:
+            assert ref.evaluated.all()
+
+    def test_max_depth_past_the_span_starts_from_one_cell(self):
+        n_values = np.geomspace(1.0, 2.0**16, 40)
+        p_values = np.geomspace(1.0, 2.0**30, 50)
+        deep = refine_winner_grid(NCUBE2_LIKE, n_values, p_values, max_depth=100)
+        # 2**6 already spans the 49 index steps
+        one = refine_winner_grid(NCUBE2_LIKE, n_values, p_values, max_depth=6)
+        assert deep.max_depth == 100
+        np.testing.assert_array_equal(deep.winners, one.winners)
+        np.testing.assert_array_equal(deep.evaluated, one.evaluated)
 
 
 class TestTolerance:

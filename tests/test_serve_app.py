@@ -11,8 +11,11 @@ import json
 
 import pytest
 
+from repro.core import regions
 from repro.core.cache import result_cache
 from repro.serve import ReproServer, ServeConfig
+
+_SMALL_MAP = {"machine": "cm5", "log2_p_max": 8, "log2_n_max": 6}
 
 
 async def _http(reader, writer, method, path, body=None, close=False):
@@ -489,6 +492,36 @@ class TestDispatch:
             assert payload["error"] == f"{label} must be a finite number"
 
         _serve(scenario)
+
+    @pytest.mark.parametrize(
+        "refine", ["false", 0, 1, [], None], ids=["string", "zero", "one", "list", "null"]
+    )
+    def test_non_boolean_refine_is_400_and_computes_nothing(self, refine):
+        async def scenario(server, host, port):
+            before = regions.region_compute_count()
+            answer = await server.dispatch("POST", "/regions", {**_SMALL_MAP, "refine": refine})
+            return answer, regions.region_compute_count() - before
+
+        (status, payload), computes = _serve(scenario)
+        assert status == 400
+        assert payload == {"error": "'refine' must be true or false"}
+        assert computes == 0
+
+    def test_boolean_or_absent_refine_maps(self):
+        async def scenario(server, host, port):
+            answers = {}
+            for label, extra in (("absent", {}), ("false", {"refine": False}), ("true", {"refine": True})):
+                before = regions.region_compute_count()
+                status, payload = await server.dispatch("POST", "/regions", {**_SMALL_MAP, **extra})
+                answers[label] = status, payload, regions.region_compute_count() - before
+            return answers
+
+        answers = _serve(scenario)
+        assert {status for status, _, _ in answers.values()} == {200}
+        # absent and false are the one dense map; true computes the refined one
+        assert [computes for _, _, computes in answers.values()] == [1, 0, 1]
+        assert answers["absent"][1] == answers["false"][1]
+        assert answers["true"][1]["rows"] == answers["absent"][1]["rows"]
 
     def test_cli_serve_command_smoke(self, capsys):
         from repro.cli import main
