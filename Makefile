@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke bench-compare experiments examples lint resilience-smoke paper-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke clean
+.PHONY: install test bench perf-ab experiments examples lint resilience-smoke paper-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke cache-smoke clean
 
 install:
 	pip install -e ".[test]"
@@ -26,23 +26,12 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only -q
 
-bench-smoke:
-	python benchmarks/perf_guard.py --fast
-
-# Diff the working-copy perf-guard report against the committed version
-# of the baseline and fail on >10% regressions in any gated speedup
-# common to both files.  By default both point at BENCH_PR10.json: the
-# committed report is the baseline, the file on disk (freshly written
-# by perf_guard.py) is the candidate.  Cross-PR baselines (BASE=
-# BENCH_PR8.json) are possible but expected to "regress" wherever a
-# later PR sped up a shared reference implementation — the per-PR gate
-# recalibrations in perf_guard.py record those shifts.
-BASE ?= BENCH_PR10.json
-NEW ?= BENCH_PR10.json
-bench-compare:
-	@git show HEAD:$(BASE) > .bench_base.json 2>/dev/null || cp $(BASE) .bench_base.json
-	python benchmarks/bench_compare.py .bench_base.json $(NEW)
-	@rm -f .bench_base.json
+# perfbench on BASE and on HEAD in alternating pairs, every workload in
+# BENCHMARK.json (benchmarks/ab.py): fails when a run breaks or reports a
+# wrong answer, when HEAD fails more operations, or when a metric is worse
+# than its bound and HEAD lost most pairs.  make perf-ab BASE=<git ref>
+perf-ab:
+	python benchmarks/ab.py $(BASE)
 
 experiments:
 	python -m repro.experiments all --fast
@@ -94,7 +83,17 @@ campaign-smoke:
 # ephemeral port: zero errors and non-zero micro-batch coalescing
 # counters are asserted, exit non-zero otherwise.
 serve-smoke:
-	python benchmarks/serve_loadgen.py --smoke
+	python benchmarks/serve_loadgen.py
+
+# Two `repro regions` processes against one fresh disk-cache directory:
+# the second must be served from the shard the first wrote, a
+# cross-process disk hit, or the target fails.
+cache-smoke:
+	@dir=$$(mktemp -d) && \
+	REPRO_CACHE_DIR=$$dir python -m repro regions --cache-stats > /dev/null && \
+	REPRO_CACHE_DIR=$$dir python -m repro regions --cache-stats | tail -n 1 | \
+	python -c 'import json, sys; disk = json.loads(sys.stdin.read().removeprefix("cache stats: "))["disk"]; print("second run, disk tier:", disk); sys.exit(0 if disk["hits"] > 0 else "no disk hit on the second run")'; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 examples:
 	python examples/quickstart.py

@@ -1,67 +1,33 @@
-"""Load generator and perf harness for the ``repro.serve`` service.
+"""Mixed-load smoke test of the ``repro.serve`` HTTP service (``make serve-smoke``).
 
-Three checks back the serving section of ``perf_guard``:
+A real server on an ephemeral port takes a 500-query mixed load
+(single/multi point predictions, region maps, crossover curves,
+simulator jobs) over 16 keep-alive connections; zero errors and
+non-zero coalescing counters are asserted.  Then one keep-alive socket
+sends the same ``POST /regions/stream`` twice: the first must stream
+progress lines before its one ``result`` line, the repeat must say
+``cached: true``.  Exit 1 on any failure::
 
-* **throughput** — the same 1000-query point-prediction load is driven
-  through ``ReproServer.dispatch()`` (the in-process transport: the real
-  handler/validation/batching stack minus only the kernel socket) twice,
-  once with the micro-batcher enabled and once with batching disabled
-  (one ``predict_points`` call per request — the pre-batching behavior).
-  Wall time, throughput, and p50/p99 per-request latency are recorded
-  for both; the gated number is the wall-clock speedup, and the two
-  modes' response payloads are compared for exact equality — both routes
-  end in the same vectorized scan, so batching must be bit-invisible.
-* **warm start** — a temporary disk-shard directory is populated with
-  the default preload artifacts, the memory tier is dropped (the fresh-
-  process state), and a new server preloads from it.  The fresh-compute
-  odometers (``region_compute_count`` / ``crossover_compute_count``)
-  must not move during preload or the first region request, and that
-  request must be a memory-tier hit: a restarted server serves its
-  region maps without re-evaluating a single model.
-* **smoke** (``--smoke``) — a real HTTP server on an ephemeral port
-  takes a 500-query mixed load (single/multi point predictions, region
-  maps, crossover curves, simulator jobs) over keep-alive connections;
-  zero errors and non-zero coalescing counters are asserted.  Then one
-  keep-alive socket sends the same ``POST /regions/stream`` twice: the
-  first must stream progress lines before its one ``result`` line, the
-  repeat must say ``cached: true``.
+    python benchmarks/serve_loadgen.py
 
-Run it directly::
-
-    python benchmarks/serve_loadgen.py [--fast] [--smoke] [--out FILE]
-
-``perf_guard`` imports :func:`gate_section` instead of shelling out.
+The serving speed is measured by perfbench's ``serve-closed`` workload
+(``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import os
 import sys
-import tempfile
-import time
 from typing import Any
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import crossover, regions  # noqa: E402
-from repro.core.cache import (  # noqa: E402
-    configure_disk_cache,
-    disk_cache,
-    result_cache,
-)
-from repro.core.machine import PRESETS  # noqa: E402
+from repro.core.cache import configure_disk_cache  # noqa: E402
 from repro.serve.app import ReproServer, ServeConfig  # noqa: E402
-from repro.serve.cache import (  # noqa: E402
-    DEFAULT_CURVE_P,
-    DEFAULT_CURVE_PAIRS,
-    DEFAULT_PRELOAD_MACHINES,
-    DEFAULT_REGION_SPEC,
-)
 
 #: Machine payloads the load mixes, weighted toward one fingerprint so
 #: batches actually grow (requests only coalesce within a fingerprint).
@@ -87,158 +53,6 @@ def make_queries(count: int, seed: int = 0) -> list[dict[str, Any]]:
         }
         for c, ln, lp in zip(picks, log_n, log_p)
     ]
-
-
-# -- throughput: batched vs batching-disabled through dispatch() -----------------
-
-
-async def _drive(
-    server: ReproServer, queries: list[dict[str, Any]]
-) -> tuple[float, np.ndarray, list[dict[str, Any]]]:
-    """Fire all *queries* concurrently; wall time + per-request latency."""
-    latency = np.empty(len(queries))
-    payloads: list[dict[str, Any]] = [{}] * len(queries)
-
-    async def one(i: int, body: dict[str, Any]) -> None:
-        t0 = time.perf_counter()
-        status, payload = await server.dispatch("POST", "/predict", body)
-        latency[i] = time.perf_counter() - t0
-        if status != 200:
-            raise AssertionError(f"query {i}: HTTP {status}: {payload}")
-        payloads[i] = payload
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(one(i, q) for i, q in enumerate(queries)))
-    return time.perf_counter() - t0, latency, payloads
-
-
-def _run_mode(
-    batching: bool, queries: list[dict[str, Any]], repeats: int
-) -> tuple[float, np.ndarray, list[dict[str, Any]], dict[str, Any]]:
-    """Best-of-*repeats* wall time for one batching mode (fresh server)."""
-
-    async def go() -> tuple[float, np.ndarray, list[dict[str, Any]], dict[str, Any]]:
-        server = ReproServer(ServeConfig(batching=batching, preload=False))
-        best = float("inf")
-        best_lat: np.ndarray = np.empty(0)
-        best_payloads: list[dict[str, Any]] = []
-        for _ in range(repeats):
-            wall, lat, payloads = await _drive(server, queries)
-            if wall < best:
-                best, best_lat, best_payloads = wall, lat, payloads
-        return best, best_lat, best_payloads, server.batcher.stats()
-
-    return asyncio.run(go())
-
-
-def _latency_ms(latency: np.ndarray) -> dict[str, float]:
-    return {
-        "p50_ms": float(np.percentile(latency, 50) * 1e3),
-        "p99_ms": float(np.percentile(latency, 99) * 1e3),
-        "max_ms": float(latency.max() * 1e3),
-    }
-
-
-def bench_throughput(fast: bool, repeats: int = 3, queries: int = 1000) -> dict:
-    """The gated load: *queries* concurrent points, batched vs not.
-
-    The gate is judged at >= 1000 concurrent queries even in ``--fast``
-    runs — the whole bench is sub-second, so there is nothing to shrink.
-    """
-    load = make_queries(queries)
-    wall_b, lat_b, pay_b, stats_b = _run_mode(True, load, repeats)
-    wall_u, lat_u, pay_u, _ = _run_mode(False, load, repeats)
-    return {
-        "queries": queries,
-        "repeats": repeats,
-        "batched": {
-            "wall_s": wall_b,
-            "throughput_qps": queries / wall_b,
-            **_latency_ms(lat_b),
-        },
-        "unbatched": {
-            "wall_s": wall_u,
-            "throughput_qps": queries / wall_u,
-            **_latency_ms(lat_u),
-        },
-        "speedup": wall_u / wall_b,
-        # both modes end in the same vectorized scan; the responses must
-        # be *equal*, not merely close
-        "identical_to_unbatched": pay_b == pay_u,
-        "coalescing": {
-            k: stats_b[k]
-            for k in (
-                "batches",
-                "batched_points",
-                "max_batch_seen",
-                "mean_batch",
-                "full_flushes",
-                "turn_flushes",
-            )
-        },
-    }
-
-
-# -- warm start: preload from disk shards, zero fresh model evaluations ----------
-
-
-def warm_start_check(fast: bool) -> dict:
-    """Populate shards, restart-equivalent preload, assert zero computes."""
-    with tempfile.TemporaryDirectory(prefix="repro-serve-warm-") as tmp:
-        configure_disk_cache(tmp)
-        try:
-            # drop the memory tier first: a memory hit would serve the
-            # populate pass without ever writing the disk shards the
-            # restart below is supposed to preload from
-            result_cache().clear()
-            for name in DEFAULT_PRELOAD_MACHINES:
-                machine = PRESETS[name]
-                regions.region_map(machine, **DEFAULT_REGION_SPEC)
-                for a, b in DEFAULT_CURVE_PAIRS:
-                    crossover.crossover_curve(a, b, machine, DEFAULT_CURVE_P)
-            # fresh-process state: memory tier gone, shards remain
-            result_cache().clear()
-            before = regions.region_compute_count() + crossover.crossover_compute_count()
-            disk_before = disk_cache().stats()["hits"]
-
-            async def go() -> tuple[dict[str, Any], int]:
-                server = ReproServer(ServeConfig(preload=True))
-                server.preload_summary = await asyncio.to_thread(server.tier.preload)
-                hits = result_cache().stats()["hits"]
-                status, _payload = await server.dispatch(
-                    "POST", "/regions", {"machine": DEFAULT_PRELOAD_MACHINES[0]}
-                )
-                if status != 200:
-                    raise AssertionError(f"warm region request: HTTP {status}")
-                return server.preload_summary, result_cache().stats()["hits"] - hits
-
-            summary, memory_hits = asyncio.run(go())
-            fresh = (
-                regions.region_compute_count()
-                + crossover.crossover_compute_count()
-                - before
-            )
-            disk_hits = disk_cache().stats()["hits"] - disk_before
-        finally:
-            configure_disk_cache(None, enabled=False)
-    return {
-        "preload": summary,
-        "fresh_computes": fresh,
-        "disk_hits": disk_hits,
-        "memory_hits": memory_hits,
-        "zero_reevaluations": fresh == 0
-        and summary["computed_fresh"] == 0
-        and disk_hits > 0
-        and memory_hits > 0,
-    }
-
-
-def gate_section(fast: bool, repeats: int = 3) -> dict:
-    """The ``serving`` section of the perf_guard report."""
-    return {
-        "throughput": bench_throughput(fast, repeats=repeats),
-        "warm_start": warm_start_check(fast),
-    }
 
 
 # -- smoke: real HTTP transport, mixed load, keep-alive --------------------------
@@ -442,54 +256,16 @@ def run_smoke(queries: int = 500, connections: int = 16) -> dict:
 # -- CLI -------------------------------------------------------------------------
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="mixed HTTP load over a real socket; exit 1 on any error")
-    parser.add_argument("--fast", action="store_true",
-                        help="kept for symmetry with perf_guard (the load is already small)")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--queries", type=int, default=1000)
-    parser.add_argument("--out", default=None, help="write the section as JSON")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     configure_disk_cache(None, enabled=False)
-    if args.smoke:
-        summary = run_smoke()
-        print(f"serve-smoke: {summary['requests']} requests over "
-              f"{summary['connections']} connections, {summary['errors']} errors, "
-              f"{summary['jobs_completed']} jobs, "
-              f"coalescing {summary['coalescing']}, "
-              f"stream {summary['stream_progress_lines']} progress lines then a "
-              "result, repeat cached")
-        return 0
-
-    section = gate_section(args.fast, repeats=args.repeats)
-    thr, warm = section["throughput"], section["warm_start"]
-    print(f"throughput: {thr['queries']} queries  "
-          f"batched {thr['batched']['wall_s']*1e3:.1f}ms "
-          f"({thr['batched']['throughput_qps']:.0f} q/s, "
-          f"p99 {thr['batched']['p99_ms']:.2f}ms)  "
-          f"unbatched {thr['unbatched']['wall_s']*1e3:.1f}ms "
-          f"({thr['unbatched']['throughput_qps']:.0f} q/s, "
-          f"p99 {thr['unbatched']['p99_ms']:.2f}ms)  "
-          f"speedup {thr['speedup']:.1f}x  identical {thr['identical_to_unbatched']}")
-    print(f"coalescing: {thr['coalescing']}")
-    print(f"warm_start: preload {warm['preload']}  fresh computes {warm['fresh_computes']}  "
-          f"disk hits {warm['disk_hits']}  memory hits {warm['memory_hits']}  "
-          f"zero_reevaluations {warm['zero_reevaluations']}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(section, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    ok = (
-        thr["speedup"] >= 8.0
-        and thr["identical_to_unbatched"]
-        and thr["coalescing"]["batches"] > 0
-        and warm["zero_reevaluations"]
-    )
-    return 0 if ok else 1
+    summary = run_smoke()
+    print(f"serve-smoke: {summary['requests']} requests over "
+          f"{summary['connections']} connections, {summary['errors']} errors, "
+          f"{summary['jobs_completed']} jobs, "
+          f"coalescing {summary['coalescing']}, "
+          f"stream {summary['stream_progress_lines']} progress lines then a "
+          "result, repeat cached")
+    return 0
 
 
 if __name__ == "__main__":

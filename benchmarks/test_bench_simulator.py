@@ -6,12 +6,17 @@ a full Figure 4/5-scale run costs on a laptop.
 """
 
 import numpy as np
+import pytest
 
 from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk_cm5
+from repro.core.cache import configure_disk_cache, result_cache
 from repro.core.machine import CM5, NCUBE2_LIKE
+from repro.experiments.sweep import sweep
 from repro.simulator.collectives import allgather_recursive_doubling
-from repro.simulator.engine import run_spmd
+from repro.simulator.engine import Engine, run_spmd
+from repro.simulator.faults import FaultPlan
+from repro.simulator.request import Recv, Send
 from repro.simulator.topology import FullyConnected, Hypercube
 
 
@@ -75,3 +80,64 @@ def test_bench_engine_message_churn(benchmark):
 
     res = benchmark.pedantic(lambda: run_spmd(topo, NCUBE2_LIKE, factory), rounds=2, iterations=1)
     assert res.total_messages == 64 * 200
+
+
+def _relay_ring(p):
+    """One token around a ring of *p* ranks, toward decreasing ranks.
+
+    Every rescan pass steps ranks in increasing order, so it advances
+    the token one hop per O(p) scan; the heap's cost follows the events.
+    """
+
+    def prog(info):
+        down, up = (info.rank - 1) % p, (info.rank + 1) % p
+        if info.rank == 0:
+            yield Send(dst=down, data=0, nwords=8, tag=0)
+            got = yield Recv(src=up, tag=0)
+        else:
+            got = yield Recv(src=up, tag=0)
+            yield Send(dst=down, data=got, nwords=8, tag=0)
+        return got
+
+    return prog
+
+
+def test_bench_engine_heap_fault_ring_p1024(benchmark):
+    # a run with a fault plan never compiles: heap is the production
+    # loop that charges it, and rescan the reference it must equal
+    p = 1024
+    topo = FullyConnected(p)
+    plan = FaultPlan(seed=1, horizon=1e9, degrade_rate=0.05, degrade_factor=1.5)
+
+    def run(scheduler, fault_plan=None):
+        engine = Engine(topo, NCUBE2_LIKE, scheduler=scheduler, fault_plan=fault_plan)
+        return engine.run([_relay_ring(p)] * p).parallel_time
+
+    t_p = benchmark.pedantic(run, args=("heap", plan), rounds=2, iterations=1)
+    assert t_p == run("rescan", plan)
+    assert run("heap") == run("rescan") != t_p
+
+
+@pytest.fixture
+def _no_disk_tier():
+    """The disk tier off, so a sweep's first pass simulates every row."""
+    configure_disk_cache(None, enabled=False)
+    yield
+    configure_disk_cache(None)
+
+
+def test_bench_sweep_pipeline(benchmark, _no_disk_tier):
+    # a sweep and its re-query (a figure re-export): the result cache
+    # serves every row of the second pass
+    grid = (("cannon", "gk", "berntsen", "dns"), (8, 16), (4, 16, 64), NCUBE2_LIKE)
+
+    def pipeline():
+        result_cache().clear()
+        first = sweep(*grid)
+        hits = result_cache().stats()["hits"]
+        second = sweep(*grid)
+        return first, second, result_cache().stats()["hits"] - hits
+
+    first, second, hits = benchmark.pedantic(pipeline, rounds=2, iterations=1)
+    assert first == second
+    assert hits == len(second) > 0

@@ -84,8 +84,8 @@ class ServeBatchedEvaluationRule(Rule):
     bypasses the coalescer: correctness survives (the tie rule lives in
     the shared scan), but throughput regresses from one vectorized
     evaluation per *batch* to one Python-level evaluation per *request*
-    — the exact failure mode the serving perf gate exists to catch,
-    caught here before a benchmark has to.
+    — the exact failure mode perfbench's ``serve-closed`` workload
+    would show, caught here before a benchmark has to.
     """
 
     rule_id = "SRV001"

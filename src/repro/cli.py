@@ -178,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listening port (0 picks an ephemeral one)")
     p_srv.add_argument("--max-batch", type=int, default=256,
                        help="flush a pending batch at this many points")
-    p_srv.add_argument("--no-batching", action="store_true",
-                       help="evaluate each request on arrival (baseline/debug mode)")
     p_srv.add_argument("--no-preload", action="store_true",
                        help="skip warming the memory cache at startup")
     p_srv.add_argument("--workers", type=int, default=2,
@@ -204,7 +202,6 @@ def _cmd_serve(args) -> str:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        batching=not args.no_batching,
         cache_entries=args.cache_entries,
         workers=args.workers,
         preload=not args.no_preload,

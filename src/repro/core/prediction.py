@@ -224,9 +224,8 @@ class BatchPrediction:
 
 #: Running totals over every :func:`predict_points` call in this process —
 #: the serving layer's "model evaluations" odometer.  ``calls`` counts
-#: vectorized scans, ``points`` the (n, p) pairs they covered; the warm-start
-#: perf gate reads them to prove a preloaded cache answers with zero new
-#: evaluations.
+#: vectorized scans, ``points`` the (n, p) pairs they covered; the
+#: server's ``/stats`` reports them under ``predictions``.
 _PREDICT_COUNTS = {"calls": 0, "points": 0}
 
 

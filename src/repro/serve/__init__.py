@@ -14,8 +14,9 @@ warms from the persistent disk tier at startup; simulator-backed predictions run
 async :class:`~repro.serve.jobs.JobQueue`.
 
 Start it with ``python -m repro serve``; see ``docs/serving.md`` for
-the endpoint reference and ``benchmarks/serve_loadgen.py`` for the
-load-test harness behind the perf gate.
+the endpoint reference, ``benchmarks/serve_loadgen.py`` for the
+mixed-load smoke test, and perfbench's ``serve-closed`` workload for the
+benchmark.
 """
 
 from repro.serve.app import ReproServer, ServeConfig, run_server

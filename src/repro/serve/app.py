@@ -3,9 +3,9 @@
 ``ReproServer`` owns the serving components (micro-batcher, warm-start
 preloader, job queue, and the listening socket) and routes requests
 through one transport-independent :meth:`~ReproServer.dispatch` method,
-which is also the load generator's in-process transport — a benchmark
-through ``dispatch()`` measures the real handler/validation/batching
-stack, minus only the kernel socket.
+which tests also call in-process — a request through ``dispatch()``
+takes the real handler/validation/batching stack, minus only the kernel
+socket.
 
 Routes::
 
@@ -22,12 +22,12 @@ The HTTP layer speaks enough HTTP/1.1 for real clients (keep-alive,
 content-length request bodies, JSON in and out, chunked NDJSON for the
 one stream) and answers bad framing with a status before closing: an
 over-long request line 400, an over-long header line or more than
-:data:`MAX_HEADERS` headers 431, headers and body slower than
-:data:`READ_DEADLINE_S` 408.  Model evaluation never happens in a
-handler: point predictions go through the batcher, region maps and
-curves through the memoized ``region_map`` / ``crossover_curve``,
-simulator runs through the job queue — the SRV001 lint rule holds
-every file in this package to that.
+:data:`MAX_HEADERS` headers 431, a request slower than
+:data:`READ_DEADLINE_S` 408; a connection idle that long is closed.
+Model evaluation never happens in a handler: point predictions go
+through the batcher, region maps and curves through the memoized
+``region_map`` / ``crossover_curve``, simulator runs through the job
+queue — the SRV001 lint rule holds every file in this package to that.
 """
 
 from __future__ import annotations
@@ -69,8 +69,10 @@ MAX_JOB_N, MAX_JOB_P = 1024, 65536
 #: Most header lines one request may carry; more is answered 431.
 MAX_HEADERS = 100
 
-#: Seconds a client has, after its request line, to send the headers and
-#: the body; a slower request is answered 408 and its connection closed.
+#: Seconds a client has to send one request: its request line, headers
+#: and body.  A connection that sends no request line in that time (an
+#: idle keep-alive client) is closed without a response; a request that
+#: has started and not finished is answered 408, then closed.
 READ_DEADLINE_S = 10.0
 
 _REASONS = {
@@ -108,7 +110,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port lands in ReproServer.port)
     max_batch: int = 256
-    batching: bool = True
     cache_entries: int = 512
     workers: int = 2
     max_pending_jobs: int = 256
@@ -125,9 +126,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
-        self.batcher = MicroBatcher(
-            max_batch=self.config.max_batch, enabled=self.config.batching
-        )
+        self.batcher = MicroBatcher(max_batch=self.config.max_batch)
         self.tier = ServeTier()
         self.jobs = JobQueue(
             workers=self.config.workers, max_pending=self.config.max_pending_jobs
@@ -177,8 +176,8 @@ class ReproServer:
     ) -> tuple[int, dict[str, Any]]:
         """Route one request; returns ``(status, response_payload)``.
 
-        Both the HTTP layer and the load generator's in-process
-        transport call this — there is exactly one handler stack.
+        Both the HTTP layer and in-process callers (tests) call this —
+        there is exactly one handler stack.
         """
         try:
             if method == "GET" and path == "/healthz":
@@ -343,32 +342,23 @@ class ReproServer:
         self.connections += 1
         try:
             while True:
+                started: list[bytes] = []
                 try:
-                    request_line = await reader.readline()
-                except ValueError:  # longer than the reader's 64 KiB limit
-                    await self._write_http(writer, 400, {"error": "request line too long"})
-                    break
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
-                try:
-                    method, target, _version = request_line.decode("latin-1").split()
-                except ValueError:
-                    await self._write_http(writer, 400, {"error": "malformed request line"})
-                    break
-                try:
-                    message = await asyncio.wait_for(_read_message(reader), READ_DEADLINE_S)
-                except asyncio.TimeoutError:
-                    await self._write_http(
-                        writer, 408,
-                        {"error": f"headers and body took over {READ_DEADLINE_S:g} s"},
+                    message = await asyncio.wait_for(
+                        _read_request(reader, started), READ_DEADLINE_S
                     )
+                except asyncio.TimeoutError:
+                    if started:
+                        await self._write_http(
+                            writer, 408, {"error": f"request took over {READ_DEADLINE_S:g} s"}
+                        )
                     break
                 except ProtocolError as exc:
                     await self._write_http(writer, exc.status, {"error": str(exc)})
                     break
                 if message is None:
                     break
-                headers, raw = message
+                method, target, headers, raw = message
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._respond(writer, method, target.split("?", 1)[0], raw, keep_alive)
                 if not keep_alive:
@@ -471,10 +461,26 @@ class ReproServer:
         await writer.drain()
 
 
-async def _read_message(
-    reader: asyncio.StreamReader,
-) -> tuple[dict[str, str], bytes] | None:
-    """The headers and body after a request line; ``None`` at end of stream."""
+async def _read_request(
+    reader: asyncio.StreamReader, started: list[bytes]
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """One request's method, target, headers and body; ``None`` at end of stream.
+
+    The request line is appended to *started* once it has arrived, so a
+    caller whose deadline expires can tell a stalled request from an
+    idle connection.
+    """
+    try:
+        request_line = await reader.readline()
+    except ValueError:  # longer than the reader's 64 KiB limit
+        raise ProtocolError("request line too long") from None
+    if not request_line or request_line in (b"\r\n", b"\n"):
+        return None
+    started.append(request_line)
+    try:
+        method, target, _version = request_line.decode("latin-1").split()
+    except ValueError:
+        raise ProtocolError("malformed request line") from None
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
         try:
@@ -497,7 +503,7 @@ async def _read_message(
         raise ProtocolError("bad content-length")
     if length > MAX_BODY_BYTES:
         raise ProtocolError(f"body too large (> {MAX_BODY_BYTES} bytes)", status=413)
-    return headers, await reader.readexactly(length)
+    return method, target, headers, await reader.readexactly(length)
 
 
 def _head(status: int, content_type: str, framing: str, keep_alive: bool) -> bytes:
@@ -524,8 +530,7 @@ def run_server(config: ServeConfig | None = None, *, max_seconds: float | None =
         await server.start()
         print(
             f"repro.serve listening on http://{config.host}:{server.port} "
-            f"(batching={'on' if config.batching else 'off'}, "
-            f"preloaded={server.tier.preloaded} artifacts)",
+            f"(preloaded={server.tier.preloaded} artifacts)",
             flush=True,
         )
         try:

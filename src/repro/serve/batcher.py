@@ -22,10 +22,6 @@ Batched answers are bit-identical to per-request evaluation: the
 vectorized expressions are elementwise, and the tie rule (earliest
 model key wins exact overhead ties) lives inside the shared winner
 scan.  ``tests/test_serve_batcher.py`` fuzz-pins this.
-
-With ``enabled=False`` every request is evaluated on arrival through
-the same single-point entry point — the baseline the perf gate compares
-against (and a debugging mode), not a different code path for answers.
 """
 
 from __future__ import annotations
@@ -60,18 +56,15 @@ class MicroBatcher:
         self,
         *,
         max_batch: int = 256,
-        enabled: bool = True,
         model_keys: tuple[str, ...] = COMPARISON_MODELS,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        self.enabled = enabled
         self.model_keys = model_keys
         self._groups: dict[str, _PendingGroup] = {}
         # counters (single event loop: plain ints are race-free)
         self.requests = 0
-        self.unbatched = 0
         self.batches = 0
         self.batched_points = 0
         self.full_flushes = 0
@@ -85,9 +78,6 @@ class MicroBatcher:
     ) -> dict[str, Any]:
         """One point's prediction record, batched with concurrent peers."""
         self.requests += 1
-        if not self.enabled:
-            self.unbatched += 1
-            return predict_points(machine, [n], [p], self.model_keys).point(0)
         return await self._enqueue_future(machine, n, p)
 
     async def predict_many(
@@ -99,22 +89,14 @@ class MicroBatcher:
         request coalesces both internally and with concurrent requests.
         """
         self.requests += len(points)
-        if not self.enabled:
-            self.unbatched += len(points)
-            ns = [n for n, _ in points]
-            ps = [p for _, p in points]
-            batch = predict_points(machine, ns, ps, self.model_keys)
-            return [batch.point(i) for i in range(len(batch))]
         futures = [self._enqueue_future(machine, n, p) for n, p in points]
         return list(await asyncio.gather(*futures))
 
     def stats(self) -> dict[str, Any]:
-        """Coalescing counters for /stats and the perf gate."""
+        """Coalescing counters for /stats."""
         return {
-            "enabled": self.enabled,
             "max_batch": self.max_batch,
             "requests": self.requests,
-            "unbatched": self.unbatched,
             "batches": self.batches,
             "batched_points": self.batched_points,
             "full_flushes": self.full_flushes,

@@ -4,9 +4,9 @@ Everything the HTTP transport exchanges with clients is defined here,
 independent of any socket: request payloads are plain JSON objects,
 machines arrive as preset names or parameter objects, and responses
 are JSON-safe dicts (no ``inf``/``nan`` — the prediction layer
-already maps them to ``null``).  Keeping this pure makes the
-in-process ``dispatch()`` transport of the load generator exercise the
-identical code path as a real socket, minus the kernel.
+already maps them to ``null``).  Keeping this pure makes an
+in-process ``dispatch()`` call exercise the identical code path as a
+real socket, minus the kernel.
 """
 
 from __future__ import annotations

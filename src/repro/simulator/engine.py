@@ -53,8 +53,7 @@ that freedom differently:
   which rescans every pending rank each pass (O(p) per pass even when
   only one rank can move).  It is retained verbatim as the reference
   implementation: the fuzz suite asserts the other schedulers produce
-  bit-identical clocks, and ``benchmarks/perf_guard.py`` uses it as the
-  performance baseline.
+  bit-identical clocks.
 
 Collectives run as the point-to-point messages of the helpers in
 :mod:`repro.simulator.collectives` on both generator loops.  A
@@ -99,7 +98,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Mapping
+from typing import Any, Callable, Final, Generator, Iterable, Mapping
 
 from repro.core.machine import MachineParams
 from repro.simulator.compile import (
@@ -150,12 +149,10 @@ SCHEDULERS: tuple[str, ...] = ("rescan", "heap", "compiled")
 PRI_RESUME: int = 0
 PRI_WAKE: int = 1
 
-#: Process-wide default used when ``Engine(scheduler=None)``: trace
-#: compilation, which falls back to ``"heap"`` (recording why) for a
-#: program it cannot compile.  Benchmarks flip this to ``"rescan"`` to
-#: time the seed scheduler without plumbing an option through every
-#: algorithm driver.
-DEFAULT_SCHEDULER: str = "compiled"
+#: The scheduler of ``Engine(scheduler=None)``: trace compilation,
+#: which falls back to ``"heap"`` (recording why) for a program it
+#: cannot compile.  A run names another with ``scheduler=``.
+DEFAULT_SCHEDULER: Final[str] = "compiled"
 
 
 @dataclass(frozen=True)

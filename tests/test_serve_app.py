@@ -407,8 +407,8 @@ class TestFraming:
                 await writer.drain()
                 if half_close:
                     writer.write_eof()
-                line = await reader.readline()
-                await reader.read()  # the server closes after answering
+                line = await asyncio.wait_for(reader.readline(), 5)
+                await asyncio.wait_for(reader.read(), 5)  # the server closes after answering
             except ConnectionResetError:  # closed with our bytes unread
                 line = b""
             writer.close()
@@ -447,9 +447,30 @@ class TestFraming:
         assert line.split()[1] == b"408"
         assert errors == []
 
+    @pytest.mark.parametrize("request_first", [False, True], ids=["fresh", "after-a-request"])
+    def test_idle_connection_closes_without_a_response(self, monkeypatch, request_first):
+        monkeypatch.setattr("repro.serve.app.READ_DEADLINE_S", 0.2)
+
+        async def scenario(server, host, port):
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            if request_first:
+                assert (await _http(reader, writer, "GET", "/healthz"))[0] == 200
+            rest = await asyncio.wait_for(reader.read(), 5)  # until the server closes
+            writer.close()
+            await asyncio.sleep(0.05)  # let the connection handler finish
+            return rest, errors
+
+        rest, errors = _serve(scenario)
+        assert rest == b""
+        assert errors == []
+
 
 class TestDispatch:
-    """Transport-independent routing (the load generator's path)."""
+    """Transport-independent routing (the in-process path)."""
 
     def test_unknown_route(self):
         async def scenario(server, host, port):

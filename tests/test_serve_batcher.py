@@ -73,18 +73,6 @@ class TestCoalescing:
         assert stats["batched_points"] == 20
         assert stats["max_batch_seen"] == 8
 
-    def test_disabled_mode_evaluates_immediately(self):
-        batcher = MicroBatcher(enabled=False)
-
-        async def go():
-            return await batcher.predict_one(NCUBE, 64.0, 16.0)
-
-        rec = asyncio.run(go())
-        assert rec["algorithm"] is not None
-        stats = batcher.stats()
-        assert stats["unbatched"] == 1
-        assert stats["batches"] == 0
-
     def test_predict_many_joins_one_group(self):
         batcher = MicroBatcher(max_batch=256)
         pts = _points(12, seed=2)
