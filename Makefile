@@ -54,8 +54,10 @@ paper-smoke:
 
 # Complete, verified 16384- and 65536-rank Cannon simulations on the
 # compiled (record->replay) scheduler, scaling-large's default: the
-# vectorized batch replay charges the timing and the stacked payload
-# graph computes the product, which is checked against A @ B.  Timing is
+# batch replay charges the timing, with one scalar per account for all
+# ranks while they run in lockstep (Cannon's ranks do throughout), and
+# the stacked payload graph computes the product, which is checked
+# against A @ B; computing it is most of each target's time.  Timing is
 # fuzz-gated bit-identical to the heap scheduler at p <= 4096 by the
 # test suite, and products array-equal to heap's.  A run that fell back
 # to heap fails the target (its row says why) instead of passing minutes
@@ -87,12 +89,16 @@ serve-smoke:
 
 # Two `repro regions` processes against one fresh disk-cache directory:
 # the second must be served from the shard the first wrote, a
-# cross-process disk hit, or the target fails.
+# cross-process disk hit, or the target fails.  A third, with
+# REPRO_NO_DISK_CACHE=1 against the same directory, must report the disk
+# tier off ("disk": null).
 cache-smoke:
 	@dir=$$(mktemp -d) && \
 	REPRO_CACHE_DIR=$$dir python -m repro regions --cache-stats > /dev/null && \
 	REPRO_CACHE_DIR=$$dir python -m repro regions --cache-stats | tail -n 1 | \
-	python -c 'import json, sys; disk = json.loads(sys.stdin.read().removeprefix("cache stats: "))["disk"]; print("second run, disk tier:", disk); sys.exit(0 if disk["hits"] > 0 else "no disk hit on the second run")'; \
+	python -c 'import json, sys; disk = json.loads(sys.stdin.read().removeprefix("cache stats: "))["disk"]; print("second run, disk tier:", disk); sys.exit(0 if disk["hits"] > 0 else "no disk hit on the second run")' && \
+	REPRO_CACHE_DIR=$$dir REPRO_NO_DISK_CACHE=1 python -m repro regions --cache-stats | tail -n 1 | \
+	python -c 'import json, sys; disk = json.loads(sys.stdin.read().removeprefix("cache stats: "))["disk"]; print("REPRO_NO_DISK_CACHE=1, disk tier:", disk); sys.exit(0 if disk is None else "REPRO_NO_DISK_CACHE=1 left the disk tier on")'; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 examples:

@@ -24,7 +24,6 @@ from repro.simulator.topology import (
     Hypercube,
     Mesh2D,
     Topology,
-    gray_code,
 )
 
 __all__ = [
@@ -111,15 +110,13 @@ def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary"
     if isinstance(topology, Hypercube):
         if rows & (rows - 1) or cols & (cols - 1):
             raise ValueError("hypercube grid sides must be powers of two")
-        cbits = cols.bit_length() - 1
+        r = np.arange(rows, dtype=np.int64)[:, None]
+        c = np.arange(cols, dtype=np.int64)[None, :]
         if scheme == "gray":
-            code = gray_code
-        elif scheme == "binary":
-            def code(x: int) -> int:
-                return x
-        else:
+            r, c = r ^ (r >> 1), c ^ (c >> 1)
+        elif scheme != "binary":
             raise ValueError(f"unknown layout scheme {scheme!r}")
-        return [[(code(r) << cbits) | code(c) for c in range(cols)] for r in range(rows)]
+        return ((r << (cols.bit_length() - 1)) | c).tolist()
 
     # fully connected (or anything else): row-major
     return [[r * cols + c for c in range(cols)] for r in range(rows)]

@@ -30,10 +30,11 @@ directly inside memory keys and canonicalizable into disk keys.
 
 The disk tier is additive and on by default; disable it per process
 with :func:`configure_disk_cache` (``enabled=False``, what the CLIs'
-``--no-disk-cache`` does) or point it elsewhere with ``path=`` /
-``$REPRO_CACHE_DIR``.  Every payload a caller reads back is
-bit-identical to what was stored: arrays round-trip through NPZ as
-exact dtypes/bytes, scalars through JSON's shortest-round-trip floats.
+``--no-disk-cache`` does) or ``$REPRO_NO_DISK_CACHE=1``, or point it
+elsewhere with ``path=`` / ``$REPRO_CACHE_DIR``.  Every payload a
+caller reads back is bit-identical to what was stored: arrays
+round-trip through NPZ as exact dtypes/bytes, scalars through JSON's
+shortest-round-trip floats.
 """
 
 from __future__ import annotations
@@ -377,7 +378,6 @@ class DiskCache:
 _GLOBAL = ResultCache()
 
 _DISK: DiskCache | None = None
-_DISK_CONFIGURED = False
 _DISK_ENABLED = True
 _DISK_PATH: str | None = None
 
@@ -412,8 +412,7 @@ def configure_disk_cache(
     ``path=None`` with ``enabled=True`` re-resolves
     :func:`default_cache_dir`.
     """
-    global _DISK, _DISK_CONFIGURED, _DISK_ENABLED, _DISK_PATH
-    _DISK_CONFIGURED = True
+    global _DISK, _DISK_ENABLED, _DISK_PATH
     _DISK_ENABLED = enabled
     _DISK_PATH = os.fspath(path) if path is not None else None
     _DISK = None
@@ -423,12 +422,11 @@ def disk_cache() -> DiskCache | None:
     """The process-wide disk tier, or ``None`` when disabled.
 
     Built lazily on first use; ``REPRO_NO_DISK_CACHE=1`` in the
-    environment disables it without touching any call site.
+    environment disables it without touching any call site, however the
+    tier was configured (the CLIs configure it on every start).
     """
     global _DISK
-    if not _DISK_ENABLED:
-        return None
-    if not _DISK_CONFIGURED and os.environ.get("REPRO_NO_DISK_CACHE"):
+    if not _DISK_ENABLED or os.environ.get("REPRO_NO_DISK_CACHE"):
         return None
     if _DISK is None:
         _DISK = DiskCache(_DISK_PATH if _DISK_PATH is not None else default_cache_dir())

@@ -44,10 +44,12 @@ determines the stream of all ``p`` ranks — which is what lets
    ``heap`` scheduler, recording the reason.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
-   and hop fields are precomputed ``(p,)`` vectors, built once per
-   (axis, law, offset) and shared by every phase that uses them.  Each
-   posted collective is lowered to the send/receive rounds it stands for
-   (a :class:`~repro.simulator.request.SymCollective` wrapping
+   fields are precomputed ``(p,)`` vectors and whose hop fields are one
+   ``int`` where every rank's route is as long, else a vector; each is
+   built once per (axis, law, offset) and shared by every phase that
+   uses it.  Each posted collective is lowered to the send/receive
+   rounds it stands for (a
+   :class:`~repro.simulator.request.SymCollective` wrapping
    :class:`SymSend`/:class:`SymRecv` pairs, plus the adds of a
    reduce-scatter or reduce); a rooted collective's rounds are *masked*
    to the ranks each one involves (a broadcast tree's senders and their
@@ -55,7 +57,8 @@ determines the stream of all ``p`` ranks — which is what lets
    Sends and receives are FIFO-matched per (tag, law) channel at
    compile time, and replay charges each phase as one vectorized update
    into :class:`~repro.simulator.trace.RankArrays` through the one
-   replay loop in :mod:`repro.simulator.charging`.  The replay
+   replay loop in :mod:`repro.simulator.charging`, or as one scalar
+   update while every rank's accounts are still equal.  The replay
    evaluates exactly the reference cost expressions elementwise, so a
    compiled run is bit-identical to ``heap``/``rescan`` whenever it
    compiles at all.  Once the graph is resolved, one pass gives every
@@ -665,7 +668,7 @@ def _peer_vector(ax: _Axis, law: str, d: int) -> np.ndarray:
 
 
 def _lower_collective(
-    vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
+    vectors: Callable[[str, str, int], tuple[np.ndarray, int | np.ndarray]],
     axis: _Axis,
     shape: tuple,
     deferred: list[tuple],
@@ -757,7 +760,7 @@ def _position_law(
 
 
 def _lower_rooted(
-    vectors: Callable[[str, str, int], tuple[np.ndarray, np.ndarray]],
+    vectors: Callable[[str, str, int], tuple[np.ndarray, int | np.ndarray]],
     hop_cache: PairHopCache,
     axis: _Axis,
     shape: tuple,
@@ -784,7 +787,7 @@ def _lower_rooted(
     roots = axis.mat[axis.row, first]
     sized_at = roots if kind == "bcast" and extra else None
 
-    def exchange(senders: np.ndarray, receivers: np.ndarray, hops: np.ndarray) -> None:
+    def exchange(senders: np.ndarray, receivers: np.ndarray, hops: int | np.ndarray) -> None:
         send = SymSend(dst=receivers, hops=hops, nwords=m, tag=tag, active=senders)
         if symbolic(m):
             deferred.append(
@@ -805,7 +808,7 @@ def _lower_rooted(
                 senders = np.flatnonzero((rel & (2 * step - 1)) == step)
                 peer, hops = vectors(axis.name, "cyc", g - step)
             receivers = peer[senders]
-            exchange(senders, receivers, hops[senders])
+            exchange(senders, receivers, hops if isinstance(hops, int) else hops[senders])
             if kind == "reduce" and extra is not None:
                 merge = SymCompute(cost=extra, active=receivers)
                 if symbolic(extra):
@@ -911,18 +914,23 @@ def _lower(
     hop_cache = PairHopCache.shared(topology)
     everyone = np.arange(p, dtype=np.int64)
     probes = np.asarray([r for r, _ in traces], dtype=np.int64)
-    memo: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray]] = {}
+    memo: dict[tuple[str, str, int], tuple[np.ndarray, int | np.ndarray]] = {}
     phases: list[SymPhase] = []
     links: dict[int, tuple] = {}
     deferred: list[tuple] = []
     channels: dict[tuple[int, str, str, int], deque[tuple[SymSend, int | None]]] = {}
 
-    def vectors(axis: str, law: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """(peer, hops) of every rank under one law, built once per compile."""
+    def vectors(axis: str, law: str, d: int) -> tuple[np.ndarray, int | np.ndarray]:
+        """(peer, hops) of every rank under one law, built once per compile.
+
+        Hops every rank shares are one ``int``, so ranks in lockstep are
+        charged once (:func:`repro.simulator.charging.replay`).
+        """
         key = (axis, law, d)
         if key not in memo:
             peer = _peer_vector(axes[axis], law, d)
-            memo[key] = (peer, hop_cache.bulk(everyone, peer))
+            hops = hop_cache.bulk(everyone, peer)
+            memo[key] = (peer, int(hops[0]) if (hops == hops[0]).all() else hops)
         return memo[key]
 
     def group_axis(step: int, kind: str, row: list[tuple]) -> _Axis:

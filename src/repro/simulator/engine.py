@@ -197,8 +197,10 @@ class SimResult:
     parallel_time: float
     """``T_p``: the maximum finish time over all ranks, in basic-op units."""
 
-    stats: list[RankStats]
-    """Per-rank timing accounts."""
+    arrays: RankArrays = field(repr=False)
+    """The run's per-rank accounts, one ``(p,)`` array per field; backs
+    :attr:`stats` and the ``total_*`` aggregates (numpy reductions, not
+    Python loops over the records)."""
 
     trace: Trace
     """Event trace (empty unless tracing was enabled)."""
@@ -233,13 +235,13 @@ class SimResult:
     """Why a ``scheduler="compiled"`` request fell back to ``heap``
     (``None`` when it compiled, or when compilation was never asked for)."""
 
-    arrays: "RankArrays | None" = field(default=None, repr=False)
-    """The run's columnar per-rank accounts; backs the ``total_*``
-    aggregates with numpy reductions instead of Python-level loops over
-    :attr:`stats`."""
-
     payloads: Callable[[], list[Any]] | None = field(default=None, repr=False)
     """Computes :attr:`returns` on first read (compiled runs)."""
+
+    @cached_property
+    def stats(self) -> list[RankStats]:
+        """Per-rank timing accounts, built from :attr:`arrays` on first read."""
+        return self.arrays.snapshot()
 
     @cached_property
     def returns(self) -> list[Any]:
@@ -271,30 +273,20 @@ class SimResult:
 
     @property
     def total_compute_time(self) -> float:
-        if self.arrays is not None:
-            return float(self.arrays.compute_time.sum())
-        return sum(s.compute_time for s in self.stats)
+        return float(self.arrays.compute_time.sum())
 
     @property
     def total_comm_time(self) -> float:
-        if self.arrays is not None:
-            a = self.arrays
-            return float(
-                (a.send_time + a.recv_wait_time + a.barrier_wait_time).sum()
-            )
-        return sum(s.comm_time for s in self.stats)
+        a = self.arrays
+        return float((a.send_time + a.recv_wait_time + a.barrier_wait_time).sum())
 
     @property
     def total_messages(self) -> int:
-        if self.arrays is not None:
-            return int(self.arrays.messages_sent.sum())
-        return sum(s.messages_sent for s in self.stats)
+        return int(self.arrays.messages_sent.sum())
 
     @property
     def total_words(self) -> int:
-        if self.arrays is not None:
-            return int(self.arrays.words_sent.sum())
-        return sum(s.words_sent for s in self.stats)
+        return int(self.arrays.words_sent.sum())
 
 
 def _unsupported(r: int, req: Any) -> ProgramError:
@@ -422,13 +414,13 @@ class Engine:
             else:
                 arr = RankArrays(p)
                 schedule.replay(arr, self.machine)
+                arr.spread()
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
-                    stats=arr.snapshot(),
+                    arrays=arr,
                     trace=self.trace,
                     nprocs=p,
                     compiled=True,
-                    arrays=arr,
                     payloads=schedule.dataflow.evaluate,
                 )
 
@@ -465,11 +457,10 @@ class Engine:
         t_p = float(arr.clock.max()) if p else 0.0
         result = SimResult(
             parallel_time=t_p,
-            stats=arr.snapshot(),
+            arrays=arr,
             trace=self.trace,
             nprocs=p,
             compile_fallback=compile_fallback,
-            arrays=arr,
         )
         result.returns = [s.retval for s in states]
         f = self._faults

@@ -193,15 +193,16 @@ Request = Compute | Send | SendAll | Recv | Barrier | Checkpoint | CollectiveOp
 # The record→replay compiler (:mod:`repro.simulator.compile`) lowers the
 # request stream of a probe rank into one *symbolic* descriptor per
 # program step.  Where a plain request carries one rank's scalar fields,
-# a symbolic descriptor carries the whole machine's: peer and hop fields
-# are numpy vectors indexed by rank, and sizes and costs are scalars
-# shared by every rank or, where a step's size depends on the rank's
-# position (reduce-scatter's uneven halves, blocks of an uneven
-# partition), vectors too.  A compiled
-# schedule is simply a list of these phases; replaying it
+# a symbolic descriptor carries the whole machine's: peer fields are
+# numpy vectors indexed by rank, and hops, sizes and costs are scalars
+# shared by every rank or, where they depend on the rank's position
+# (routes of differing length, reduce-scatter's uneven halves, blocks of
+# an uneven partition), vectors too.  A compiled schedule is simply a
+# list of these phases; replaying it
 # (:func:`repro.simulator.charging.replay`) charges each phase as one
-# vectorized update into :class:`~repro.simulator.trace.RankArrays` with
-# zero generator resumes.
+# update into :class:`~repro.simulator.trace.RankArrays` with zero
+# generator resumes: one scalar operation while every operand and
+# account is shared by all ranks, one vectorized operation otherwise.
 #
 # A phase that only some ranks take part in (a round of a rooted
 # collective: a broadcast tree's senders, a route's current holders)
@@ -222,18 +223,19 @@ class SymCompute:
 class SymSend:
     """Every rank sends ``nwords`` words to ``dst[rank]`` (hops precomputed).
 
-    *nwords* is one size for every rank or a per-rank vector.  With
-    *active*, only those ranks send, and ``dst``/``hops`` are theirs.
-    ``arrival`` holds the per-sender arrival vector during replay, from
-    this send until the matched :class:`SymRecv` has read it back
-    through its source vector.
+    *hops* and *nwords* are each one value for every rank or a per-rank
+    vector.  With *active*, only those ranks send, and ``dst``/``hops``
+    are theirs.  ``arrival`` holds the arrival time during replay (one
+    value for every sender, or one per sender), from this send until
+    the matched :class:`SymRecv` has read it back through its source
+    vector.
     """
 
     dst: np.ndarray
-    hops: np.ndarray
+    hops: int | np.ndarray
     nwords: int | np.ndarray
     tag: int = 0
-    arrival: np.ndarray | None = None
+    arrival: float | np.ndarray | None = None
     active: np.ndarray | None = None
 
 

@@ -6,17 +6,21 @@ Two representations of the same accounts coexist:
   finished :class:`~repro.simulator.engine.SimResult` carries.  The
   generator loops keep each rank's running accounts in one, as plain
   Python numbers.
-* :class:`RankArrays` — the columnar form: one numpy array per field,
-  indexed by rank.  Compiled replay (:mod:`repro.simulator.charging`)
-  charges thousands of ranks in it with a handful of vectorized
-  operations; a generator run fills one from its records once, when it
-  ends.  Either way it backs the run's totals, and ``snapshot()``
-  materializes the public records.
+* :class:`RankArrays` — the columnar form: one value per field that
+  stands for every rank until ranks differ, then one numpy array per
+  field, indexed by rank.  Compiled replay
+  (:mod:`repro.simulator.charging`) charges thousands of ranks in it
+  with a handful of operations, or with scalar arithmetic while every
+  rank runs in lockstep; a generator run fills one from its records
+  once, when it ends.  Either way it backs the run's totals, and
+  ``snapshot()`` materializes the public records, on first read of
+  ``SimResult.stats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -47,13 +51,17 @@ class RankStats:
 
 
 class RankArrays:
-    """All per-rank accounts of one run, one numpy array per field.
+    """All per-rank accounts of one run, one value or one numpy array per field.
 
-    Compiled replay's storage: its phases update whole rank groups with
-    fancy indexing.  A generator run fills one with :meth:`from_stats`
-    when it ends.  Element dtype is ``float64``/``int64``, so elementwise
-    arithmetic is bit-identical to the plain-Python accounting of the
-    generator loops.
+    Compiled replay's storage.  Each account starts as one Python number
+    that stands for every rank: replay's unmasked phases keep it one
+    while every operand is a scalar (numpy broadcasting makes it a
+    ``(p,)`` vector once any operand is one), and :meth:`spread` gives
+    it one entry per rank before a masked phase writes part of it.  A
+    generator run fills one with :meth:`from_stats` when it ends.  An
+    entry is ``float64``/``int64`` like the Python number it stands
+    for, so elementwise arithmetic is bit-identical to the plain-Python
+    accounting of the generator loops.
     """
 
     __slots__ = (
@@ -67,20 +75,32 @@ class RankArrays:
         "words_sent",
     )
 
+    #: the accounts that count; the others hold times
+    _COUNTS = ("messages_sent", "words_sent")
+
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.clock = np.zeros(nprocs, dtype=np.float64)
-        self.compute_time = np.zeros(nprocs, dtype=np.float64)
-        self.send_time = np.zeros(nprocs, dtype=np.float64)
-        self.recv_wait_time = np.zeros(nprocs, dtype=np.float64)
-        self.barrier_wait_time = np.zeros(nprocs, dtype=np.float64)
-        self.messages_sent = np.zeros(nprocs, dtype=np.int64)
-        self.words_sent = np.zeros(nprocs, dtype=np.int64)
+        self.clock: Any = 0.0
+        self.compute_time: Any = 0.0
+        self.send_time: Any = 0.0
+        self.recv_wait_time: Any = 0.0
+        self.barrier_wait_time: Any = 0.0
+        self.messages_sent: Any = 0
+        self.words_sent: Any = 0
+
+    def spread(self, *names: str) -> None:
+        """Give each account *names* (every account when none is named) one entry per rank."""
+        for name in names or self.__slots__[1:]:
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray):
+                dtype = np.int64 if name in self._COUNTS else np.float64
+                setattr(self, name, np.full(self.nprocs, value, dtype=dtype))
 
     @classmethod
     def from_stats(cls, stats: list[RankStats]) -> "RankArrays":
         """The columns of finished per-rank records (clock = finish time)."""
         arr = cls(len(stats))
+        arr.spread()
         arr.clock[:] = [s.finish_time for s in stats]
         arr.compute_time[:] = [s.compute_time for s in stats]
         arr.send_time[:] = [s.send_time for s in stats]
@@ -92,6 +112,7 @@ class RankArrays:
 
     def snapshot(self) -> list[RankStats]:
         """Materialize the public per-rank records (finish = final clock)."""
+        self.spread()
         # one tolist() per column; the argument order is RankStats' field order
         return list(
             map(

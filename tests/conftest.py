@@ -18,14 +18,17 @@ def _sandbox_caches(tmp_path, monkeypatch):
     tests would read shards left by earlier runs (or by the user) and
     leak their own.  Each test gets a fresh temp directory and an empty
     memory tier, and ``$REPRO_CACHE_DIR`` is pointed there too so
-    subprocess-spawning tests stay sandboxed.  Running servers bound the
-    memory tier until the last of them stops and restores the bound the
-    first found; the bound is lifted here too, and servers left running
-    are forgotten, as a safety net for a test that fails before its
-    server stops, so neither can leak into later tests.
+    subprocess-spawning tests stay sandboxed.  ``$REPRO_NO_DISK_CACHE``
+    is cleared, so a developer's shell cannot turn off the disk tier
+    that tests exercise.  Running servers bound the memory tier until
+    the last of them stops and restores the bound the first found; the
+    bound is lifted here too, and servers left running are forgotten,
+    as a safety net for a test that fails before its server stops, so
+    neither can leak into later tests.
     """
     cache_dir = tmp_path / "repro-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     cache_mod.configure_disk_cache(cache_dir)
     cache_mod.result_cache().clear()
     yield

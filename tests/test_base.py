@@ -16,7 +16,7 @@ from repro.algorithms.base import (
 )
 from repro.core.machine import MachineParams
 from repro.simulator.engine import run_spmd
-from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
+from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D, gray_code
 
 M = MachineParams(ts=10.0, tw=2.0)
 
@@ -100,6 +100,21 @@ class TestGridLayout:
     def test_hypercube_rectangular_pow2_sides_ok(self):
         layout = grid_layout(Hypercube(4), 8, 2)
         assert len(layout) == 8 and len(layout[0]) == 2
+
+    @pytest.mark.parametrize("scheme", ["binary", "gray"])
+    def test_hypercube_layout_matches_per_entry_codes(self, scheme):
+        """The array form equals concatenating each coordinate's code, entry
+        by entry, as lists of Python ints."""
+        code = gray_code if scheme == "gray" else (lambda x: x)
+        for d in range(11):
+            for row_bits in range(d + 1):
+                rows, cols = 1 << row_bits, 1 << (d - row_bits)
+                layout = grid_layout(Hypercube(d), rows, cols, scheme=scheme)
+                assert layout == [
+                    [(code(r) << (d - row_bits)) | code(c) for c in range(cols)]
+                    for r in range(rows)
+                ]
+                assert all(type(x) is int for row in layout for x in row)
 
     def test_fully_connected_row_major(self):
         layout = grid_layout(FullyConnected(6), 2, 3)

@@ -238,6 +238,15 @@ class TestDiskCacheConfig:
         configure_disk_cache(None, enabled=False)
         assert disk_cache() is None
 
+    def test_env_turns_a_configured_tier_off(self, tmp_path, monkeypatch):
+        """``REPRO_NO_DISK_CACHE=1`` wins over a path the CLIs configured."""
+        configure_disk_cache(tmp_path / "shards")
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        assert disk_cache() is None
+        assert cache_stats()["disk"] is None
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE")
+        assert disk_cache().root == str(tmp_path / "shards")
+
     def test_cache_stats_shape(self, tmp_path):
         configure_disk_cache(tmp_path / "shards")
         stats = cache_stats()

@@ -41,8 +41,10 @@ from repro.simulator.request import (
     SendAll,
     SymCollective,
     SymRecv,
+    SymSend,
 )
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
+from repro.simulator.trace import RankArrays
 
 
 def _assert_identical(compiled, reference, p):
@@ -976,16 +978,127 @@ def test_totals_match_per_rank_stats(scheduler):
     assert sim.arrays.nprocs == 16
 
 
-def test_totals_fall_back_to_python_sums_without_arrays():
-    res = _run_driver("cannon", 16, 16, "heap")
-    sim = res.sim
-    with_arrays = (sim.total_messages, sim.total_words,
-                   sim.total_compute_time, sim.total_comm_time)
-    sim.arrays = None
-    assert sim.total_messages == with_arrays[0]
-    assert sim.total_words == with_arrays[1]
-    assert sim.total_compute_time == pytest.approx(with_arrays[2], rel=1e-12)
-    assert sim.total_comm_time == pytest.approx(with_arrays[3], rel=1e-12)
+# ---------------------------------------------------------------------------
+# lockstep ranks are charged once: accounts stay one value until ranks differ
+# ---------------------------------------------------------------------------
+
+_ACCOUNTS = (
+    "clock",
+    "compute_time",
+    "send_time",
+    "recv_wait_time",
+    "barrier_wait_time",
+    "messages_sent",
+    "words_sent",
+)
+
+#: (key, n, p, driver options) — every driver that compiles, at even and
+#: (where it compiles there) uneven partitions, and Cannon on a mesh
+#: without wraparound, whose wrapping rolls are longer routes than the
+#: others, so its hops differ from rank to rank
+LOCKSTEP_CASES = [
+    *(pytest.param(*case, {}, id="-".join(map(str, case))) for case in [
+        ("cannon", 16, 16),
+        ("cannon", 18, 16),
+        ("simple", 16, 16),
+        ("berntsen", 8, 8),
+        ("gk", 16, 8),
+        ("gk", 18, 64),
+        ("dns", 4, 64),
+    ]),
+    pytest.param("cannon", 16, 16, {"topology": Mesh2D(4, 4, wraparound=False)},
+                 id="cannon-16-16-open-mesh"),
+    pytest.param("fox", 16, 16, {"broadcast": "binomial"}, id="fox-binomial-16-16"),
+    pytest.param("fox", 18, 16, {"broadcast": "binomial"}, id="fox-binomial-18-16"),
+]
+
+
+def _compiled_schedule(monkeypatch, key, n, p, machine=NCUBE2_LIKE, **kw):
+    """The schedule a compiled driver run replayed, and that run."""
+    schedules = []
+
+    def keep(*args, **kwargs):
+        schedules.append(compile_spmd(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(engine_mod, "compile_spmd", keep)
+    A, B = _operands(key, n)
+    res = registry.run(key, A, B, p, machine=machine, scheduler="compiled", **kw)
+    assert res.sim.compiled, res.sim.compile_fallback
+    (schedule,) = schedules
+    return schedule, res
+
+
+@pytest.mark.parametrize("machine", [NCUBE2_LIKE, *MACHINE_MODELS], ids=lambda m: m.name)
+@pytest.mark.parametrize("key,n,p,kw", LOCKSTEP_CASES)
+def test_lockstep_replay_equals_per_rank_replay(monkeypatch, key, n, p, kw, machine):
+    """Replaying into one value per account until ranks differ gives, account
+    by account, the arrays of a replay into ``(p,)`` arrays from the start."""
+    schedule, res = _compiled_schedule(monkeypatch, key, n, p, machine, **kw)
+    lockstep = RankArrays(p)
+    schedule.replay(lockstep, machine)
+    lockstep.spread()
+    per_rank = RankArrays(p)
+    per_rank.spread()
+    schedule.replay(per_rank, machine)
+    per_rank.spread()
+    for name in _ACCOUNTS:
+        got, want = getattr(lockstep, name), getattr(per_rank, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+        assert np.array_equal(getattr(res.sim.arrays, name), want), name
+
+
+def test_lockstep_cannon_accounts_stay_scalars(monkeypatch):
+    """Every rank of Cannon's p = 4096 schedule takes the same rolls over
+    one-hop routes, so replay keeps each account one Python or numpy
+    scalar (never a 0-d array) and ``Engine.run`` spreads them."""
+    p = 4096
+    schedule, res = _compiled_schedule(monkeypatch, "cannon", 64, p)
+    sends = [
+        ph
+        for top in schedule.phases
+        for ph in (top.phases if isinstance(top, SymCollective) else (top,))
+        if isinstance(ph, SymSend)
+    ]
+    assert sends and all(isinstance(ph.hops, int) for ph in sends)
+    arr = RankArrays(p)
+    schedule.replay(arr, NCUBE2_LIKE)
+    for name in _ACCOUNTS:
+        value = getattr(arr, name)
+        assert not isinstance(value, np.ndarray), f"{name} is {type(value).__name__}"
+        assert np.ndim(value) == 0
+    assert arr.clock == res.sim.parallel_time
+    for name in _ACCOUNTS:
+        spread = getattr(res.sim.arrays, name)
+        assert isinstance(spread, np.ndarray) and spread.shape == (p,), name
+        assert (spread == getattr(arr, name)).all(), name
+
+
+def test_stats_are_built_on_first_read(monkeypatch):
+    """A compiled run builds no per-rank records until ``stats`` is read;
+    once read, they equal heap's field by field, and are built once."""
+    calls = []
+    snapshot = RankArrays.snapshot
+
+    def counted(self):
+        calls.append(self.nprocs)
+        return snapshot(self)
+
+    monkeypatch.setattr(RankArrays, "snapshot", counted)
+    compiled = _run_driver("gk", 18, 64, "compiled").sim
+    assert compiled.compiled, compiled.compile_fallback
+    assert (compiled.total_messages, compiled.total_words) > (0, 0)
+    assert compiled.total_comm_time > 0.0
+    assert calls == []
+    stats = compiled.stats
+    assert calls == [64]
+    assert compiled.stats is stats
+    assert calls == [64]
+    heap = _run_driver("gk", 18, 64, "heap").sim
+    assert len(stats) == len(heap.stats) == 64
+    for s_c, s_h in zip(stats, heap.stats):
+        assert s_c == s_h, f"rank {s_h.rank} stats diverge"
 
 
 # ---------------------------------------------------------------------------
