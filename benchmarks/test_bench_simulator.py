@@ -12,6 +12,7 @@ from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk_cm5
 from repro.core.cache import configure_disk_cache, result_cache
 from repro.core.machine import CM5, NCUBE2_LIKE
+from repro.experiments.scaling import run_large_p
 from repro.experiments.sweep import sweep
 from repro.simulator.collectives import allgather_recursive_doubling
 from repro.simulator.engine import Engine, run_spmd
@@ -29,6 +30,16 @@ def test_bench_cannon_p64(benchmark):
     A, B = _mats(96)
     res = benchmark(run_cannon, A, B, 64, NCUBE2_LIKE)
     assert np.allclose(res.C, A @ B)
+
+
+def test_bench_compile_cannon_p16384(benchmark):
+    # unverified, so the product is never computed: the time is the trace
+    # compiler's front end (probe recording, lowering) and the driver's set-up
+    res = benchmark.pedantic(
+        run_large_p, kwargs=dict(p_values=(16384,), n0=2, verify=False), rounds=3, iterations=1
+    )
+    (row,) = res["scaled_cannon"]
+    assert row["compiled"], row["compile_fallback"]
 
 
 def test_bench_gk_p512(benchmark):

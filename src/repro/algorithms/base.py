@@ -31,6 +31,8 @@ __all__ = [
     "matmul_cost",
     "serial_work",
     "grid_layout",
+    "GridGroups",
+    "grid_groups",
     "grid_coords",
     "rank_vector",
     "cube_layout_3d",
@@ -122,12 +124,45 @@ def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary"
     return [[r * cols + c for c in range(cols)] for r in range(rows)]
 
 
-def grid_coords(layout: list[list[int]]) -> tuple[list[int], list[int]]:
+@dataclass(frozen=True)
+class GridGroups:
+    """A 2-D processor grid as the grid drivers read it.
+
+    *lay* is the layout as one ``(rows, cols)`` int64 array; *rows* and
+    *cols* are each grid row's and grid column's ranks, one shared list
+    per row or column (not one pair per rank: at 64k+ ranks per-rank
+    copies dominated a driver's footprint); *row_of* and *col_of* are
+    :func:`grid_coords`.
+    """
+
+    lay: np.ndarray
+    rows: list[list[int]]
+    cols: list[list[int]]
+    row_of: list[int]
+    col_of: list[int]
+
+    @property
+    def partitions(self) -> dict[str, np.ndarray]:
+        """The ``"row"`` and ``"col"`` symmetry axes, for ``SymmetrySpec.partitions``."""
+        return {"row": self.lay, "col": self.lay.T}
+
+
+def grid_groups(layout: list[list[int]]) -> GridGroups:
+    """The row and column groups of a :func:`grid_layout` layout, built once."""
+    lay = np.asarray(layout, dtype=np.int64)
+    row_of, col_of = grid_coords(lay)
+    return GridGroups(
+        lay, [list(row) for row in layout], [list(col) for col in zip(*layout)], row_of, col_of
+    )
+
+
+def grid_coords(layout: Any) -> tuple[list[int], list[int]]:
     """Inverse of :func:`grid_layout`: each rank's grid row and grid column.
 
     Returns ``(row_of, col_of)`` with ``layout[row_of[r]][col_of[r]] == r``,
     which lets a driver hand the engine one rank-generic program factory
-    instead of building a program per rank up front.
+    instead of building a program per rank up front.  *layout* is a list
+    of rows or an int64 array (read without a copy).
     """
     lay = np.asarray(layout, dtype=np.int64)
     row_of = np.empty(lay.size, dtype=np.int64)

@@ -25,7 +25,7 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
-    grid_coords,
+    grid_groups,
     grid_layout,
     matmul_cost,
     rank_vector,
@@ -146,23 +146,17 @@ def run_cannon(
         raise ValueError(f"need sqrt(p) <= n, got sqrt({p}) > {n}")
     topo = topology or default_topology(p)
     layout = grid_layout(topo, side, side, scheme="gray")
+    grid = grid_groups(layout)
 
     spec = BlockSpec(n, n, side, side)
     a_stack = spec.stack(A)
     b_stack = spec.stack(B)
-
-    # one shared group list per grid row/column (not one pair per rank:
-    # at 64k+ ranks the per-rank copies dominated the driver's footprint)
-    row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
-    col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
-
-    row_of, col_of = grid_coords(layout)
     align_charged = align == "charged"
 
     def program(info: RankInfo):
         # built when the engine starts the rank: every rank on the
         # generator schedulers, only the probe ranks under "compiled"
-        i, j = row_of[info.rank], col_of[info.rank]
+        i, j = grid.row_of[info.rank], grid.col_of[info.rank]
         if align_charged:
             a0, b0 = a_stack[i * side + j], b_stack[i * side + j]
         else:
@@ -172,8 +166,8 @@ def run_cannon(
             j,
             a0,
             b0,
-            row_groups[i],
-            col_groups[j],
+            grid.rows[i],
+            grid.cols[j],
             align_charged=align_charged,
             overlap_shifts=overlap_shifts,
         )(info)
@@ -187,13 +181,10 @@ def run_cannon(
         gi, gj = np.indices((side, side))
         k = (gi + gj) % side
         symmetry = SymmetrySpec(
-            partitions={
-                "row": np.asarray(row_groups, dtype=np.int64),
-                "col": np.asarray(col_groups, dtype=np.int64),
-            },
+            partitions=grid.partitions,
             inputs={
-                "a": (a_stack, rank_vector(layout, gi * side + k)),
-                "b": (b_stack, rank_vector(layout, k * side + gj)),
+                "a": (a_stack, rank_vector(grid.lay, gi * side + k)),
+                "b": (b_stack, rank_vector(grid.lay, k * side + gj)),
             },
         )
 

@@ -24,7 +24,7 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
-    grid_coords,
+    grid_groups,
     grid_layout,
     matmul_cost,
     rank_vector,
@@ -127,14 +127,11 @@ def run_fox(
         raise ValueError(f"need sqrt(p) <= n, got sqrt({p}) > {n}")
     topo = topology or default_topology(p)
     layout = grid_layout(topo, side, side, scheme="gray")
+    grid = grid_groups(layout)
 
     spec = BlockSpec(n, n, side, side)
     a_stack = spec.stack(A)
     b_stack = spec.stack(B)
-
-    row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
-    col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
-    row_of, col_of = grid_coords(layout)
 
     # The binomial broadcast's root in row i at step t is (i + t) mod side:
     # the rank's column-axis position plus t, one root per row, so that
@@ -144,23 +141,20 @@ def run_fox(
     # and run on heap.
     symmetry = None
     if broadcast == "binomial":
-        own = rank_vector(layout, np.arange(p).reshape(side, side))
+        own = rank_vector(grid.lay, np.arange(p).reshape(side, side))
         symmetry = SymmetrySpec(
-            partitions={
-                "row": np.asarray(row_groups, dtype=np.int64),
-                "col": np.asarray(col_groups, dtype=np.int64),
-            },
+            partitions=grid.partitions,
             inputs={"a": (a_stack, own), "b": (b_stack, own)},
-            extra_probes=tuple(row_groups[0]),
+            extra_probes=tuple(grid.rows[0]),
         )
 
     def program(info: RankInfo):
-        i, j = row_of[info.rank], col_of[info.rank]
+        i, j = grid.row_of[info.rank], grid.col_of[info.rank]
         if symmetry is None:
             a0, b0 = a_stack[i * side + j], b_stack[i * side + j]
         else:
             a0, b0 = info.input("a"), info.input("b")
-        return _program(i, j, a0, b0, row_groups[i], col_groups[j], broadcast)(info)
+        return _program(i, j, a0, b0, grid.rows[i], grid.cols[j], broadcast)(info)
 
     sim = Engine(
         topo,

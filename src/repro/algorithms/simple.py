@@ -21,7 +21,7 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
-    grid_coords,
+    grid_groups,
     grid_layout,
     matmul_cost,
     rank_vector,
@@ -85,26 +85,19 @@ def run_simple(
     use_ring = isinstance(topo, Mesh2D)
 
     spec = BlockSpec(n, n, side, side)
-
-    row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
-    col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
-
-    row_of, col_of = grid_coords(layout)
+    grid = grid_groups(layout)
 
     def program(info: RankInfo):
         # built when the engine starts the rank (only the probes when compiled)
-        i, j = row_of[info.rank], col_of[info.rank]
-        return _program(row_groups[i], col_groups[j], use_ring)(info)
+        i, j = grid.row_of[info.rank], grid.col_of[info.rank]
+        return _program(grid.rows[i], grid.cols[j], use_ring)(info)
 
     # both all-gathers are rank-symmetric over grid rows/columns; rank
     # (i, j) starts with A[i, j] and B[i, j]
     gi, gj = np.indices((side, side))
-    own = rank_vector(layout, gi * side + gj)
+    own = rank_vector(grid.lay, gi * side + gj)
     symmetry = SymmetrySpec(
-        partitions={
-            "row": np.asarray(row_groups, dtype=np.int64),
-            "col": np.asarray(col_groups, dtype=np.int64),
-        },
+        partitions=grid.partitions,
         inputs={"a": (spec.stack(A), own), "b": (spec.stack(B), own)},
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.core.cache import cache_stats, configure_disk_cache
@@ -144,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="refinement gap tolerance per octave of cell extent")
     parser.add_argument("--p-values", type=int, nargs="+", default=None,
                         help="processor counts for scaling-large (each must be a "
-                             "perfect square; the compiled scheduler carries 65536+)")
+                             "power of four: a square grid with a power-of-two side; "
+                             "the compiled scheduler carries 65536+)")
     parser.add_argument("--n0", type=int, default=None,
                         help="per-rank base problem size for scaling-large")
     parser.add_argument("--no-verify", action="store_true",
@@ -164,6 +166,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-stats", action="store_true",
                         help="print cache hit/miss counters after the run")
     args = parser.parse_args(argv)
+    for p in args.p_values or ():
+        side = math.isqrt(p) if p > 0 else 0
+        if p < 1 or side * side != p:
+            parser.error(f"argument --p-values: {p} is not a positive perfect square")
+        if side & (side - 1):
+            parser.error(
+                f"argument --p-values: {p} is a {side} x {side} grid; Cannon on a "
+                f"hypercube needs a power-of-two side (p a power of four)"
+            )
+    if args.n0 is not None and args.n0 < 1:
+        parser.error(f"argument --n0: must be at least 1, got {args.n0}")
 
     configure_disk_cache(args.cache_dir, enabled=not args.no_disk_cache)
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)

@@ -156,17 +156,20 @@ def scaled_speedup(
     *scheduler* is forwarded to the engine (``None`` keeps the process
     default).  With *verify* every product is checked against
     ``A @ B``; without it the product is never read, so a compiled run
-    never evaluates it.
+    never evaluates it.  Every *p* is checked before the first one runs.
     """
-    rng = np.random.default_rng(seed)
-    rows = []
+    sizes = []
     for p in p_values:
-        side = math.isqrt(p)
-        if side * side != p:
-            raise ValueError(f"scaled speedup needs square p, got {p}")
+        side = math.isqrt(p) if p > 0 else 0
+        if p < 1 or side * side != p:
+            raise ValueError(f"scaled speedup needs square p >= 1, got {p}")
         n = n0 * side
         if not registry.get(key).feasible(n, p):
             raise ValueError(f"{key} infeasible at n={n}, p={p}")
+        sizes.append((p, n))
+    rng = np.random.default_rng(seed)
+    rows = []
+    for p, n in sizes:
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         res = registry.run(key, A, B, p, machine, scheduler=scheduler)

@@ -36,12 +36,15 @@ determines the stream of all ``p`` ranks — which is what lets
    dataflow graph, the same return structure) and each peer field must
    be explained by one law — ``peer = group[(pos + d) % g]`` (cyclic) or
    ``peer = group[pos ^ d]`` (dimension exchange) — on one axis of the
-   :class:`SymmetrySpec`.  A rooted collective's root (a route's source
-   and target) must follow one *position law* per group: a constant
-   position, or another axis's position plus a constant, mod ``g``, the
-   only such law the probes admit.  Any mismatch raises
-   :class:`CompileFallback` and the engine re-runs the program on the
-   ``heap`` scheduler, recording the reason.
+   :class:`SymmetrySpec`.  A collective's group must be a row of one
+   axis at every probe: each probe compares the group it posts with its
+   own row on every axis and records the names of those it equals, and
+   lowering takes the first name every probe recorded.  A rooted
+   collective's root (a route's source and target) must follow one
+   *position law* per group: a constant position, or another axis's
+   position plus a constant, mod ``g``, the only such law the probes
+   admit.  Any mismatch raises :class:`CompileFallback` and the engine
+   re-runs the program on the ``heap`` scheduler, recording the reason.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    fields are precomputed ``(p,)`` vectors and whose hop fields are one
@@ -220,9 +223,14 @@ def _build_axes(spec: SymmetrySpec, p: int) -> dict[str, _Axis]:
     axes: dict[str, _Axis] = {}
     for name, raw in spec.partitions.items():
         mat = np.asarray(raw, dtype=np.int64)
-        if mat.ndim != 2 or mat.size != p or not np.array_equal(
-            np.sort(mat.ravel()), np.arange(p)
-        ):
+        flat = mat.ravel()
+        # p entries in 0..p-1 that reach every rank are a permutation
+        ok = mat.ndim == 2 and flat.size == p and bool(((flat >= 0) & (flat < p)).all())
+        if ok:
+            seen = np.zeros(p, dtype=bool)
+            seen[flat] = True
+            ok = bool(seen.all())
+        if not ok:
             raise ValueError(
                 f"symmetry axis {name!r} must be a (G, g) matrix whose rows "
                 f"partition ranks 0..{p - 1}"
@@ -230,7 +238,6 @@ def _build_axes(spec: SymmetrySpec, p: int) -> dict[str, _Axis]:
         g = int(mat.shape[1])
         pos = np.empty(p, dtype=np.int64)
         row = np.empty(p, dtype=np.int64)
-        flat = mat.ravel()
         pos[flat] = np.tile(np.arange(g, dtype=np.int64), mat.shape[0])
         row[flat] = np.repeat(np.arange(mat.shape[0], dtype=np.int64), g)
         axes[name] = _Axis(name, mat, pos, row, g)
@@ -322,14 +329,30 @@ def _payload(data: Any) -> int | None:
     return data.node
 
 
-def _record_collective(req: CollectiveOp, ops: list[tuple], graph: Graph) -> Any:
+def _axes_of(group: Sequence[int], rows: dict[str, list[int]]) -> tuple[str, ...]:
+    """The names of the axes whose row at this probe is *group*, in name order.
+
+    Matched when the probe posts its collective, so a program that
+    rewrites its group list afterwards cannot change what was posted.  A
+    matched row is replaced by a copy of *group*: the same ranks, held
+    by the program's own int objects, which the next post of that list
+    compares by identity instead of by value.
+    """
+    if type(group) is not list:
+        group = list(group)
+    names = tuple(name for name, row in rows.items() if group == row)
+    for name in names:
+        rows[name] = group[:]
+    return names
+
+
+def _record_collective(
+    req: CollectiveOp, ops: list[tuple], graph: Graph, rows: dict[str, list[int]]
+) -> Any:
     kind = req.kind
     if kind not in _LOWERED_KINDS:
         raise CompileFallback(f"collective {kind!r} is not compilable")
-    # a C-level copy, so a program reusing its group list cannot rewrite
-    # the trace; lowering matches it against the axis rows as an array
-    group = tuple(req.group)
-    g = len(group)
+    g = len(req.group)
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
     data = req.data
@@ -348,7 +371,7 @@ def _record_collective(req: CollectiveOp, ops: list[tuple], graph: Graph) -> Any
         (
             "coll",
             kind,
-            group,
+            g,
             m,
             w,
             int(req.tag),
@@ -356,6 +379,7 @@ def _record_collective(req: CollectiveOp, ops: list[tuple], graph: Graph) -> Any
             bool(req.charge_adds),
             flat_size,
             _payload(data),
+            _axes_of(req.group, rows),
         )
     )
     if kind == "shift":
@@ -443,7 +467,12 @@ def _reduce_charge(req: CollectiveOp, data: TracedBlock) -> Any:
 
 
 def _record_rooted(
-    req: CollectiveOp, rank: int, ops: list[tuple], graph: Graph, posted: dict[int, tuple]
+    req: CollectiveOp,
+    rank: int,
+    ops: list[tuple],
+    graph: Graph,
+    posted: dict[int, tuple],
+    rows: dict[str, list[int]],
 ) -> Any:
     """Record a ``bcast``, ``reduce`` or ``route``; return what the reference returns.
 
@@ -457,7 +486,7 @@ def _record_rooted(
     the root's size in every round, which its recorded ``extra`` says.
     """
     kind = req.kind
-    group = tuple(req.group)
+    group = req.group
     g = len(group)
     step = len(ops)
     holder = req.root_index % g
@@ -488,7 +517,9 @@ def _record_rooted(
             target = req.target % g
             extra, fields, out_here = bool(req.relay), (holder, target), rank == group[target]
     m = _count(req.nwords) if req.nwords is not None else meta[3]
-    ops.append(("rooted", kind, group, m, int(req.tag), extra, payload, fields))
+    ops.append(
+        ("rooted", kind, g, m, int(req.tag), extra, payload, fields, _axes_of(group, rows))
+    )
     out = graph.source(("coll", step, 0), meta[1], meta[2])
     return out if out_here else None
 
@@ -500,12 +531,14 @@ def _record_probe(
     inputs: Mapping[str, "_Input"],
     max_ops: int,
     posted: dict[int, tuple],
+    rows: dict[str, list[int]],
 ) -> Generator[int, None, _Probe]:
     """Drive one probe generator on traced inputs against the reflection mailbox.
 
     Yields the step of a rooted collective whose payload no probe that
     holds it has put in *posted* yet, resumes once one has, and returns
-    the recording.
+    the recording.  *rows* is the probe's own row on every axis, by name:
+    each collective records the names of those its group equals.
     """
     graph = Graph()
     traced = {
@@ -560,10 +593,10 @@ def _record_probe(
             elif cls is Checkpoint:
                 ops.append(("checkpoint",))
             elif cls is CollectiveOp and req.kind in _ROOTED_KINDS:
-                while (resume := _record_rooted(req, rank, ops, graph, posted)) is _WAIT:
+                while (resume := _record_rooted(req, rank, ops, graph, posted, rows)) is _WAIT:
                     yield len(ops)
             elif cls is CollectiveOp:
-                resume = _record_collective(req, ops, graph)
+                resume = _record_collective(req, ops, graph, rows)
             else:
                 raise CompileFallback(
                     f"probe rank {rank}: unsupported request {cls.__name__}"
@@ -589,6 +622,7 @@ def _record_probes(
     factories: Sequence[Callable[..., Any]],
     make_info: Callable[[int, Mapping[str, Any]], Any],
     probe_ranks: list[int],
+    axes: dict[str, _Axis],
     inputs: Mapping[str, "_Input"],
     max_ops: int,
 ) -> list[_Probe]:
@@ -600,7 +634,10 @@ def _record_probes(
     """
     posted: dict[int, tuple] = {}
     recorders = {
-        r: _record_probe(factories[r], make_info, r, inputs, max_ops, posted)
+        r: _record_probe(
+            factories[r], make_info, r, inputs, max_ops, posted,
+            {name: ax.mat[ax.row[r]].tolist() for name, ax in sorted(axes.items())},
+        )
         for r in probe_ranks
     }
     probes: dict[int, _Probe] = {}
@@ -913,7 +950,6 @@ def _lower(
             )
     hop_cache = PairHopCache.shared(topology)
     everyone = np.arange(p, dtype=np.int64)
-    probes = np.asarray([r for r, _ in traces], dtype=np.int64)
     memo: dict[tuple[str, str, int], tuple[np.ndarray, int | np.ndarray]] = {}
     phases: list[SymPhase] = []
     links: dict[int, tuple] = {}
@@ -934,12 +970,14 @@ def _lower(
         return memo[key]
 
     def group_axis(step: int, kind: str, row: list[tuple]) -> _Axis:
-        """The axis whose rows are the probes' collective groups."""
-        groups = np.asarray([op[2] for op in row], dtype=np.int64)
-        for name in sorted(axes):
-            ax = axes[name]
-            if ax.g == groups.shape[1] and np.array_equal(ax.mat[ax.row[probes]], groups):
-                return ax
+        """The first axis, by name, whose row at every probe is its collective group.
+
+        Each probe recorded the names of the axes its group is a row of,
+        as the last field of the op (:func:`_axes_of`).
+        """
+        for name in row[0][-1]:
+            if all(name in op[-1] for op in row[1:]):
+                return axes[name]
         raise CompileFallback(
             f"step {step}: collective {kind!r} group is not a symmetry-axis row"
         )
@@ -997,20 +1035,14 @@ def _lower(
         elif kind == "checkpoint":
             pass  # free without a fault plan, and compiled excludes fault plans
         elif kind == "coll":
-            shape = _check_uniform(
-                [op[:2] + (len(op[2]),) + op[3:] for op in row],
-                step,
-                "collective shape",
-            )
+            shape = _check_uniform([op[:-1] for op in row], step, "collective shape")
             axis = group_axis(step, shape[1], row)
             rounds, out = _lower_collective(vectors, axis, shape, deferred)
             phases.append(SymCollective(kind=shape[1], phases=rounds))
             links[step] = ("coll", shape[1], axis, shape[-1], out)
         else:  # "rooted"
             ckind = row[0][1]
-            shape = _check_uniform(
-                [(op[1], len(op[2])) + op[3:6] for op in row], step, "collective shape"
-            )
+            shape = _check_uniform([op[1:6] for op in row], step, "collective shape")
             axis = group_axis(step, ckind, row)
             holders = [op[6] for op in row if op[6] is not None]
             if not holders:
@@ -1392,7 +1424,7 @@ def compile_spmd(
     axes = _build_axes(symmetry, p)
     probe_ranks = _probe_ranks(axes, symmetry, p)
     inputs = _grouped_inputs(symmetry, p)
-    probes = _record_probes(factories, make_info, probe_ranks, inputs, max_ops)
+    probes = _record_probes(factories, make_info, probe_ranks, axes, inputs, max_ops)
     nodes, returns = _common_dataflow(probes)
     phases, links, deferred = _lower([(pr.rank, pr.ops) for pr in probes], axes, topology, p)
     resolved, where = _resolve(nodes, links)

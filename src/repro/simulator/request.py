@@ -168,7 +168,8 @@ class CollectiveOp:
 
     group: Sequence[int]
     """Ordered member ranks, as the program built them; the compiler
-    copies them when it records the collective."""
+    matches them with the probe's symmetry-axis rows when it records the
+    collective."""
 
     data: Any = None
     nwords: int | None = None

@@ -10,6 +10,7 @@ from repro.algorithms.base import (
     cube_layout_3d,
     cube_route,
     default_topology,
+    grid_groups,
     grid_layout,
     matmul_cost,
     serial_work,
@@ -119,6 +120,54 @@ class TestGridLayout:
     def test_fully_connected_row_major(self):
         layout = grid_layout(FullyConnected(6), 2, 3)
         assert layout == [[0, 1, 2], [3, 4, 5]]
+
+
+def _grid_cases():
+    """(id, topology, scheme) at grid sides 1-8 and 64; a hypercube's side
+    is a power of two."""
+    for side in (*range(1, 9), 64):
+        p = side * side
+        if side & (side - 1) == 0:
+            for scheme in ("gray", "binary"):
+                yield f"hypercube-{scheme}-{side}", Hypercube.of_size(p), scheme
+        yield f"mesh-{side}", Mesh2D(side, side), "binary"
+        yield f"full-{side}", FullyConnected(p), "binary"
+
+
+GRID_CASES = list(_grid_cases())
+
+
+class TestGridGroups:
+    @pytest.mark.parametrize(
+        "topo,scheme", [c[1:] for c in GRID_CASES], ids=[c[0] for c in GRID_CASES]
+    )
+    def test_groups_and_coords_equal_the_nested_comprehensions(self, topo, scheme):
+        side = int(round(topo.size ** 0.5))
+        layout = grid_layout(topo, side, side, scheme=scheme)
+        grid = grid_groups(layout)
+        rows = [[layout[i][c] for c in range(side)] for i in range(side)]
+        cols = [[layout[r][j] for r in range(side)] for j in range(side)]
+        row_of = [None] * topo.size
+        col_of = [None] * topo.size
+        for i in range(side):
+            for j in range(side):
+                row_of[layout[i][j]], col_of[layout[i][j]] = i, j
+        assert grid.rows == rows and grid.cols == cols
+        assert grid.row_of == row_of and grid.col_of == col_of
+        for values in (grid.rows, grid.cols):
+            assert all(type(x) is int for group in values for x in group)
+        assert all(type(x) is int for x in grid.row_of + grid.col_of)
+        # the symmetry axes are the same groups, as int64 matrices
+        parts = grid.partitions
+        assert parts["row"].dtype == parts["col"].dtype == np.int64
+        assert np.array_equal(parts["row"], np.asarray(rows))
+        assert np.array_equal(parts["col"], np.asarray(cols))
+
+    def test_groups_do_not_alias_the_layout(self):
+        layout = grid_layout(Hypercube(4), 4, 4, scheme="gray")
+        grid = grid_groups(layout)
+        grid.rows[0].reverse()
+        assert layout[0][0] == grid.rows[0][-1] != grid.rows[0][0]
 
 
 class TestCubeLayout:

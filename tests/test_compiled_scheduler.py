@@ -28,8 +28,9 @@ import pytest
 import repro.simulator.collectives as coll
 import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
+from repro.algorithms.base import grid_layout
 from repro.core.machine import MachineParams, NCUBE2_LIKE
-from repro.simulator.compile import CompileFallback, SymmetrySpec, compile_spmd
+from repro.simulator.compile import CompileFallback, SymmetrySpec, _build_axes, compile_spmd
 from repro.simulator.engine import Engine, RankInfo
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import (
@@ -546,16 +547,38 @@ def test_a_cost_negative_at_some_ranks_falls_back():
             Engine(topo, NCUBE2_LIKE, scheduler=scheduler, symmetry=spec).run(program)
 
 
-def test_malformed_symmetry_spec_raises():
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 2, 3], [4, 5, 6, 6]],
+        [[-1, 1, 2, 3], [4, 5, 6, 7]],
+        [[8, 1, 2, 3], [4, 5, 6, 7]],
+        np.arange(7)[None, :],
+        [[0, 1, 2, 3, 4], [5, 6, 7, 0, 1]],
+        np.arange(8),
+        np.arange(8).reshape(2, 2, 2),
+    ],
+    ids=["duplicate", "rank-minus-one", "rank-p", "too-few", "too-many", "1-d", "3-d"],
+)
+def test_malformed_symmetry_spec_raises(rows):
     p = 8
     topo = Hypercube(3)
-    bad = SymmetrySpec(
-        partitions={"ring": np.arange(p - 1, dtype=np.int64)[None, :]}
-    )
-    with pytest.raises(ValueError):
+    bad = SymmetrySpec(partitions={"ring": np.asarray(rows, dtype=np.int64)})
+    with pytest.raises(ValueError, match="rows partition ranks 0..7"):
         Engine(topo, NCUBE2_LIKE, scheduler="compiled", symmetry=bad).run(
             _ring_factories(p)
         )
+
+
+def test_a_transposed_axis_builds_the_same_axis_as_its_copy():
+    """The grid drivers pass a layout's transpose, a view, as their column axis."""
+    lay = np.asarray(grid_layout(Hypercube(5), 4, 8, scheme="gray"))
+    assert not lay.T.flags.c_contiguous
+    (got,) = _build_axes(SymmetrySpec(partitions={"col": lay.T}), 32).values()
+    (want,) = _build_axes(SymmetrySpec(partitions={"col": lay.T.copy()}), 32).values()
+    assert (got.name, got.g) == (want.name, want.g) == ("col", 4)
+    for field in ("mat", "pos", "row"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_a_collective_posted_by_hand_on_untraced_data_falls_back():
@@ -575,6 +598,80 @@ def test_a_collective_posted_by_hand_on_untraced_data_falls_back():
                 inputs=inputs, recording=True,
             ),
         )
+
+
+def _shift_around(p, partitions, group_of, rounds=1, reverse=False):
+    """Every rank shifts its 2x2 block one step around ``group_of(rank)``,
+    a list of its own, *rounds* times and returns what it received last;
+    with *reverse* it reverses that list each time a shift has returned."""
+    own = np.arange(p)
+    spec = SymmetrySpec(
+        partitions={name: np.asarray(rows, dtype=np.int64) for name, rows in partitions.items()},
+        inputs={"a": (np.random.default_rng(p).standard_normal((p, 2, 2)), own)},
+    )
+
+    def body(info: RankInfo):
+        group = group_of(info.rank)
+        got = info.input("a")
+        for t in range(rounds):
+            got = yield from coll.shift_cyclic(info, group, 1, got, tag=3 + t)
+            if reverse:
+                group.reverse()
+        yield Compute(1.0)
+        return got
+
+    return body, spec
+
+
+def _compiled_and_heap(p, program, spec):
+    topo = FullyConnected(p)
+    res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(program)
+    res_h = Engine(topo, NCUBE2_LIKE, scheduler="heap", symmetry=spec).run(program)
+    _assert_identical(res_c, res_h, p)
+    _assert_same_returns(res_c, res_h)
+    return res_c
+
+
+@pytest.mark.parametrize(
+    "group_of",
+    [
+        # the ranks of one parity: no row of the axis
+        lambda r: list(range(r % 2, 8, 2)),
+        # the members of the rank's row, in reverse order
+        lambda r: list(range(r // 4 * 4 + 3, r // 4 * 4 - 1, -1)),
+    ],
+    ids=["no-row", "row-reordered"],
+)
+def test_a_group_that_is_no_axis_row_falls_back(group_of):
+    program, spec = _shift_around(8, {"half": [[0, 1, 2, 3], [4, 5, 6, 7]]}, group_of)
+    res = _compiled_and_heap(8, program, spec)
+    assert not res.compiled
+    assert "collective 'shift' group is not a symmetry-axis row" in res.compile_fallback
+
+
+def test_a_group_compiles_on_the_axis_every_probe_matches():
+    """At ranks 0 and 1 the group [0, 1] is a row of both axes; at ranks 2
+    and 3 the group [2, 3] is a row of "b" only ("a" has [3, 2])."""
+    program, spec = _shift_around(
+        4, {"a": [[0, 1], [3, 2]], "b": [[0, 1], [2, 3]]}, lambda r: [0, 1] if r < 2 else [2, 3]
+    )
+    res = _compiled_and_heap(4, program, spec)
+    assert res.compiled, res.compile_fallback
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_a_group_rewritten_after_its_collective_keeps_the_posted_schedule(rounds):
+    """The first shift compiles on the row it posted; a second one posts
+    the reversed list, which is no axis row."""
+    program, spec = _shift_around(
+        8, {"ring": [list(range(8))]}, lambda r: list(range(8)), rounds, reverse=True
+    )
+    res = _compiled_and_heap(8, program, spec)
+    if rounds == 1:
+        assert res.compiled, res.compile_fallback
+    else:
+        assert not res.compiled
+        assert "step 1: collective 'shift' group is not a symmetry-axis row" in res.compile_fallback
 
 
 def test_fallback_reruns_generators_fresh():

@@ -176,6 +176,26 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig9"])
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["--p-values", "16", "65535"], "--p-values: 65535 is not a positive perfect square"),
+            (["--p-values", "0"], "--p-values: 0 is not a positive perfect square"),
+            (["--p-values", "-4"], "--p-values: -4 is not a positive perfect square"),
+            (["--p-values", "16", "9"], "--p-values: 9 is a 3 x 3 grid"),
+            (["--n0", "0"], "--n0: must be at least 1, got 0"),
+        ],
+    )
+    def test_scaling_large_rejects_bad_sizes_before_running(self, argv, named, capsys, monkeypatch):
+        from repro.experiments import scaling
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setattr(scaling, "run_large_p", lambda **kw: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling-large", "--no-disk-cache", *argv])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_refine_matches_dense_figure(self, capsys):
         from repro.experiments.__main__ import main
 

@@ -74,6 +74,15 @@ class TestScaledSpeedup:
         with pytest.raises(ValueError):
             scaling.scaled_speedup("cannon", p_values=(8,))
 
+    @pytest.mark.parametrize(
+        "p_values,n0",
+        [((16, 65535), 2), ((16, 0), 2), ((16, -4), 2), ((16, 9), 2), ((16,), 0)],
+    )
+    def test_every_p_is_checked_before_the_first_runs(self, p_values, n0, monkeypatch):
+        monkeypatch.setattr(scaling.registry, "run", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="needs square p >= 1|infeasible"):
+            scaling.scaled_speedup("cannon", n0=n0, p_values=p_values)
+
     def test_run_large_p_and_format(self):
         res = scaling.run_large_p(p_values=(16, 64), n0=4)
         text = scaling.format_large_p_text(res)
