@@ -56,12 +56,13 @@ paper-smoke:
 # compiled (record->replay) scheduler, scaling-large's default: the
 # batch replay charges the timing, with one scalar per account for all
 # ranks while they run in lockstep (Cannon's ranks do throughout), and
-# the stacked payload graph computes the product, which is checked
-# against A @ B; computing it is most of each target's time.  Timing is
-# fuzz-gated bit-identical to the heap scheduler at p <= 4096 by the
-# test suite, and products array-equal to heap's.  A run that fell back
-# to heap fails the target (its row says why) instead of passing minutes
-# later.
+# the stacked payload graph computes the product (each rolled block read
+# as a view of one grid-order stack, the sum accumulated in place), which
+# is checked against A @ B; computing it is still most of each target's
+# time.  Timing is fuzz-gated bit-identical to the heap scheduler at
+# p <= 4096 by the test suite, and products array-equal to heap's.  A run
+# that fell back to heap fails the target (its row says why) instead of
+# passing minutes later.
 scale-16k-smoke:
 	python -m repro.experiments scaling-large --p-values 16384 --n0 2 --no-disk-cache --json-out SCALE16K.json
 	python -c 'import json, sys; bad = [r for r in json.load(open("SCALE16K.json"))["scaled_cannon"] if not r["compiled"]]; sys.exit(f"not trace-compiled: {bad}" if bad else 0)'

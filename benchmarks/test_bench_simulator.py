@@ -42,6 +42,17 @@ def test_bench_compile_cannon_p16384(benchmark):
     assert row["compiled"], row["compile_fallback"]
 
 
+def test_bench_verified_cannon_p16384(benchmark):
+    # verified: the compiled run also computes every rank's product on
+    # stacked blocks (rolled operands read as views, the sum accumulated in
+    # place), and run_large_p raises if it is not allclose to A @ B
+    res = benchmark.pedantic(
+        run_large_p, kwargs=dict(p_values=(16384,), n0=2), rounds=3, iterations=1
+    )
+    (row,) = res["scaled_cannon"]
+    assert row["compiled"], row["compile_fallback"]
+
+
 def test_bench_gk_p512(benchmark):
     A, B = _mats(64)
     res = benchmark.pedantic(

@@ -30,7 +30,7 @@ __all__ = [
     "MatmulResult",
     "matmul_cost",
     "serial_work",
-    "grid_layout",
+    "grid_array",
     "GridGroups",
     "grid_groups",
     "grid_coords",
@@ -83,10 +83,10 @@ def default_topology(p: int, kind: str = "hypercube") -> Topology:
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
-def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary") -> list[list[int]]:
+def grid_array(topology: Topology, rows: int, cols: int, scheme: str = "binary") -> np.ndarray:
     """Map a logical ``rows x cols`` processor grid onto *topology*.
 
-    Returns ``layout[r][c] -> rank``.  Schemes:
+    Returns a ``(rows, cols)`` int64 array: ``layout[r, c] -> rank``.  Schemes:
 
     * ``"binary"`` — concatenated binary coordinates.  On a hypercube
       (power-of-two sides) every grid row and every grid column is a
@@ -104,7 +104,9 @@ def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary"
             raise ValueError(
                 f"mesh is {topology.rows}x{topology.cols}, grid wants {rows}x{cols}"
             )
-        return [[topology.rank(r, c) for c in range(cols)] for r in range(rows)]
+        return np.array(
+            [[topology.rank(r, c) for c in range(cols)] for r in range(rows)], dtype=np.int64
+        )
 
     if rows * cols != topology.size:
         raise ValueError(f"grid {rows}x{cols} does not cover topology of size {topology.size}")
@@ -118,10 +120,10 @@ def grid_layout(topology: Topology, rows: int, cols: int, scheme: str = "binary"
             r, c = r ^ (r >> 1), c ^ (c >> 1)
         elif scheme != "binary":
             raise ValueError(f"unknown layout scheme {scheme!r}")
-        return ((r << (cols.bit_length() - 1)) | c).tolist()
+        return (r << (cols.bit_length() - 1)) | c
 
     # fully connected (or anything else): row-major
-    return [[r * cols + c for c in range(cols)] for r in range(rows)]
+    return np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -147,17 +149,18 @@ class GridGroups:
         return {"row": self.lay, "col": self.lay.T}
 
 
-def grid_groups(layout: list[list[int]]) -> GridGroups:
-    """The row and column groups of a :func:`grid_layout` layout, built once."""
-    lay = np.asarray(layout, dtype=np.int64)
-    row_of, col_of = grid_coords(lay)
-    return GridGroups(
-        lay, [list(row) for row in layout], [list(col) for col in zip(*layout)], row_of, col_of
-    )
+def grid_groups(layout: np.ndarray) -> GridGroups:
+    """The row and column groups of a :func:`grid_array` layout, built once.
+
+    The array itself is :attr:`GridGroups.lay`.
+    """
+    rows = layout.tolist()
+    # the columns share the rows' int objects
+    return GridGroups(layout, rows, [list(col) for col in zip(*rows)], *grid_coords(layout))
 
 
 def grid_coords(layout: Any) -> tuple[list[int], list[int]]:
-    """Inverse of :func:`grid_layout`: each rank's grid row and grid column.
+    """Inverse of :func:`grid_array`: each rank's grid row and grid column.
 
     Returns ``(row_of, col_of)`` with ``layout[row_of[r]][col_of[r]] == r``,
     which lets a driver hand the engine one rank-generic program factory

@@ -25,8 +25,8 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
+    grid_array,
     grid_groups,
-    grid_layout,
     matmul_cost,
     rank_vector,
 )
@@ -145,8 +145,7 @@ def run_cannon(
     if side > n:
         raise ValueError(f"need sqrt(p) <= n, got sqrt({p}) > {n}")
     topo = topology or default_topology(p)
-    layout = grid_layout(topo, side, side, scheme="gray")
-    grid = grid_groups(layout)
+    grid = grid_groups(grid_array(topo, side, side, scheme="gray"))
 
     spec = BlockSpec(n, n, side, side)
     a_stack = spec.stack(A)
@@ -199,5 +198,5 @@ def run_cannon(
 
     return MatmulResult(
         sim=sim, n=n, p=p, machine=machine, algorithm="cannon",
-        assemble=lambda returns: spec.gather([[returns[r] for r in row] for row in layout]),
+        assemble=lambda returns: spec.gather([[returns[r] for r in row] for row in grid.rows]),
     )

@@ -21,8 +21,8 @@ from repro.algorithms.base import (
     MatmulResult,
     check_same_shape,
     default_topology,
+    grid_array,
     grid_groups,
-    grid_layout,
     matmul_cost,
     rank_vector,
 )
@@ -81,11 +81,10 @@ def run_simple(
     if side > n:
         raise ValueError(f"need sqrt(p) <= n, got sqrt({p}) > {n}")
     topo = topology or default_topology(p)
-    layout = grid_layout(topo, side, side, scheme="binary")
     use_ring = isinstance(topo, Mesh2D)
 
     spec = BlockSpec(n, n, side, side)
-    grid = grid_groups(layout)
+    grid = grid_groups(grid_array(topo, side, side, scheme="binary"))
 
     def program(info: RankInfo):
         # built when the engine starts the rank (only the probes when compiled)
@@ -113,6 +112,6 @@ def run_simple(
     return MatmulResult(
         sim=sim, n=n, p=p, machine=machine, algorithm="simple",
         assemble=lambda returns: spec.gather(
-            [[returns[r][0] for r in row] for row in layout]
+            [[returns[r][0] for r in row] for row in grid.rows]
         ),
     )

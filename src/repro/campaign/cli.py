@@ -27,6 +27,7 @@ from repro.campaign.oracles import OracleConfig
 from repro.campaign.report import format_text, write_report
 from repro.campaign.runner import CampaignSummary, run_campaign
 from repro.campaign.schema import Scenario, scenarios_from_json
+from repro.experiments.report import positive_int
 
 __all__ = ["add_parser", "cmd"]
 
@@ -42,7 +43,7 @@ def add_parser(subs: argparse._SubParsersAction) -> None:
         sub.add_argument("--db", required=True,
                          help="run-database prefix; writes <db>.jsonl, <db>.sqlite, "
                               "<db>.report.json")
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", type=positive_int, default=1,
                          help="worker processes for scenario execution (1 = inline)")
         sub.add_argument("--timeout", type=float, default=None,
                          help="per-scenario watchdog seconds (requires --jobs > 1); "

@@ -50,7 +50,7 @@ from repro.simulator.engine import SCHEDULERS
 from repro.core.models import MODELS
 from repro.core.regions import region_map
 from repro.core.selector import select
-from repro.experiments.report import format_kv, format_table
+from repro.experiments.report import format_kv, format_table, positive_int
 
 __all__ = ["main", "build_parser"]
 
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--p-values", type=int, nargs="+", default=[4, 16, 64])
     p_sw.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_sw.add_argument("--out", type=str, default=None, help="write to a file")
-    p_sw.add_argument("--jobs", type=int, default=1,
+    p_sw.add_argument("--jobs", type=positive_int, default=1,
                       help="worker processes for the sweep (1 = serial)")
     p_sw.add_argument("--checkpoint", type=str, default=None,
                       help="JSONL file recording completed rows as they land")

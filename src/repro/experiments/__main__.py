@@ -26,6 +26,7 @@ from repro.experiments import (
     technology,
     validation,
 )
+from repro.experiments.report import positive_int
 
 _EXPERIMENTS = ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "sec6", "sec7", "sec8", "validation", "scaling", "scaling-large", "broadcast", "arch", "resilience")
 
@@ -131,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=(*_EXPERIMENTS, "all"))
     parser.add_argument("--fast", action="store_true", help="coarser grids / fewer sizes")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes for simulation-heavy experiments (1 = serial)")
     parser.add_argument("--json-out", type=str, default=None,
                         help="write machine-readable results to a JSON file "

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_kv"]
+__all__ = ["format_table", "format_kv", "positive_int"]
 
 
 def _fmt(v: Any) -> str:
@@ -42,3 +43,17 @@ def format_kv(title: str, items: dict) -> str:
     for k, v in items.items():
         lines.append(f"{k.ljust(width)} : {_fmt(v)}")
     return "\n".join(lines)
+
+
+def positive_int(text: str) -> int:
+    """An ``argparse`` type for a count of workers: a whole number of at least 1.
+
+    Anything else is a usage error (exit status 2) that names the value.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return value

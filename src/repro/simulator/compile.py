@@ -45,6 +45,13 @@ determines the stream of all ``p`` ranks — which is what lets
    position plus a constant, mod ``g``, the only such law the probes
    admit.  Any mismatch raises :class:`CompileFallback` and the engine
    re-runs the program on the ``heap`` scheduler, recording the reason.
+   Only the probes run, so a divergence is detected only where it
+   reaches a probe rank: a program that computes, sends or returns
+   differently at a rank no probe runs, and sends the probes what it
+   would anyway, compiles on a probe's requests and reports that
+   probe's ``T_p`` and payloads for it
+   (``test_a_divergence_at_an_unprobed_rank_matches_heap_or_falls_back``
+   pins one such program).
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    fields are precomputed ``(p,)`` vectors and whose hop fields are one
@@ -71,7 +78,10 @@ determines the stream of all ``p`` ranks — which is what lets
    size and cost to its ``(p,)`` values.
 4. **Payloads.**  The same matching resolves every received block to a
    gather through the matched send's peer vector (a broadcast's through
-   the per-rank root, a route's through its source), and the graph
+   the per-rank root, a route's through its source); a gather through a
+   cyclic law also carries its axis's group matrix and offset, so
+   evaluation reads the roll as a view of one grid-order stack instead of
+   gathering.  The graph
    becomes a :class:`~repro.simulator.payloads.Dataflow` that computes
    every rank's return value on stacked blocks — on demand, the first
    time ``SimResult.returns`` is read, so a run that never reads its
@@ -714,7 +724,8 @@ def _lower_collective(
 
     Each round mirrors the message-level helper in
     :mod:`repro.simulator.collectives`: the same sizes, partners and order.
-    Also returns what the rounds deliver: a shift's source vector, or a
+    Also returns what the rounds deliver: a shift's source vector and its
+    roll ``(axis.mat, d)`` (see :class:`~repro.simulator.payloads.Dataflow`), or a
     reduce-scatter's partners and final per-rank intervals (``None`` for
     the all-gathers, whose outputs are the axis's group members).  A
     shift's size that is an extent goes on *deferred*: every rank sends
@@ -733,7 +744,7 @@ def _lower_collective(
 
     if kind == "shift":
         exchange("cyc", offset, g - offset, m)
-        return phases, vectors(axis.name, "cyc", g - offset)[0]
+        return phases, (vectors(axis.name, "cyc", g - offset)[0], (axis.mat, (g - offset) % g))
     if kind == "allgather_ring":
         for _ in range(g - 1):
             exchange("cyc", 1, g - 1, m)
@@ -932,7 +943,9 @@ def _lower(
     """Phases for the common trace, what each receive or collective delivers,
     and the symbolic fields to bind.
 
-    The second result maps a ``recv`` step to ``("recv", payload, src)``,
+    The second result maps a ``recv`` step to ``("recv", payload, src,
+    roll)`` (*roll* ``(mat, e)``, the axis's group matrix and offset,
+    for a cyclic law, else ``None``),
     a ``coll`` step to ``("coll", kind, axis, payload, out)`` (see
     :func:`_lower_collective`) and a ``rooted`` step to ``("rooted",
     kind, payload, out)`` (see :func:`_lower_rooted`); *payload* is the
@@ -1029,7 +1042,7 @@ def _lower(
             src_phase, payload = queue.popleft()
             src = vectors(axis, law, e)[0]
             phases.append(SymRecv(src=src, tag=int(tag), source=src_phase))
-            links[step] = ("recv", payload, src)
+            links[step] = ("recv", payload, src, (axes[axis].mat, e) if law == "cyc" else None)
         elif kind == "barrier":
             phases.append(SymBarrier())
         elif kind == "checkpoint":
@@ -1260,25 +1273,25 @@ def _resolve(
     for i, node in enumerate(nodes):
         kind, meta = node[0], node[-2:]
         if kind == "recv":
-            _, payload, src = links[node[1]]
+            _, payload, src, roll = links[node[1]]
             if not _fits(meta, nodes[payload][-2:]):
                 raise CompileFallback(
                     f"step {node[1]}: received {meta!r} but the matched send "
                     f"carries {nodes[payload][-2:]!r}"
                 )
             read(payload, src, f"step {node[1]}: a Recv")
-            out.append(("gather", payload, src) + meta)
+            out.append(("gather", payload, src, roll) + meta)
         elif kind == "coll" and links[node[1]][0] == "rooted":
             _, ckind, payload, res = links[node[1]]
             what = f"step {node[1]}: a {ckind}"
             defined = None
             if ckind == "bcast":
                 read(payload, res, what)
-                out.append(("gather", payload, res) + meta)
+                out.append(("gather", payload, res, None) + meta)
             elif ckind == "route":
                 sources, defined = res
                 read(payload, sources, what)
-                out.append(("gather", payload, sources) + meta)
+                out.append(("gather", payload, sources, None) + meta)
             else:
                 group_rows, row, defined = res
                 read(payload, slice(None), what)
@@ -1290,13 +1303,13 @@ def _resolve(
             t = node[2]
             read(payload, slice(None), f"step {node[1]}: a {ckind}")
             if ckind == "shift":
-                out.append(("gather", payload, res) + meta)
+                out.append(("gather", payload, *res) + meta)
             elif ckind == "reduce_scatter":
                 out.append(("rs", payload, res, t) + meta)
             else:  # all-gather output t: the block of group member t
                 if (axis.name, t) not in members:
                     members[(axis.name, t)] = axis.mat[axis.row, t]
-                out.append(("gather", payload, members[(axis.name, t)]) + meta)
+                out.append(("gather", payload, members[(axis.name, t)], None) + meta)
         else:
             if kind in ("matmul", "add"):
                 for x in node[1:3]:

@@ -5,13 +5,15 @@ import pytest
 
 from conftest import rand_pair
 from repro.algorithms.base import (
+    GridGroups,
     MatmulResult,
     check_same_shape,
     cube_layout_3d,
     cube_route,
     default_topology,
+    grid_array,
+    grid_coords,
     grid_groups,
-    grid_layout,
     matmul_cost,
     serial_work,
 )
@@ -60,7 +62,7 @@ class TestDefaultTopology:
 class TestGridLayout:
     def test_binary_rows_are_subcubes(self):
         topo = Hypercube(4)
-        layout = grid_layout(topo, 4, 4, scheme="binary")
+        layout = grid_array(topo, 4, 4, scheme="binary").tolist()
         # each row's ranks differ only in the low 2 bits
         for row in layout:
             base = row[0] & ~0b11
@@ -68,7 +70,7 @@ class TestGridLayout:
 
     def test_gray_ring_neighbors_one_hop(self):
         topo = Hypercube(4)
-        layout = grid_layout(topo, 4, 4, scheme="gray")
+        layout = grid_array(topo, 4, 4, scheme="gray").tolist()
         for i in range(4):
             for j in range(4):
                 assert topo.distance(layout[i][j], layout[i][(j + 1) % 4]) == 1
@@ -77,49 +79,46 @@ class TestGridLayout:
     def test_layout_is_permutation(self):
         topo = Hypercube(4)
         for scheme in ("binary", "gray"):
-            layout = grid_layout(topo, 4, 4, scheme=scheme)
+            layout = grid_array(topo, 4, 4, scheme=scheme).tolist()
             ranks = sorted(r for row in layout for r in row)
             assert ranks == list(range(16))
 
     def test_mesh_uses_own_coords(self):
         mesh = Mesh2D(2, 3)
-        layout = grid_layout(mesh, 2, 3)
-        assert layout == [[0, 1, 2], [3, 4, 5]]
+        assert grid_array(mesh, 2, 3).tolist() == [[0, 1, 2], [3, 4, 5]]
 
     def test_mesh_shape_mismatch(self):
         with pytest.raises(ValueError):
-            grid_layout(Mesh2D(2, 3), 3, 2)
+            grid_array(Mesh2D(2, 3), 3, 2)
 
     def test_grid_must_cover(self):
         with pytest.raises(ValueError):
-            grid_layout(Hypercube(4), 2, 4)
+            grid_array(Hypercube(4), 2, 4)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
-            grid_layout(Hypercube(4), 4, 4, scheme="hilbert")
+            grid_array(Hypercube(4), 4, 4, scheme="hilbert")
 
     def test_hypercube_rectangular_pow2_sides_ok(self):
-        layout = grid_layout(Hypercube(4), 8, 2)
-        assert len(layout) == 8 and len(layout[0]) == 2
+        assert grid_array(Hypercube(4), 8, 2).shape == (8, 2)
 
     @pytest.mark.parametrize("scheme", ["binary", "gray"])
     def test_hypercube_layout_matches_per_entry_codes(self, scheme):
-        """The array form equals concatenating each coordinate's code, entry
-        by entry, as lists of Python ints."""
+        """The int64 array equals concatenating each coordinate's code, entry
+        by entry."""
         code = gray_code if scheme == "gray" else (lambda x: x)
         for d in range(11):
             for row_bits in range(d + 1):
                 rows, cols = 1 << row_bits, 1 << (d - row_bits)
-                layout = grid_layout(Hypercube(d), rows, cols, scheme=scheme)
-                assert layout == [
+                layout = grid_array(Hypercube(d), rows, cols, scheme=scheme)
+                assert layout.dtype == np.int64
+                assert layout.tolist() == [
                     [(code(r) << (d - row_bits)) | code(c) for c in range(cols)]
                     for r in range(rows)
                 ]
-                assert all(type(x) is int for row in layout for x in row)
 
     def test_fully_connected_row_major(self):
-        layout = grid_layout(FullyConnected(6), 2, 3)
-        assert layout == [[0, 1, 2], [3, 4, 5]]
+        assert grid_array(FullyConnected(6), 2, 3).tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
 def _grid_cases():
@@ -143,8 +142,9 @@ class TestGridGroups:
     )
     def test_groups_and_coords_equal_the_nested_comprehensions(self, topo, scheme):
         side = int(round(topo.size ** 0.5))
-        layout = grid_layout(topo, side, side, scheme=scheme)
-        grid = grid_groups(layout)
+        lay = grid_array(topo, side, side, scheme=scheme)
+        layout = lay.tolist()
+        grid = grid_groups(lay)
         rows = [[layout[i][c] for c in range(side)] for i in range(side)]
         cols = [[layout[r][j] for r in range(side)] for j in range(side)]
         row_of = [None] * topo.size
@@ -164,10 +164,62 @@ class TestGridGroups:
         assert np.array_equal(parts["col"], np.asarray(cols))
 
     def test_groups_do_not_alias_the_layout(self):
-        layout = grid_layout(Hypercube(4), 4, 4, scheme="gray")
-        grid = grid_groups(layout)
+        lay = grid_array(Hypercube(4), 4, 4, scheme="gray")
+        grid = grid_groups(lay)
         grid.rows[0].reverse()
-        assert layout[0][0] == grid.rows[0][-1] != grid.rows[0][0]
+        assert lay[0, 0] == grid.rows[0][-1] != grid.rows[0][0]
+
+    @pytest.mark.parametrize(
+        "topo,scheme", [c[1:] for c in GRID_CASES], ids=[c[0] for c in GRID_CASES]
+    )
+    def test_the_groups_keep_the_layout_array(self, topo, scheme):
+        side = int(round(topo.size ** 0.5))
+        lay = grid_array(topo, side, side, scheme=scheme)
+        assert lay.dtype == np.int64 and lay.shape == (side, side)
+        assert grid_groups(lay).lay is lay
+
+    @pytest.mark.parametrize("p", [16, 64, 4096])
+    @pytest.mark.parametrize(
+        "driver,scheme", [("cannon", "gray"), ("fox", "gray"), ("simple", "binary")]
+    )
+    def test_drivers_build_the_groups_of_the_nested_layout(self, driver, scheme, p, monkeypatch):
+        """Each grid driver's groups, built from the layout array, equal field
+        for field those built from the layout as nested lists, row by row
+        and with ``zip(*layout)`` for the columns."""
+        import dataclasses
+        import importlib
+
+        module = importlib.import_module(f"repro.algorithms.{driver}")
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def capture(layout):
+            built.append(grid_groups(layout))
+            raise Built  # the groups are all this test needs of the run
+
+        monkeypatch.setattr(module, "grid_groups", capture)
+        side = int(round(p ** 0.5))
+        A = np.zeros((side, side))
+        with pytest.raises(Built):
+            getattr(module, f"run_{driver}")(A, A, p)
+        (got,) = built
+        lay = grid_array(Hypercube.of_size(p), side, side, scheme=scheme)
+        layout = lay.tolist()
+        want = GridGroups(
+            lay, [list(row) for row in layout], [list(col) for col in zip(*layout)],
+            *grid_coords(lay),
+        )
+        assert got.lay.dtype == np.int64
+        for f in dataclasses.fields(GridGroups):
+            mine, theirs = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "lay":
+                assert np.array_equal(mine, theirs)
+            else:
+                assert mine == theirs, f.name
+                flat = [x for v in mine for x in (v if isinstance(v, list) else [v])]
+                assert all(type(x) is int for x in flat), f.name
 
 
 class TestCubeLayout:

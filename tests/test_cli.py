@@ -114,6 +114,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "T_sim" in out and "cannon" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "1.5"])
+    def test_sweep_rejects_jobs_below_one_as_a_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "cannon", "--n-values", "16", "--p-values", "4", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: {jobs!r} is not a whole number" in capsys.readouterr().err
+
     def test_sweep_csv_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "rows.csv"
         assert main([
@@ -144,6 +151,14 @@ class TestGanttCommand:
 
 
 class TestCampaignCommand:
+    def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "autopilot", "--count", "2", "--profile", "smoke",
+                  "--db", str(tmp_path / "camp"), "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs: '0' is not a whole number" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_autopilot_smoke_writes_db_and_report(self, capsys, tmp_path):
         db = str(tmp_path / "camp")
         assert main([

@@ -28,7 +28,7 @@ import pytest
 import repro.simulator.collectives as coll
 import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
-from repro.algorithms.base import grid_layout
+from repro.algorithms.base import grid_array
 from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.compile import CompileFallback, SymmetrySpec, _build_axes, compile_spmd
 from repro.simulator.engine import Engine, RankInfo
@@ -367,13 +367,13 @@ def test_pre_probe_blockers_fall_back(kwargs, reason):
     assert reason in res.compile_fallback
 
 
-def _block_ring(p, arithmetic, return_partial=False):
-    """A ring of 2x2 blocks: rank r starts with A[r] and B[r], multiplies
-    them by *arithmetic*, rolls A one step, and returns its product
-    (after the partial product it summed, with *return_partial*)."""
+def _block_ring(p, arithmetic, return_partial=False, block=2):
+    """A ring of ``block x block`` blocks: rank r starts with A[r] and B[r],
+    multiplies them by *arithmetic*, rolls A one step, and returns its
+    product (after the partial product it summed, with *return_partial*)."""
     rng = np.random.default_rng(p)
-    a_stack = rng.standard_normal((p, 2, 2))
-    b_stack = rng.standard_normal((p, 2, 2))
+    a_stack = rng.standard_normal((p, block, block))
+    b_stack = rng.standard_normal((p, block, block))
     own = np.arange(p)
     spec = SymmetrySpec(
         partitions={"ring": own[None, :]},
@@ -384,7 +384,7 @@ def _block_ring(p, arithmetic, return_partial=False):
         a, b = info.input("a"), info.input("b")
         yield Compute(8.0)
         c = arithmetic(info, a, b)
-        yield Send(dst=(info.rank + 1) % p, data=a, nwords=4, tag=1)
+        yield Send(dst=(info.rank + 1) % p, data=a, nwords=block * block, tag=1)
         left = yield Recv(src=(info.rank - 1) % p, tag=1)
         total = c + left @ b
         return (c, total) if return_partial else total
@@ -399,11 +399,16 @@ def _assert_same_returns(compiled, reference):
 
 
 # returning the partial product checks that its last reader, the add,
-# does not overwrite it
-@pytest.mark.parametrize("return_partial", [False, True], ids=["sum", "partial-and-sum"])
-def test_block_ring_payloads_compile(return_partial):
+# does not overwrite it; 48x48 blocks make the ring's one group row wider
+# than an evaluation chunk, so its rolled reads are cut within the row
+@pytest.mark.parametrize(
+    "return_partial,block",
+    [(False, 2), (True, 2), (False, 48), (True, 48)],
+    ids=["sum", "partial-and-sum", "sum-48x48", "partial-and-sum-48x48"],
+)
+def test_block_ring_payloads_compile(return_partial, block):
     p = 16
-    program, spec = _block_ring(p, lambda info, a, b: a @ b, return_partial)
+    program, spec = _block_ring(p, lambda info, a, b: a @ b, return_partial, block)
     res_c = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
                    symmetry=spec).run(program)
     res_h = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="heap",
@@ -411,6 +416,119 @@ def test_block_ring_payloads_compile(return_partial):
     assert res_c.compiled, res_c.compile_fallback
     _assert_identical(res_c, res_h, p)
     _assert_same_returns(res_c, res_h)
+
+
+def _grid_accumulator(side, uneven, case, k=2):
+    """Cannon's roll on a ``side x side`` gray-coded grid: rank (i, j) starts
+    with an ``(h_i, k)`` block ``a`` and a ``k x k`` block ``b``, rolls ``a``
+    along its row and ``b`` along its column three times, and accumulates
+    ``c = c + a @ b`` after each roll.  After the second add, *case* gives the
+    accumulator or the product one more reader:
+
+    * ``sent``: the accumulator is rolled to a row neighbor and returned;
+    * ``returned``: the accumulator is returned, then accumulated again;
+    * ``self-gather``: it is added to a row neighbor's accumulator times ``b``;
+    * ``product-twice``: the product is added to the accumulator and again
+      to the sum;
+    * ``reduced``: no other reader, but the last sum is reduced along the
+      row (the 2.5D pattern), so rank (i, 0) returns its row's total and
+      every other rank ``None``.
+
+    *uneven* makes ``h_i`` ``k`` or ``k + 1`` by grid row, so ``a`` and ``c``
+    are stacks of two shapes.  With ``k = 48`` a stack of 16 blocks is
+    larger than an evaluation chunk, so the evaluation holds the rolled
+    values of an even grid in grid order."""
+    from repro.algorithms.base import rank_vector
+
+    p = side * side
+    lay = grid_array(Hypercube.of_size(p), side, side, scheme="gray")
+    rows, cols = lay.tolist(), lay.T.tolist()
+    where = {r: divmod(x, side) for x, r in enumerate(lay.ravel().tolist())}
+    rng = np.random.default_rng((side, uneven, k))
+    blocks = [
+        rng.standard_normal((k + (x // side) % 2 if uneven else k, k)) for x in range(p)
+    ]
+    own = rank_vector(lay, np.arange(p).reshape(side, side))
+    spec = SymmetrySpec(
+        partitions={"row": lay, "col": lay.T},
+        inputs={
+            "a": (blocks if uneven else np.stack(blocks), own),
+            "b": (rng.standard_normal((p, k, k)), own),
+        },
+    )
+
+    def body(info: RankInfo):
+        i, j = where[info.rank]
+        a, b = info.input("a"), info.input("b")
+        yield Compute(8.0)
+        c = a @ b
+        extra = []
+        for step in range(3):
+            a = yield from coll.shift_cyclic(info, rows[i], -1, a, tag=1 + 2 * step)
+            b = yield from coll.shift_cyclic(info, cols[j], -1, b, tag=2 + 2 * step)
+            if step == 1 and case == "product-twice":
+                prod = a @ b
+                c = c + prod
+                extra.append(c + prod)
+                continue
+            c = c + a @ b
+            if step != 1:
+                continue
+            if case == "sent":
+                extra.append((yield from coll.shift_cyclic(info, rows[i], 1, c, tag=20)))
+            elif case == "returned":
+                extra.append(c)
+            elif case == "self-gather":
+                mine = yield from coll.shift_cyclic(info, rows[i], 1, c, tag=20)
+                c = c + mine @ b
+        if case == "reduced":
+            return (yield from coll.reduce_binomial(info, rows[i], 0, c, tag=30))
+        return (c, *extra)
+
+    return body, spec
+
+
+def _compiled_and_heap_grid(side, uneven, case, k):
+    program, spec = _grid_accumulator(side, uneven, case, k)
+    topo = Hypercube.of_size(side * side)
+    res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(program)
+    res_h = Engine(topo, NCUBE2_LIKE, scheduler="heap", symmetry=spec).run(program)
+    assert res_c.compiled, res_c.compile_fallback
+    _assert_identical(res_c, res_h, side * side)
+    return res_c, res_h
+
+
+#: block sizes of the accumulator programs: a 16-block stack of 2x2 blocks
+#: stays in rank order, one of 48x48 blocks is held in grid order
+_ACC_BLOCKS = pytest.mark.parametrize("k", [2, 48], ids=["2x2", "48x48"])
+
+
+@_ACC_BLOCKS
+@pytest.mark.parametrize("uneven", [False, True], ids=["even", "uneven"])
+@pytest.mark.parametrize("case", ["sent", "returned", "self-gather", "product-twice"])
+def test_accumulator_with_another_reader_equals_heap(case, uneven, k):
+    """An accumulator or product that something else also reads keeps its
+    value: the stacked evaluation adds in place only into an operand that
+    nothing else reads, so every rank's values equal heap's bit for bit."""
+    res_c, res_h = _compiled_and_heap_grid(4, uneven, case, k)
+    for got, want in zip(res_c.returns, res_h.returns):
+        assert len(got) == len(want) == 2 - (case == "self-gather")
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@_ACC_BLOCKS
+@pytest.mark.parametrize("uneven", [False, True], ids=["even", "uneven"])
+def test_reduced_accumulator_equals_heap(uneven, k):
+    """A reduce whose operand is the last ``c + a @ b`` computes that sum for
+    its members itself; the product it adds comes from a stack of its own,
+    not from a second fusion that would leave it uncomputed."""
+    res_c, res_h = _compiled_and_heap_grid(4, uneven, "reduced", k)
+    assert sum(x is not None for x in res_h.returns) == 4
+    for got, want in zip(res_c.returns, res_h.returns):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +552,36 @@ def test_dataflow_that_is_not_symmetric_falls_back(arithmetic, reason):
     assert reason in res_c.compile_fallback
     _assert_identical(res_c, res_h, p)
     _assert_same_returns(res_c, res_h)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a compiled run records only its probe ranks, so a "
+    "program that diverges at a rank no probe runs compiles on a probe's requests",
+)
+def test_a_divergence_at_an_unprobed_rank_matches_heap_or_falls_back():
+    """A ring of 64 ranks runs three cyclic shifts, and rank 37 alone (no
+    probe) first computes for 1000 units: heap's T_p is 1042.  A compiled
+    run must give the same T_p or fall back; today it gives 42 and says
+    it compiled."""
+    p = 64
+    ring = list(range(p))
+    spec = SymmetrySpec(partitions={"ring": np.arange(p)[None, :]})
+
+    def program(info: RankInfo):
+        if info.rank == 37:
+            yield Compute(1000.0)
+        data = None
+        for step in range(3):
+            data = yield from coll.shift_cyclic(info, ring, 1, data, nwords=4, tag=step)
+
+    machine = MachineParams(ts=10.0, tw=1.0)
+    res_h = Engine(FullyConnected(p), machine, scheduler="heap", symmetry=spec).run(program)
+    res_c = Engine(FullyConnected(p), machine, scheduler="compiled", symmetry=spec).run(program)
+    if res_h.parallel_time != 1042.0:
+        pytest.fail(f"heap's T_p is {res_h.parallel_time}, not 1042")
+    assert not res_c.compiled or res_c.parallel_time == res_h.parallel_time
 
 
 def test_uneven_partition_compiles_bit_identically():
@@ -572,7 +720,7 @@ def test_malformed_symmetry_spec_raises(rows):
 
 def test_a_transposed_axis_builds_the_same_axis_as_its_copy():
     """The grid drivers pass a layout's transpose, a view, as their column axis."""
-    lay = np.asarray(grid_layout(Hypercube(5), 4, 8, scheme="gray"))
+    lay = grid_array(Hypercube(5), 4, 8, scheme="gray")
     assert not lay.T.flags.c_contiguous
     (got,) = _build_axes(SymmetrySpec(partitions={"col": lay.T}), 32).values()
     (want,) = _build_axes(SymmetrySpec(partitions={"col": lay.T.copy()}), 32).values()
@@ -1002,10 +1150,20 @@ CLASS_TRIPLES = sorted(
 )
 
 
+#: (blocks, side) of every Cannon point the paper pipeline compiles: Fig. 4
+#: at p = 64, Fig. 5 at p = 484, and the 65,536-rank ``scaling-large`` run
+CANNON_BLOCKS = [
+    *((64, n // 8) for n in (8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192)),
+    *((484, n // 22) for n in (44, 66, 88, 110, 132, 176, 220, 264, 308, 352, 440)),
+    (65536, 2),
+]
+
+
 @pytest.mark.parametrize(
     "count,b",
     [
         *STACKED_BLOCKS,
+        *(pytest.param(count, b, id=f"cannon-{count}-{b}") for count, b in CANNON_BLOCKS),
         # one stack per class, of 1 to 81 blocks (a chunk's share of a class)
         *(
             pytest.param(count, triple, id=f"{count}-{'x'.join(map(str, triple))}")
@@ -1015,13 +1173,27 @@ CLASS_TRIPLES = sorted(
     ],
 )
 def test_stacked_matmul_equals_per_block_products(count, b):
-    """Compiled payloads multiply on stacks; heap multiplies block by block."""
+    """Compiled payloads multiply on stacks; heap multiplies block by block.
+
+    The stacks are also read the way the grid evaluation reads rolled
+    operands: as strided views into stacks that hold each group twice (one
+    rolled along a row, one along a column and transposed), with the
+    product written through ``out=`` into a fresh stack or a strided view.
+    """
     rows, inner, cols = (b, b, b) if isinstance(b, int) else b
     rng = np.random.default_rng((count, rows, inner, cols))
     a = rng.standard_normal((count, rows, inner))
     c = rng.standard_normal((count, inner, cols))
-    stacked = np.matmul(a, c)
-    assert all(np.array_equal(stacked[k], a[k] @ c[k]) for k in range(count))
+    want = np.stack([a[k] @ c[k] for k in range(count)])
+    assert np.array_equal(np.matmul(a, c), want)
+    assert np.array_equal(np.matmul(a, c, out=np.empty_like(want)), want)
+    d, e = count // 3, count // 2
+    va = np.stack([np.concatenate((a, a))] * 2)[:, d:d + count]
+    vc = np.stack([np.concatenate((c, c))] * 2, axis=1)[e:e + count].swapaxes(0, 1)
+    rolled = np.stack([a[(d + k) % count] @ c[(e + k) % count] for k in range(count)])
+    into = np.empty((2, 2 * count, rows, cols))
+    for got in (np.matmul(va, vc), np.matmul(va, vc, out=into[:, e:e + count])):
+        assert np.array_equal(got[0], rolled) and np.array_equal(got[1], rolled)
 
 
 def test_replay_drops_arrival_vectors(monkeypatch):
@@ -1048,6 +1220,27 @@ def test_replay_drops_arrival_vectors(monkeypatch):
     ]
     assert len(recvs) == 2 * 31  # one per roll of A and of B
     assert all(ph.source.arrival is None for ph in recvs)
+
+
+def test_payload_graph_lets_go_of_its_inputs_and_evaluates_once(monkeypatch):
+    """Evaluating the payload graph drops its input stacks, so a rolled input
+    is not held in rank order beside its grid-order copy; a second
+    evaluation has nothing to read and says so."""
+    schedules = []
+
+    def keep(*args, **kwargs):
+        schedules.append(compile_spmd(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(engine_mod, "compile_spmd", keep)
+    res = _run_driver("cannon", 32, 16, "compiled")
+    assert res.sim.compiled, res.sim.compile_fallback
+    (schedule,) = schedules
+    assert schedule.dataflow.inputs is not None
+    res.C  # the first read of the product evaluates the graph
+    assert schedule.dataflow.inputs is None
+    with pytest.raises(RuntimeError, match="evaluates once"):
+        schedule.dataflow.evaluate()
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig9"])
 
+    def test_jobs_below_one_is_a_usage_error_not_a_serial_run(self, capsys, monkeypatch):
+        from repro.experiments import figures45
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setattr(figures45, "run_fig4", lambda **kw: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--fast", "--jobs", "-3"])
+        assert exc.value.code == 2
+        assert "argument --jobs: '-3' is not a whole number" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,named",
         [

@@ -112,14 +112,14 @@ class TestEndToEnd:
 
     def test_contention_mode_preserves_results(self):
         """Link contention may change timing but never numerics."""
-        from repro.algorithms.base import grid_layout
+        from repro.algorithms.base import grid_array
         from repro.algorithms.cannon import cannon_program
         from repro.blockops.partition import BlockSpec
 
         A, B = rand_pair(16, seed=8)
         side = 4
         topo = Hypercube(4)
-        layout = grid_layout(topo, side, side, scheme="gray")
+        layout = grid_array(topo, side, side, scheme="gray").tolist()
         spec = BlockSpec(16, 16, side, side)
         ab, bb = spec.scatter(A), spec.scatter(B)
         factories = [None] * 16

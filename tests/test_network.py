@@ -153,10 +153,10 @@ class TestPaperAssumptionHolds:
         import numpy as np
 
         from repro.blockops.partition import BlockSpec
-        from repro.algorithms.base import grid_layout
+        from repro.algorithms.base import grid_array
 
         side = 4
-        layout = grid_layout(topo2, side, side, scheme="gray")
+        layout = grid_array(topo2, side, side, scheme="gray").tolist()
         spec = BlockSpec(16, 16, side, side)
         a_blocks = spec.scatter(A)
         b_blocks = spec.scatter(B)
